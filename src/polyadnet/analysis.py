@@ -92,13 +92,19 @@ def triangle_count(g: MultiGraph) -> int:
     return total
 
 
-def global_clustering(g: MultiGraph) -> float:
-    """Transitivity 3T / (number of wedges) on the simple projection."""
+def global_clustering(g: MultiGraph, triangles: int | None = None) -> float:
+    """Transitivity 3T / (number of wedges) on the simple projection.
+
+    Pass ``triangles`` when ``triangle_count(g)`` is already known, so the
+    triangles are not counted a second time.
+    """
     adj = _simple_adjacency(g)
     wedges = sum(len(a) * (len(a) - 1) // 2 for a in adj)
     if wedges == 0:
         raise ValueError("graph has no wedges; clustering undefined")
-    return 3.0 * triangle_count(g) / wedges
+    if triangles is None:
+        triangles = triangle_count(g)
+    return 3.0 * triangles / wedges
 
 
 def loglog_slope(

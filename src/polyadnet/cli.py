@@ -351,14 +351,15 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
     empirical = empirical_vdd(g)
     out = _out_dir(cfg)
 
+    triangles = triangle_count(g)
     summary: dict = {
         "tool": f"polyadnet {__version__}",
         "vertices": g.n,
         "edges": len(g.edges),
-        "triangles": triangle_count(g),
+        "triangles": triangles,
     }
     try:
-        summary["clustering"] = repr(global_clustering(g))
+        summary["clustering"] = repr(global_clustering(g, triangles))
     except ValueError:
         summary["clustering"] = "undefined"
     try:

@@ -8,7 +8,10 @@ weights, then the graph and layer index are updated together.
 Randomness comes from one numpy PCG64 generator per run, seeded
 explicitly, with a fixed draw order per increment (increment type, then
 free-edge counts, then layer picks, then within-layer picks), so runs with
-equal seeds produce identical graphs byte for byte.
+equal seeds produce identical graphs byte for byte. ``grow`` draws the
+uniforms in blocks and hands them out in the same order as one call per
+draw would; a block of doubles from PCG64 is the same sequence as that
+many single draws.
 """
 
 from __future__ import annotations
@@ -34,6 +37,41 @@ __all__ = [
     "write_edge_list",
     "write_stats",
 ]
+
+
+_BLOCK = 4096
+
+
+class _Uniforms:
+    """Uniforms on [0, 1) from ``rng``, drawn ``_BLOCK`` at a time.
+
+    ``random()`` and ``random(n)`` hand out the generator's doubles in
+    order, as a float and as a list, exactly as the same calls on ``rng``
+    would have returned them.
+    """
+
+    __slots__ = ("_rng", "_buf", "_pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buf: list[float] = []
+        self._pos = 0
+
+    def random(self, size: int | None = None):
+        pos = self._pos
+        if size is None:
+            if pos == len(self._buf):
+                self._buf = self._rng.random(_BLOCK).tolist()
+                pos = 0
+            self._pos = pos + 1
+            return self._buf[pos]
+        end = pos + size
+        if end > len(self._buf):
+            fresh = self._rng.random(max(_BLOCK, size)).tolist()
+            self._buf = self._buf[pos:] + fresh
+            pos, end = 0, size
+        self._pos = end
+        return self._buf[pos:end]
 
 
 @dataclass(frozen=True)
@@ -89,12 +127,7 @@ def apply_nad(g: MultiGraph, idx: LayerIndex, p: ModelParams, rng) -> None:
     bundle_targets = targets[:mu]
     single_targets = targets[mu:]
 
-    base = g.n
-    for _ in range(n):
-        g.add_vertex()
-    for i in range(n):
-        for k in range(i + 1, n):
-            g.add_edge(base + i, base + k)
+    base = g.add_clique(n)
     gains: dict[int, int] = {}
     for t in bundle_targets:
         for i in range(n):
@@ -146,7 +179,7 @@ def grow(
     if steps < 0:
         raise ValueError(f"steps={steps} must be >= 0")
     idx = LayerIndex.build(g, f)
-    rng = np.random.default_rng(rng_seed)
+    rng = _Uniforms(np.random.default_rng(rng_seed))
     gamma = p.gamma
     n0, e0 = g.n, len(g.edges)
     monads = nads = 0
@@ -203,35 +236,49 @@ def write_edge_list(g: MultiGraph, path, header: Mapping | None = None) -> None:
 def read_edge_list(path) -> tuple[MultiGraph, dict[str, str]]:
     """Load a graph written by :func:`write_edge_list`.
 
-    Returns the graph and the parsed header key=value entries.
+    Returns the graph and the parsed header key=value entries. Rows are
+    parsed, checked and stored in one pass; the graph is filled in bulk
+    rather than through ``add_vertex`` / ``add_edge``, with the same checks
+    and messages. A malformed row or a short header vertex count is
+    reported before a self-loop or a negative id.
     """
     header: dict[str, str] = {}
     edges: list[tuple[int, int]] = []
+    bad_edge = None
     max_id = -1
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            body = line[1:].strip()
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0][0] == "#":
+            body = raw.strip()[1:].strip()
             if "=" in body:
                 key, _, val = body.partition("=")
                 header.setdefault(key.strip(), val.strip())
             continue
-        if not line:
-            continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'u<TAB>v', got {raw!r}")
         u, v = int(parts[0]), int(parts[1])
+        if u > v:
+            u, v = v, u
+        elif u == v and bad_edge is None:
+            bad_edge = f"self-loop at vertex {u}"
+        if u < 0 and bad_edge is None:
+            bad_edge = f"edge ({u}, {v}) references an unknown vertex"
+        if v > max_id:
+            max_id = v
         edges.append((u, v))
-        max_id = max(max_id, u, v)
     n = int(header.get("vertices", max_id + 1))
     if n < max_id + 1:
         raise ValueError(f"{path}: header vertex count {n} below max id {max_id}")
+    if bad_edge is not None:
+        raise ValueError(bad_edge)
     g = MultiGraph()
-    for _ in range(n):
-        g.add_vertex()
+    deg = g.degrees = [0] * n
     for u, v in edges:
-        g.add_edge(u, v)
+        deg[u] += 1
+        deg[v] += 1
+    g.edges = edges
     return g, header
 
 

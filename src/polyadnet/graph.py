@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 from .distributions import DegreeDistribution
 
@@ -42,6 +43,17 @@ class MultiGraph:
         self.degrees[u] += 1
         self.degrees[v] += 1
 
+    def add_clique(self, n: int) -> int:
+        """Add ``n`` new vertices joined pairwise; returns the first id.
+
+        Edges are appended in lexicographic order, as ``add_edge`` calls
+        in a double loop over i < j would append them.
+        """
+        base = len(self.degrees)
+        self.degrees.extend([n - 1] * n)
+        self.edges.extend(combinations(range(base, base + n), 2))
+        return base
+
     def check_handshake(self) -> None:
         """Assert sum of degrees equals twice the edge count."""
         total = sum(self.degrees)
@@ -59,11 +71,7 @@ def seed_complete(s: int) -> MultiGraph:
     if not isinstance(s, int) or s < 2:
         raise ValueError(f"seed size {s!r} must be an integer >= 2")
     g = MultiGraph()
-    for _ in range(s):
-        g.add_vertex()
-    for u in range(s):
-        for v in range(u + 1, s):
-            g.add_edge(u, v)
+    g.add_clique(s)
     return g
 
 

@@ -1,5 +1,9 @@
+import hashlib
+
+import numpy as np
 import pytest
 
+from polyadnet import engine
 from polyadnet.distributions import DegreeDistribution
 from polyadnet.engine import (
     grow,
@@ -205,3 +209,82 @@ def test_stats_round_trip(tmp_path):
     write_stats({"steps": 10, "saturated": False}, path)
     back = read_stats(path)
     assert back == {"steps": "10", "saturated": "False"}
+
+
+def test_edge_list_rejects_self_loop(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text("# vertices=3\n0\t1\n2\t2\n")
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        read_edge_list(path)
+
+
+def test_edge_list_rejects_negative_id(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text("# vertices=3\n1\t-1\n")
+    with pytest.raises(ValueError, match=r"^edge \(-1, 1\) references an unknown vertex$"):
+        read_edge_list(path)
+
+
+def test_edge_list_reports_row_and_count_errors_before_bad_edges(tmp_path):
+    # the whole file is parsed and the header checked before edges are
+    path = tmp_path / "edges.tsv"
+    path.write_text("1\t1\n0\t1\t2\n")
+    with pytest.raises(ValueError, match="expected 'u<TAB>v'"):
+        read_edge_list(path)
+    path.write_text("# vertices=2\n1\t1\n0\t5\n")
+    with pytest.raises(ValueError, match="header vertex count 2 below max id 5"):
+        read_edge_list(path)
+
+
+# ---- golden streams -----------------------------------------------------
+#
+# sha256 of the edge list ("u<TAB>v" lines) after 2000 steps from the seed
+# graph, recorded before the engine drew its uniforms in blocks and kept
+# its layer weights in a Fenwick tree; engine changes must keep every
+# graph byte for byte.
+
+MIXED = ModelParams(
+    gamma=0.3, n=3, mu=1, r1=point(1), rn=DegreeDistribution.from_probs({1: 0.5, 2: 0.5})
+)
+BA = ModelParams(gamma=0.0, n=2, mu=0, r1=point(2), rn=point(0))
+PENTADS = ModelParams(gamma=1.0, n=5, mu=0, r1=point(0), rn=point(1))
+FLOAT_TABLE = PreferenceFunction.from_table({k: 0.5 + k**0.8 for k in range(1, 401)})
+POWER_1_5 = PreferenceFunction.from_rule(lambda k: np.asarray(k, dtype=float) ** 1.5, g=1)
+
+GOLDEN = {
+    "ba": (BA, LINEAR, 4, "01eff099683ee157d84903fd5936fe9f8177d672a8e94e97eb477971dc692030"),
+    "mixed": (MIXED, LINEAR, 4, "25f45b5bd5823739f451ab9790bc50bbf4d4352d66dbe245c3f477c5438a6fca"),
+    "pentads": (PENTADS, LINEAR, 5, "23da56237313fadc28d4cc9a5d4ded548f6ffd390b4af88ee7bd2fdfdd6d7ba1"),
+    "float_table": (MIXED, FLOAT_TABLE, 4, "dc2b19ad86445775247108178c86b519859cff5a60544f1b50e7c974f0dbd060"),
+    "power_1_5": (BA, POWER_1_5, 4, "f393b4a6d81d3aa098511217704ab4d77a899ba803b5376844b85248e806cd9c"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_stream(name):
+    p, f, seed_size, digest = GOLDEN[name]
+    g = seed_complete(seed_size)
+    grow(g, p, f, 2000, rng_seed=21)
+    data = "".join(f"{u}\t{v}\n" for u, v in g.edges).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_block_uniforms_match_scalar_draws():
+    block = engine._BLOCK
+    buf = engine._Uniforms(np.random.default_rng(77))
+    ref = np.random.default_rng(77)
+    # scalars and short vectors across several block boundaries, a vector
+    # that straddles a boundary, one larger than a whole block, and an
+    # empty request
+    sizes = [None] * (block - 3) + [7, None, 0, 5] * 50 + [2 * block + 11]
+    sizes += [None, 3] * (block // 2) + [block - 1, None]
+    for size in sizes:
+        got = buf.random(size)
+        if size is None:
+            want = ref.random()
+            assert isinstance(got, float)
+            assert got == want
+        else:
+            want = [ref.random() for _ in range(size)]
+            assert isinstance(got, list)
+            assert got == want

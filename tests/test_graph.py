@@ -77,3 +77,17 @@ def test_empirical_vdd_counts_isolated_vertices():
     g.add_vertex()
     d = empirical_vdd(g)
     assert d.prob(0) == pytest.approx(1 / 3)
+
+
+def test_add_clique_matches_pairwise_add_edge():
+    g = seed_complete(3)
+    base = g.add_clique(4)
+    h = seed_complete(3)
+    for _ in range(4):
+        h.add_vertex()
+    for i in range(4):
+        for j in range(i + 1, 4):
+            h.add_edge(3 + i, 3 + j)
+    assert base == 3
+    assert g.edges == h.edges
+    assert g.degrees == h.degrees == [2, 2, 2, 3, 3, 3, 3]

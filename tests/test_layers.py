@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from polyadnet.graph import MultiGraph, seed_complete
-from polyadnet.layers import LayerIndex, SaturationError, sample_target
+from polyadnet.layers import TREE_RTOL, LayerIndex, SaturationError, sample_target
 from polyadnet.preference import PreferenceFunction
 
 
@@ -144,3 +144,127 @@ def test_sampling_deterministic_per_seed():
     a = idx1.sample_many(np.random.default_rng(99), 50)
     b = idx2.sample_many(np.random.default_rng(99), 50)
     assert a == b
+
+
+def random_graph(rng, n, edges):
+    g = MultiGraph()
+    for _ in range(n):
+        g.add_vertex()
+    for _ in range(edges):
+        u, v = rng.integers(0, n, 2)
+        if u != v:
+            g.add_edge(int(u), int(v))
+    return g
+
+
+def test_saturation_after_bumping_every_vertex_out_of_float_window():
+    # float weights leave rounding residue in the tree once every layer is
+    # emptied; saturation must come from the vertex count, not the total
+    f = PreferenceFunction.from_table({1: 0.1, 2: 0.3, 3: 0.7, 4: 1.1})
+    g = MultiGraph()
+    for _ in range(6):
+        g.add_vertex()
+    for i in range(6):
+        g.add_edge(i, (i + 1) % 6)  # a 6-cycle, every degree 2
+    idx = LayerIndex.build(g, f)
+    rng = np.random.default_rng(5)
+    assert set(idx.sample_many(rng, 100)) == set(range(6))
+    for step in range(3):  # 2 -> 3 -> 4 -> 5, the last out of the window
+        for v in range(6):
+            idx.bump(v, 2 + step, 3 + step)
+            g.degrees[v] += 1  # degrees only; verify reads nothing else
+    assert idx._tree[idx._top] > 0.0  # the residue this test is about
+    idx.verify(g)  # residue within tolerance although every weight is 0
+    with pytest.raises(SaturationError):
+        idx.sample_many(rng, 1)
+    idx.bump(0, 5, 4)  # one vertex back in the window: it is the only pick
+    assert set(idx.sample_many(rng, 50)) == {0}
+
+
+def test_descent_matches_cumulative_sum_search():
+    # integer weights: every pick equals searchsorted over the cumulative
+    # layer weights, the same uniforms in the same order
+    rng = np.random.default_rng(31)
+    g = random_graph(rng, 300, 1500)
+    f = PreferenceFunction.linear()
+    idx = LayerIndex.build(g, f)
+    draws = 5000
+    got = idx.sample_many(np.random.default_rng(8), draws)
+    hi = max(g.degrees) + 1
+    layers = idx.members
+    cs = np.cumsum([f(k) * len(layers.get(k, ())) for k in range(hi)])
+    u = np.random.default_rng(8).random(2 * draws)
+    ks = np.searchsorted(cs, u[:draws] * cs[-1], side="right")
+    want = [layers[int(k)][int(w * len(layers[int(k)]))] for k, w in zip(ks, u[draws:])]
+    assert got == want
+
+
+class ListUniforms:
+    """Stands in for a Generator: ``random(n)`` returns the given values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        return out
+
+
+def test_descent_on_exact_layer_boundaries():
+    # u * total equal to a cumulative weight picks the next layer, as
+    # searchsorted(..., side="right") does
+    g = MultiGraph()
+    for _ in range(8):
+        g.add_vertex()
+    for u, v in ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (3, 4)):
+        g.add_edge(u, v)
+    # degrees 4, 3, 2, 2, 2, 1, 1, 1: layer weights 3, 6, 3, 4, total 16,
+    # so u = c / 16 gives u * total = c exactly
+    idx = LayerIndex.build(g, PreferenceFunction.linear())
+    us = [c / 16 for c in (0, 3, 9, 12)]
+    picks = idx.sample_many(ListUniforms(us + [0.0] * len(us)), len(us))
+    assert [g.degrees[v] for v in picks] == [1, 2, 3, 4]
+
+
+def test_verify_checks_the_tree_exactly_for_integer_weights():
+    g = seed_complete(5)
+    idx = LayerIndex.build(g, PreferenceFunction.linear())
+    idx.verify(g)
+    idx._tree[4] += 1e-12
+    with pytest.raises(AssertionError, match="Fenwick"):
+        idx.verify(g)
+
+
+def test_verify_allows_float_drift_within_tolerance():
+    rng = np.random.default_rng(4)
+    f = PreferenceFunction.from_table({k: float(rng.uniform(0.1, 3.0)) for k in range(0, 60)})
+    g = random_graph(rng, 40, 80)
+    idx = LayerIndex.build(g, f)
+    for _ in range(3000):  # random walk of degrees, rounding piles up
+        u, v = (int(x) for x in rng.integers(0, 40, 2))
+        if u != v and max(g.degrees[u], g.degrees[v]) < 58:
+            g.add_edge(u, v)
+            idx.bump(u, g.degrees[u] - 1, g.degrees[u])
+            idx.bump(v, g.degrees[v] - 1, g.degrees[v])
+    idx.verify(g)
+    total = idx._tree[idx._size]
+    idx._tree[idx._size] += 10 * TREE_RTOL * total
+    with pytest.raises(AssertionError, match="Fenwick"):
+        idx.verify(g)
+
+
+def test_capacity_growth_keeps_tree_and_sampling():
+    g = MultiGraph()
+    for _ in range(3):
+        g.add_vertex()
+    f = PreferenceFunction.linear()
+    idx = LayerIndex.build(g, f)  # every degree 0, weight 0
+    for v, k in ((0, 1), (1, 700), (2, 3000)):
+        idx.bump(v, 0, k)
+        for _ in range(k):
+            g.degrees[v] += 1  # degrees only; verify reads nothing else
+    idx.verify(g)
+    draws = idx.sample_many(np.random.default_rng(2), 37010)
+    counts = np.bincount(draws, minlength=3)
+    res = stats.chisquare(counts, np.array([1, 700, 3000]) / 3701 * len(draws))
+    assert res.pvalue > 0.001
