@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -347,3 +348,136 @@ class TestRoundtrip:
         assert main(["roundtrip", "--config", str(cfg)]) == 1
         report = read_stats(tmp_path / "out" / "roundtrip_report.txt")
         assert report["failed_stage"] == "calibrate"
+
+
+# ---- golden outputs -----------------------------------------------------
+#
+# sha256 of every file each run writes, recorded before the rate formulas
+# and the "# key=value" table IO were gathered into one place each; a
+# refactor of either must keep every output byte for byte. Each run
+# works in its own directory: inputs from GOLDEN_TABLES, one config, and
+# CLI commands whose relative paths resolve there.
+
+GOLDEN_TABLES = {
+    "r1_1.tsv": {1: 1.0},
+    "r1_2.tsv": {2: 1.0},
+    "rn_mixed.tsv": {1: 0.5, 2: 0.5},
+    "rn_1.tsv": {1: 1.0},
+    "rn_2.tsv": {2: 1.0},
+}
+LINEAR_RULE = {"kind": "linear", "g": 1}
+BA_CFG = dict(r1_path="r1_2.tsv", preference_rule=LINEAR_RULE)
+MIXED_CFG = dict(
+    gamma=0.3, n=3, mu=1, r1_path="r1_2.tsv", rn_path="rn_mixed.tsv",
+    preference_rule={"kind": "linear", "g": 1, "M": 60},
+    calibration_window=[2, 60],
+)
+PENTADS_CFG = dict(gamma=1.0, n=5, rn_path="rn_1.tsv", preference_rule=LINEAR_RULE, seed_size=5)
+# solver and calibrator wrote a differently at these parameters:
+# b + gamma mu = 1.3000000000000003 against 1.3
+DIVERGING_CFG = dict(
+    gamma=0.1, n=3, mu=1, r1_path="r1_1.tsv", rn_path="rn_2.tsv",
+    preference_rule={"kind": "linear", "g": 1, "M": 40},
+    calibration_window=[1, 40],
+)
+ROUNDTRIP_CFG = dict(
+    r1_path="r1_1.tsv", target_vdd_path="target.tsv", calibration_window=[1, 40],
+    seed_size=3, steps=2000, rng_seed=11, replications=2, empirical_tv_max=0.15,
+)
+
+# name -> (config keys, [(argv after "--config run.yaml", exit code)], digests)
+GOLDEN = {
+    "solve_ba": (
+        BA_CFG,
+        [(["solve", "--kmax", "4096", "--out", "o"], 0)],
+        {
+            "o/q_table.csv": "59a3298e45a649b9e1e319e070965a838e50cba04dc1836fb80a433d177bbb58",
+        },
+    ),
+    "solve_mixed_window": (
+        MIXED_CFG,
+        [(["solve", "--out", "o"], 0)],
+        {
+            "o/q_table.csv": "8887ba2fd0cb17015f21f59c9e2080a90d958f825e4bd18ce42e672fcbe92aa3",
+        },
+    ),
+    "generate_pentads": (
+        PENTADS_CFG,
+        [(["generate", "--steps", "2000", "--seed", "3", "--out", "o"], 0)],
+        {
+            "o/edges.tsv": "734fed854910e73b043749c2f8978d2e2122868d8de3f064d4b3001d89ef8f40",
+            "o/empirical_vdd.tsv": "3fa774c41f708bc362a88dae65963daf99a87c9b052020be5eb1ab374c9f459d",
+            "o/stats.txt": "7fe150c8ee574d48265d16b5bd7b8ce5aad35486d56a6bcd23d9ffd9b1d4c2a9",
+        },
+    ),
+    "calibrate_solved": (
+        dict(MIXED_CFG, target_vdd_path="s/q_table.csv"),
+        [(["solve", "--out", "s"], 0), (["calibrate", "--out", "o"], 0)],
+        {
+            "o/calibration_report.txt": "fff50e97b161f1d7fafb0b5b3a61e8a50a515cc87610979203ac296f395ec83f",
+            "o/forward_q_table.csv": "e41906dd0b2166443bc449f3d740e02bdcadde58a1082b3ecad1e11f47a13a00",
+            "o/preference.tsv": "4282e8f0817784459ab159230a8f2c088825ae183a00b95b3d0084238e8de631",
+            "s/q_table.csv": "ab505d9ee859d89e86a1fd11c7b8b88411383c03db1a3bcb51ad55bf1d41dc45",
+        },
+    ),
+    "roundtrip": (
+        ROUNDTRIP_CFG,
+        [(["roundtrip", "--out", "o"], 0)],
+        {
+            "o/edges_rep0.tsv": "b71714384000c0fb8f5d10d9a5c13838cf55aaf10fe6cb3b663b686a639a85f7",
+            "o/edges_rep1.tsv": "4fee72cbb89a605a7c918af0e41904cef3ad886f755fe634c025a3a61172b7f6",
+            "o/forward_q_table.csv": "9ccb43d00944c0ab259b513dc8fb3497e5aa2522d9300f2e2a28b173e4e58ba7",
+            "o/preference.tsv": "94bafe7456d3c17299db5a3b2c6544ab38beb9d64bb016b95c8b0a0bd75fb831",
+            "o/roundtrip_report.txt": "41446b6d8295a525c6d52ed8cf5c106d2d8a7ebc797a0e474a0b8dc169b06ef7",
+        },
+    ),
+    "analyze": (
+        PENTADS_CFG,
+        [
+            (["generate", "--steps", "2000", "--seed", "4", "--out", "g"], 0),
+            (["solve", "--kmax", "4096", "--out", "s"], 0),
+            (["analyze", "--edges", "g/edges.tsv", "--theory", "s/q_table.csv", "--out", "t"], 0),
+            (["analyze", "--edges", "g/edges.tsv", "--out", "p"], 0),
+        ],
+        {
+            "g/edges.tsv": "155a805a1f427f7f9bd31c34d3bc3a3dd06a7e6c17fce7d3f8bff17956d0bb63",
+            "g/empirical_vdd.tsv": "82359cd8dc338e6fcc09199a637870e47be8ad4f091296bc34a9a41ffbc19331",
+            "g/stats.txt": "4b8a16829d8b5f28b6383e18b9c50df911eb162e9897d7c776245f483f88f513",
+            "p/analysis_report.csv": "f0907253076979120104e337f22ef32d61cb018cb4ec2f57ebba1faf99435417",
+            "s/q_table.csv": "994f342a3302feae728044287975b17f764e82c48d55a8855141fda6ee2e1b1e",
+            "t/analysis_report.csv": "8e473c9ac18c79ff832522142117c2150f3e7a93f0d9dc8df2fe00546ea30643",
+        },
+    ),
+    "diverging": (
+        dict(DIVERGING_CFG, target_vdd_path="s/q_table.csv"),
+        [(["solve", "--out", "s"], 0), (["calibrate", "--out", "o"], 0)],
+        {
+            "o/calibration_report.txt": "2a7704b3e8711063eae34626f18eb406d9982c21ecda760b66b2ac63f4949376",
+            "o/forward_q_table.csv": "703b4e43587513aee72fd83bc9d27857c378ee480e499a99c1ba15555e721488",
+            "o/preference.tsv": "08def7cbbe6121a0231d1f45f88e426c2770a6c58841c352b9dc9f5b7a07fb7f",
+            "s/q_table.csv": "94ec5b65d2b501a7375d4c7a7b2cb35e92e4bc8db680520b433facb6ef7e6fe9",
+        },
+    ),
+}
+
+
+def run_golden(tmp_path, monkeypatch, name) -> dict[str, str]:
+    cfg_keys, commands, _ = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    for table, probs in GOLDEN_TABLES.items():
+        write_dist(tmp_path / table, probs)
+    geometric_target(tmp_path / "target.tsv")
+    write_yaml(tmp_path / "run.yaml", **cfg_keys)
+    inputs = {p for p in tmp_path.rglob("*")}
+    for argv, code in commands:
+        assert main([argv[0], "--config", "run.yaml", *argv[1:]]) == code, argv
+    return {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file() and p not in inputs
+    }
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_outputs(tmp_path, monkeypatch, name):
+    assert run_golden(tmp_path, monkeypatch, name) == GOLDEN[name][2]
