@@ -20,13 +20,8 @@ from .analysis import (
     loglog_slope,
     triangle_count,
 )
-from .calibrate import CalibrationResult, calibrate, normalizer_a
-from .distributions import (
-    DegreeDistribution,
-    mean_degree_of,
-    read_distribution,
-    write_distribution,
-)
+from .calibrate import CalibrationResult, calibrate
+from .distributions import DegreeDistribution, read_distribution, write_distribution
 from .engine import (
     GrowthStats,
     grow,
@@ -36,20 +31,12 @@ from .engine import (
     write_stats,
 )
 from .graph import MultiGraph, empirical_vdd, seed_complete
-from .layers import LayerIndex, SaturationError, sample_target
-from .params import (
-    ModelParams,
-    expected_edges_per_step,
-    expected_vertices_per_step,
-    validate_params,
-)
+from .layers import LayerIndex, SaturationError
+from .params import ModelParams, validate_params
 from .preference import PreferenceFunction, read_preference, write_preference
 from .solver import (
     NonConvergenceError,
     StationarySolution,
-    q_dyad,
-    q_from_recurrence,
-    q_gamma0,
     read_q_table,
     solve_stationary,
     write_q_table,
@@ -73,22 +60,14 @@ __all__ = [
     "calibrate",
     "compare",
     "empirical_vdd",
-    "expected_edges_per_step",
-    "expected_vertices_per_step",
     "global_clustering",
     "grow",
     "loglog_slope",
-    "mean_degree_of",
-    "normalizer_a",
-    "q_dyad",
-    "q_from_recurrence",
-    "q_gamma0",
     "read_distribution",
     "read_edge_list",
     "read_preference",
     "read_q_table",
     "read_stats",
-    "sample_target",
     "seed_complete",
     "solve_stationary",
     "triangle_count",

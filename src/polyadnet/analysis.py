@@ -9,12 +9,11 @@ power-law tails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .distributions import DegreeDistribution
+from .distributions import DegreeDistribution, write_table
 from .graph import MultiGraph
 
 __all__ = [
@@ -140,20 +139,16 @@ def write_report(
     summary: Mapping | None = None,
 ) -> None:
     """CSV of per-degree values plus summary lines as leading comments."""
-    lines = [
-        f"# tv_distance={report.tv_distance!r}",
-        f"# ks_statistic={report.ks_statistic!r}",
-    ]
+    header = {
+        "tv_distance": repr(report.tv_distance),
+        "ks_statistic": repr(report.ks_statistic),
+    }
     if report.common_support is not None:
-        lines.append(
-            f"# common_support={report.common_support[0]}..{report.common_support[1]}"
-        )
-    for key, val in (summary or {}).items():
-        lines.append(f"# {key}={val}")
-    lines.append("k,empirical,theoretical,abs_error")
-    for k in sorted(report.per_k_abs_error):
-        lines.append(
-            f"{k},{empirical.prob(k)!r},{theoretical.prob(k)!r},"
-            f"{report.per_k_abs_error[k]!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+        lo, hi = report.common_support
+        header["common_support"] = f"{lo}..{hi}"
+    header.update(summary or {})
+    rows = (
+        f"{k},{empirical.prob(k)!r},{theoretical.prob(k)!r},{err!r}"
+        for k, err in sorted(report.per_k_abs_error.items())
+    )
+    write_table(path, header, rows, title="k,empirical,theoretical,abs_error")

@@ -4,12 +4,14 @@ Solving the stationary recurrence for f instead of Q turns the forward
 sweep around: with the scale convention <f> = a (the mean number of edge
 ends landing on old vertices per step), each window degree gets
 
-    f(k) = arr_k / Q_k - (1 + gamma (n-1))
+    f(k) = arr_k / Q_k - c
            + [b f(k-1) Q_{k-1} + gamma mu f(k-n) Q_{k-n}] / (a Q_k)
 
-where arr_k is the arrival mass at degree k and b = a - gamma mu is the
-single-end rate. Degrees below the window contribute nothing because f
-vanishes there, so the sweep is explicit.
+where arr_k is the arrival mass at degree k, b = a - gamma mu the
+single-end rate and c = 1 + gamma (n-1) the dilution; params.py defines
+all of them once for this sweep and the solver's. Degrees below the
+window contribute nothing because f vanishes there, so the sweep is
+explicit.
 
 Any positive rescaling of f leaves the model unchanged, so the <f> = a
 convention is just a normalization pick. Not every distribution is
@@ -27,19 +29,7 @@ from .distributions import DegreeDistribution
 from .params import ModelParams, validate_params
 from .preference import PreferenceFunction
 
-__all__ = ["CalibrationResult", "calibrate", "normalizer_a"]
-
-
-def normalizer_a(p: ModelParams) -> float:
-    """Mean edge ends attaching to old vertices per step.
-
-    Monads contribute their mean free-edge count, polyad vertices their
-    free ends, but a conjugate bundle spends n ends on one target, so mu
-    bundles per polyad count once each rather than n times.
-    """
-    m1 = p.r1.mean_degree
-    mn = p.rn.mean_degree
-    return (1.0 - p.gamma) * m1 + p.gamma * (p.n * mn - (p.n - 1) * p.mu)
+__all__ = ["CalibrationResult", "calibrate"]
 
 
 @dataclass(frozen=True)
@@ -86,19 +76,15 @@ def calibrate(
     if g < 0:
         raise ValueError(f"window start {g} must be >= 0")
 
-    a = normalizer_a(p)
+    a = p.a
     if a <= 0.0:
         raise ValueError(
             "no edge ends attach to old vertices per step; "
             "the preference function is unidentifiable"
         )
-    gamma, n, mu = p.gamma, p.n, p.mu
-    b = a - gamma * mu
-    dilution = 1.0 + gamma * (n - 1.0)
-
-    def arrival(k: int) -> float:
-        return (1.0 - gamma) * p.r1.prob(k) + gamma * n * p.rn.prob(k - n + 1)
-
+    b, c, n = p.b, p.c, p.n
+    gmu = p.gamma * p.mu
+    arrival = p.arrival(m_top)
     weights: dict[int, float] = {}
     t: dict[int, float] = {}
 
@@ -116,8 +102,8 @@ def calibrate(
                 f"target has no mass at degree {k} inside the window; "
                 "calibration needs positive probability on every window degree"
             )
-        num = arrival(k) * a - dilution * a * qk
-        num += b * t_at(k - 1) + gamma * mu * t_at(k - n)
+        num = arrival[k] * a - c * a * qk
+        num += b * t_at(k - 1) + gmu * t_at(k - n)
         fk = num / (a * qk)
         weights[k] = fk
         t[k] = fk * qk

@@ -32,18 +32,13 @@ import yaml
 from . import __version__
 from .analysis import compare, global_clustering, loglog_slope, triangle_count, write_report
 from .calibrate import calibrate
-from .distributions import DegreeDistribution, read_distribution, write_distribution
+from .distributions import DegreeDistribution, read_distribution, write_distribution, write_table
 from .engine import grow, read_edge_list, write_edge_list, write_stats
 from .graph import empirical_vdd, seed_complete
 from .layers import SaturationError
-from .params import (
-    ModelParams,
-    expected_edges_per_step,
-    expected_vertices_per_step,
-    validate_params,
-)
+from .params import ModelParams, validate_params
 from .preference import PreferenceFunction, read_preference, write_preference
-from .solver import NonConvergenceError, read_q_table, solve_stationary, write_q_table
+from .solver import NonConvergenceError, solve_stationary, write_q_table
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -102,6 +97,7 @@ def _resolve(base: Path | None, path: str) -> Path:
 
 
 def _load_dist(path: Path, what: str) -> DegreeDistribution:
+    """Read a tab table, or a solver ``k,Q`` CSV, naming ``what`` on failure."""
     try:
         return read_distribution(path)
     except OSError as exc:
@@ -183,30 +179,6 @@ def _build_preference(cfg: RunConfig, base: Path | None) -> PreferenceFunction:
     raise UsageError("config needs preference_path or preference_rule")
 
 
-def _read_target(path: Path) -> DegreeDistribution:
-    """Accept either the tab table format or the solver's k,Q CSV."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read target distribution {path}: {exc}") from exc
-    body = [
-        ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")
-    ]
-    is_csv = any("," in ln for ln in body)
-    try:
-        if is_csv:
-            probs, _ = read_q_table(path)
-            total = math.fsum(probs.values())
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"probabilities sum to {total!r}")
-            if total != 1.0:
-                probs = {k: v / total for k, v in probs.items()}
-            return DegreeDistribution.from_probs(probs, norm_tol=1e-6)
-        return read_distribution(path)
-    except ValueError as exc:
-        raise UsageError(f"bad target distribution {path}: {exc}") from exc
-
-
 def _echo(cfg: RunConfig, extra: dict | None = None) -> dict:
     """Header entries common to every output file."""
     out = {"tool": f"polyadnet {__version__}"}
@@ -265,8 +237,8 @@ def cmd_generate(cfg: RunConfig, base: Path | None) -> int:
         "vertices": g.n,
         "edges": len(g.edges),
         "rng_seed": stats.rng_seed,
-        "expected_vertices_per_step": expected_vertices_per_step(p),
-        "expected_edges_per_step": expected_edges_per_step(p),
+        "expected_vertices_per_step": p.c,
+        "expected_edges_per_step": p.edges_per_step,
     }
     write_stats(entries, out / "stats.txt")
     write_distribution(empirical_vdd(g), out / "empirical_vdd.tsv", _echo(cfg))
@@ -302,24 +274,42 @@ def _window(cfg: RunConfig) -> tuple[int, int] | None:
     return int(win[0]), int(win[1])
 
 
-def cmd_calibrate(cfg: RunConfig, base: Path | None) -> int:
+def _target_run(cfg: RunConfig, base: Path | None, command: str):
+    """Parameters, target VDD and output dir of calibrate and roundtrip."""
     p = _build_params(cfg, base)
     if cfg.target_vdd_path is None:
-        raise UsageError("calibrate needs target_vdd_path")
-    target = _read_target(_resolve(base, cfg.target_vdd_path))
-    out = _out_dir(cfg)
+        raise UsageError(f"{command} needs target_vdd_path")
+    target = _load_dist(_resolve(base, cfg.target_vdd_path), "target VDD")
+    return p, target, _out_dir(cfg)
+
+
+def _calibrate_stage(cfg: RunConfig, p: ModelParams, target: DegreeDistribution, out: Path):
+    """Calibrate f to the target, solve forward from it and compare.
+
+    Returns (calibration result, forward solution, forward TV to the
+    target); the last two are None for an infeasible target. A feasible
+    run writes preference.tsv and forward_q_table.csv, both only once the
+    forward solve has succeeded. Bad window or solver settings raise
+    UsageError; NonConvergenceError from the forward solve propagates.
+    """
     try:
         result = calibrate(target, p, window=_window(cfg))
+        if not result.feasible:
+            return result, None, None
+        sol = solve_stationary(p, result.f, tol=cfg.tol, k_max=cfg.k_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    write_preference(result.f, out / "preference.tsv", _echo(cfg))
+    write_q_table(sol, out / "forward_q_table.csv", _echo(cfg))
+    return result, sol, compare(target, sol.q).tv_distance
 
+
+def cmd_calibrate(cfg: RunConfig, base: Path | None) -> int:
+    p, target, out = _target_run(cfg, base, "calibrate")
+    result, _, forward_tv = _calibrate_stage(cfg, p, target, out)
     report: dict = {"feasible": result.feasible, "a": repr(result.a)}
     code = 0
     if result.feasible:
-        write_preference(result.f, out / "preference.tsv", _echo(cfg))
-        sol = solve_stationary(p, result.f, tol=cfg.tol, k_max=cfg.k_max)
-        forward_tv = compare(target, sol.q).tv_distance
-        write_q_table(sol, out / "forward_q_table.csv", _echo(cfg))
         report.update(
             window=f"{result.f.g}..{result.f.M}",
             forward_tv=repr(forward_tv),
@@ -374,7 +364,7 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
     )
     report_path = out / "analysis_report.csv"
     if theory_path is not None:
-        theory = _read_target(Path(theory_path))
+        theory = _load_dist(Path(theory_path), "theory VDD")
         rep = compare(empirical, theory)
         write_report(report_path, empirical, theory, rep, summary)
         print(
@@ -382,31 +372,25 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
             f"triangles={summary['triangles']}"
         )
     else:
-        lines = [f"# {k}={v}" for k, v in summary.items()]
-        lines.append("k,empirical")
-        for k, pr in empirical.items():
-            lines.append(f"{k},{pr!r}")
-        report_path.write_text("\n".join(lines) + "\n")
+        rows = (f"{k},{pr!r}" for k, pr in empirical.items())
+        write_table(report_path, summary, rows, title="k,empirical")
         print(f"analyze: triangles={summary['triangles']} (no theory table given)")
     return 0
 
 
 def cmd_roundtrip(cfg: RunConfig, base: Path | None) -> int:
-    p = _build_params(cfg, base)
-    if cfg.target_vdd_path is None:
-        raise UsageError("roundtrip needs target_vdd_path")
     if cfg.replications < 1:
         raise UsageError(f"replications={cfg.replications} must be >= 1")
-    target = _read_target(_resolve(base, cfg.target_vdd_path))
-    out = _out_dir(cfg)
-    report: dict = {}
-
+    p, target, out = _target_run(cfg, base, "roundtrip")
     try:
-        result = calibrate(target, p, window=_window(cfg))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    report["calibrate_feasible"] = result.feasible
-    report["a"] = repr(result.a)
+        result, sol, forward_tv = _calibrate_stage(cfg, p, target, out)
+    except NonConvergenceError as exc:
+        # only a feasible calibration reaches the forward solve
+        report = {"calibrate_feasible": True, "a": repr(p.a), "failed_stage": "solve"}
+        write_stats(report, out / "roundtrip_report.txt")
+        print(f"error: stage solve failed: {exc}", file=sys.stderr)
+        return 1
+    report: dict = {"calibrate_feasible": result.feasible, "a": repr(result.a)}
     if not result.feasible:
         report["failed_stage"] = "calibrate"
         report["first_infeasible_k"] = result.first_infeasible_k
@@ -417,17 +401,6 @@ def cmd_roundtrip(cfg: RunConfig, base: Path | None) -> int:
             file=sys.stderr,
         )
         return 1
-    write_preference(result.f, out / "preference.tsv", _echo(cfg))
-
-    try:
-        sol = solve_stationary(p, result.f, tol=cfg.tol, k_max=cfg.k_max)
-    except NonConvergenceError as exc:
-        report["failed_stage"] = "solve"
-        write_stats(report, out / "roundtrip_report.txt")
-        print(f"error: stage solve failed: {exc}", file=sys.stderr)
-        return 1
-    write_q_table(sol, out / "forward_q_table.csv", _echo(cfg))
-    forward_tv = compare(target, sol.q).tv_distance
     forward_pass = forward_tv < cfg.forward_tv_max
     report.update(
         forward_tv=repr(forward_tv),
@@ -468,6 +441,17 @@ def cmd_roundtrip(cfg: RunConfig, base: Path | None) -> int:
     return 0 if overall else 1
 
 
+# flag -> (RunConfig key it overrides, type, metavar), on every subcommand
+_OVERRIDES = {
+    "seed": ("rng_seed", int, "U64"),
+    "steps": ("steps", int, "N"),
+    "out": ("output_dir", str, "DIR"),
+    "tol": ("tol", float, "REAL"),
+    "kmax": ("k_max", int, "N"),
+    "replications": ("replications", int, "N"),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polyadnet",
@@ -484,14 +468,8 @@ def _parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="YAML run configuration")
-        sp.add_argument("--seed", type=int, metavar="U64", help="override rng_seed")
-        sp.add_argument("--steps", type=int, metavar="N", help="override steps")
-        sp.add_argument("--out", metavar="DIR", help="override output_dir")
-        sp.add_argument("--tol", type=float, metavar="REAL", help="override tol")
-        sp.add_argument("--kmax", type=int, metavar="N", help="override k_max")
-        sp.add_argument(
-            "--replications", type=int, metavar="N", help="override replications"
-        )
+        for flag, (key, kind, metavar) in _OVERRIDES.items():
+            sp.add_argument(f"--{flag}", type=kind, metavar=metavar, help=f"override {key}")
         if name == "analyze":
             sp.add_argument("--edges", metavar="PATH", help="edge list to analyze")
             sp.add_argument("--theory", metavar="PATH", help="theoretical VDD table")
@@ -501,20 +479,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["rng_seed"] = args.seed
-    if args.steps is not None:
-        updates["steps"] = args.steps
-    if args.out is not None:
-        updates["output_dir"] = args.out
-    if args.tol is not None:
-        updates["tol"] = args.tol
-    if args.kmax is not None:
-        updates["k_max"] = args.kmax
-    if args.replications is not None:
-        updates["replications"] = args.replications
-    return replace(cfg, **updates) if updates else cfg
+    updates = {
+        key: getattr(args, flag)
+        for flag, (key, _, _) in _OVERRIDES.items()
+        if getattr(args, flag) is not None
+    }
+    return replace(cfg, **updates)
 
 
 def main(argv=None) -> int:
@@ -539,16 +509,13 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(cfg, base, args)
         return cmd_roundtrip(cfg, base)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         # SaturationError and NonConvergenceError both land here.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

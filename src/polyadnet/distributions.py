@@ -12,13 +12,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "DegreeDistribution",
-    "mean_degree_of",
+    "read_degree_table",
     "read_distribution",
+    "read_table",
     "write_distribution",
+    "write_table",
 ]
 
 #: Default tolerance on |sum(probs) - 1| at construction time.
@@ -135,67 +137,87 @@ class DegreeDistribution:
         return self.probs.items()
 
 
-def mean_degree_of(d: DegreeDistribution) -> float:
-    """Mean of a degree distribution, sum of k * probability."""
-    return d.mean_degree
-
-
 def write_distribution(d: DegreeDistribution, path, header: Mapping | None = None) -> None:
     """Write ``k<TAB>probability`` lines, one per supported degree.
 
     Header entries become leading ``# key=value`` comment lines.
     """
-    lines = []
-    for key, val in (header or {}).items():
-        lines.append(f"# {key}={val}")
-    for k in sorted(d.probs):
-        lines.append(f"{k}\t{d.probs[k]!r}")
+    write_table(path, header or {}, (f"{k}\t{d.probs[k]!r}" for k in sorted(d.probs)))
+
+
+def write_table(path, header: Mapping, rows: Iterable[str], title: str | None = None) -> None:
+    """Write ``# key=value`` header lines, an optional column title, then rows."""
+    lines = [f"# {key}={val}" for key, val in header.items()]
+    if title is not None:
+        lines.append(title)
+    lines.extend(rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_table(path) -> tuple[dict[int, float], dict[str, str]]:
-    """Shared parser for degree/value text tables.
+def read_table(path, row: Callable[[str], None]) -> dict[str, str]:
+    """Read a text table in one pass; return its ``# key=value`` header.
 
-    Returns the value table and any ``# key=value`` header entries.
+    Lines starting with ``#`` are comments, and those of the form
+    ``# key=value`` are header entries (the first of a repeated key wins).
+    Every other non-blank line goes to ``row`` stripped; a ValueError
+    raised there is reported as ``path:lineno: message``.
     """
-    table: dict[int, float] = {}
     header: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                header.setdefault(key.strip(), val.strip())
-            continue
-        if "#" in line:
-            line = line[: line.index("#")].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'k<TAB>value', got {raw!r}")
+        if line[0] == "#":
+            key, eq, val = line[1:].partition("=")
+            if eq:
+                header.setdefault(key.strip(), val.strip())
+            continue
         try:
-            k = int(parts[0])
-            v = float(parts[1])
+            row(line)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return header
+
+
+def read_degree_table(path) -> tuple[dict[int, float], dict[str, str]]:
+    """Read a degree/value table and its header entries.
+
+    Rows are ``k<TAB>value`` (any whitespace, trailing ``#`` comments
+    allowed) or ``k,value`` as the solver writes them, whose ``k,...``
+    column title is skipped.
+    """
+    table: dict[int, float] = {}
+
+    def row(line: str) -> None:
+        if "," in line:
+            parts = line.split(",")
+            if parts[0].strip().lower() == "k":
+                return
+            want = "'k,Q'"
+        else:
+            parts = line.partition("#")[0].split()
+            want = "'k<TAB>value'"
+        if len(parts) != 2:
+            raise ValueError(f"expected {want}, got {line!r}")
+        k = int(parts[0])
         if k in table:
-            raise ValueError(f"{path}:{lineno}: duplicate degree {k}")
-        table[k] = v
+            raise ValueError(f"duplicate degree {k}")
+        table[k] = float(parts[1])
+
+    header = read_table(path, row)
     if not table:
         raise ValueError(f"{path}: no data lines")
     return table, header
 
 
 def read_distribution(path) -> DegreeDistribution:
-    """Load a distribution from ``k<TAB>value`` text.
+    """Load a distribution from ``k<TAB>value`` or ``k,value`` text.
 
     Tables whose mass is within ``TEXT_RENORM_TOL`` of 1 are renormalized;
     anything further off is rejected. Exactly normalized tables are stored
     as written.
     """
-    table, _ = _parse_table(path)
+    table, _ = read_degree_table(path)
     total = math.fsum(table.values())
     if abs(total - 1.0) > TEXT_RENORM_TOL:
         raise ValueError(

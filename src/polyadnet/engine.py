@@ -22,6 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .distributions import read_table, write_table
 from .graph import MultiGraph
 from .layers import LayerIndex, SaturationError
 from .params import ModelParams, validate_params
@@ -225,57 +226,41 @@ def write_edge_list(g: MultiGraph, path, header: Mapping | None = None) -> None:
     The header records at least the vertex count, without which isolated
     vertices could not be reconstructed.
     """
-    lines = [f"# vertices={g.n}"]
-    for key, val in (header or {}).items():
-        lines.append(f"# {key}={val}")
-    for u, v in g.edges:
-        lines.append(f"{u}\t{v}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (f"{u}\t{v}" for u, v in g.edges)
+    write_table(path, {"vertices": g.n, **(header or {})}, rows)
 
 
 def read_edge_list(path) -> tuple[MultiGraph, dict[str, str]]:
     """Load a graph written by :func:`write_edge_list`.
 
-    Returns the graph and the parsed header key=value entries. Rows are
-    parsed, checked and stored in one pass; the graph is filled in bulk
-    rather than through ``add_vertex`` / ``add_edge``, with the same checks
-    and messages. A malformed row or a short header vertex count is
-    reported before a self-loop or a negative id.
+    Returns the graph and the parsed header key=value entries. The file
+    is read in one pass and the graph filled in bulk rather than through
+    ``add_vertex`` / ``add_edge``, with the same checks and messages. A
+    malformed row or a short header vertex count is reported before a
+    self-loop or a negative id.
     """
-    header: dict[str, str] = {}
     edges: list[tuple[int, int]] = []
-    bad_edge = None
-    max_id = -1
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        if parts[0][0] == "#":
-            body = raw.strip()[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                header.setdefault(key.strip(), val.strip())
-            continue
+    add = edges.append
+
+    def row(line: str) -> None:
+        parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'u<TAB>v', got {raw!r}")
+            raise ValueError(f"expected 'u<TAB>v', got {line!r}")
         u, v = int(parts[0]), int(parts[1])
-        if u > v:
-            u, v = v, u
-        elif u == v and bad_edge is None:
-            bad_edge = f"self-loop at vertex {u}"
-        if u < 0 and bad_edge is None:
-            bad_edge = f"edge ({u}, {v}) references an unknown vertex"
-        if v > max_id:
-            max_id = v
-        edges.append((u, v))
+        add((u, v) if u <= v else (v, u))
+
+    header = read_table(path, row)
+    max_id = max((v for _, v in edges), default=-1)
     n = int(header.get("vertices", max_id + 1))
     if n < max_id + 1:
         raise ValueError(f"{path}: header vertex count {n} below max id {max_id}")
-    if bad_edge is not None:
-        raise ValueError(bad_edge)
     g = MultiGraph()
     deg = g.degrees = [0] * n
     for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if u < 0:
+            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
         deg[u] += 1
         deg[v] += 1
     g.edges = edges
@@ -289,11 +274,12 @@ def write_stats(entries: Mapping, path) -> None:
 
 
 def read_stats(path) -> dict[str, str]:
+    """Read a file written by :func:`write_stats`; the last of a repeated key wins."""
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+
+    def row(line: str) -> None:
         key, _, val = line.partition("=")
         out[key.strip()] = val.strip()
+
+    read_table(path, row)
     return out

@@ -18,7 +18,7 @@ import numpy as np
 from .graph import MultiGraph
 from .preference import PreferenceFunction
 
-__all__ = ["LayerIndex", "SaturationError", "sample_target"]
+__all__ = ["LayerIndex", "SaturationError"]
 
 # verify(): allowed drift of a tree node for non-integer weights, relative
 # to the total weight (see verify); incremental float updates round
@@ -244,28 +244,6 @@ class LayerIndex:
                 j += 1
         return j
 
-    @property
-    def members(self) -> dict[int, list[int]]:
-        """Copy of the populated layers, for inspection and tests."""
-        return {
-            k: list(lst)
-            for k, lst in enumerate(self._members)
-            if lst
-        }
-
-    @property
-    def layer_weight(self) -> dict[int, float]:
-        return {
-            k: self._fw[k] * len(lst)
-            for k, lst in enumerate(self._members)
-            if lst
-        }
-
-    @property
-    def total_weight(self) -> float:
-        """Recomputed exactly on demand."""
-        return float(np.dot(self._fw[: self._hi], self._count[: self._hi]))
-
     def verify(self, g: MultiGraph) -> None:
         """Rebuild from the graph and compare; raises on any drift.
 
@@ -276,9 +254,11 @@ class LayerIndex:
         when that is larger (a tree emptied of its weight keeps a residue).
         """
         fresh = LayerIndex.build(g, self.f)
-        mine = {k: sorted(lst) for k, lst in self.members.items()}
-        theirs = {k: sorted(lst) for k, lst in fresh.members.items()}
-        if mine != theirs:
+
+        def layers(idx):
+            return {k: sorted(lst) for k, lst in enumerate(idx._members) if lst}
+
+        if layers(self) != layers(fresh):
             raise AssertionError("layer membership drifted from the graph")
         hi = max(self._hi, fresh._hi)
         a = self._w[:hi] + [0.0] * (hi - len(self._w))
@@ -299,7 +279,3 @@ class LayerIndex:
                     f"Fenwick tree drifted by {worst!r}, above {TREE_RTOL} of the total"
                 )
 
-
-def sample_target(idx: LayerIndex, rng) -> int:
-    """One weighted target draw: vertex i with probability f(k_i)/sum f(k_j)."""
-    return idx.sample_many(rng, 1)[0]

@@ -10,12 +10,11 @@ model. ``M`` may be ``math.inf`` for rule-backed functions such as
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .distributions import _parse_table
+from .distributions import read_degree_table, write_table
 
 __all__ = ["PreferenceFunction", "read_preference", "write_preference"]
 
@@ -175,12 +174,8 @@ def write_preference(f: PreferenceFunction, path, header: Mapping | None = None)
     """Write ``k<TAB>weight`` lines with the window recorded in the header."""
     if f.M == math.inf:
         raise ValueError("cannot export an unbounded preference window to a table")
-    lines = [f"# g={f.g}", f"# M={int(f.M)}"]
-    for key, val in (header or {}).items():
-        lines.append(f"# {key}={val}")
-    for k, w in sorted(f.weights.items()):
-        lines.append(f"{k}\t{w!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = (f"{k}\t{w!r}" for k, w in sorted(f.weights.items()))
+    write_table(path, {"g": f.g, "M": int(f.M), **(header or {})}, rows)
 
 
 def read_preference(path) -> PreferenceFunction:
@@ -190,7 +185,7 @@ def read_preference(path) -> PreferenceFunction:
     otherwise inferred from the table keys; either way the table must cover
     the window completely.
     """
-    table, header = _parse_table(path)
+    table, header = read_degree_table(path)
     pf = PreferenceFunction.from_table(table)
     g = int(header["g"]) if "g" in header else pf.g
     M = int(header["M"]) if "M" in header else pf.M

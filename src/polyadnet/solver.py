@@ -8,11 +8,11 @@ so for fixed x the whole table follows in one forward sweep:
     Q_k = [arr_k x + b f(k-1) Q_{k-1} + gamma mu f(k-n) Q_{k-n}]
           / [x (1 + gamma (n-1)) + f(k) a]
 
-with arrival mass arr_k = (1-gamma) r1_k + gamma n rn_{k-n+1}, single-end
-rate b = (1-gamma) m1 + gamma n (mn - mu) and total end rate a = b +
-gamma mu. The sweep starts at k = 0; entries below the preference window
-are arrival-fed only, matching the boundary convention where Q vanishes
-for negative index.
+with the arrival mass arr_k, the single-end rate b and the total end rate
+a = b + gamma mu as ModelParams defines them in params.py, where the
+dilution c = 1 + gamma (n-1) is written too. The sweep starts at k = 0;
+entries below the preference window are arrival-fed only, matching the
+boundary convention where Q vanishes for negative index.
 
 x itself is pinned by the fixed point x = sum f(k) Q_k(x), solved here by
 damped iteration with a bisection fallback. Truncation at k_max is
@@ -32,22 +32,18 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import zeta
 
-from .distributions import DegreeDistribution
+from .distributions import DegreeDistribution, read_degree_table, write_table
 from .params import ModelParams, validate_params
 from .preference import PreferenceFunction
 
 __all__ = [
     "NonConvergenceError",
     "StationarySolution",
-    "q_dyad",
-    "q_from_recurrence",
-    "q_gamma0",
     "read_q_table",
     "solve_stationary",
     "write_q_table",
@@ -62,8 +58,8 @@ class NonConvergenceError(RuntimeError):
     """No finite mean-preference fixed point was found."""
 
 
-def _sweep_kernel(arr, fa, gamma, n, mu, b, a, x):
-    """One forward sweep of the recurrence at mean x.
+def _sweep_kernel(arr, fa, p: ModelParams, x):
+    """One forward sweep of the recurrence at mean x for parameters p.
 
     arr and fa (arrival mass and f over 0..K) are plain lists: indexing
     Python floats is several times faster than scalar indexing of numpy
@@ -73,8 +69,9 @@ def _sweep_kernel(arr, fa, gamma, n, mu, b, a, x):
     size = len(arr)
     q = array("d", [0.0]) * size
     t = array("d", [0.0]) * size
-    denom0 = x * (1.0 + gamma * (n - 1.0))
-    gmu = gamma * mu
+    n, a, b = p.n, p.a, p.b
+    denom0 = x * p.c
+    gmu = p.gamma * p.mu
     tk = 0.0
     for k in range(size):
         num = arr[k] * x
@@ -89,106 +86,11 @@ def _sweep_kernel(arr, fa, gamma, n, mu, b, a, x):
     return np.frombuffer(q), np.frombuffer(t)
 
 
-def _rates(p: ModelParams) -> tuple[float, float, float, float]:
-    m1 = p.r1.mean_degree
-    mn = p.rn.mean_degree
-    b = (1.0 - p.gamma) * m1 + p.gamma * p.n * (mn - p.mu)
-    a = b + p.gamma * p.mu
-    return m1, mn, b, a
-
-
-def _arrival_array(p: ModelParams, k_max: int) -> list[float]:
-    arr = [0.0] * (k_max + 1)
-    for k, pr in p.r1.items():
-        arr[k] += (1.0 - p.gamma) * pr
-    for j, pr in p.rn.items():
-        arr[j + p.n - 1] += p.gamma * p.n * pr
-    return arr
-
-
-def _arrival_max(p: ModelParams) -> int:
-    lo = p.r1.support_max if p.gamma < 1.0 else 0
-    hi = p.rn.support_max + p.n - 1 if p.gamma > 0.0 else 0
-    return max(lo, hi)
-
-
-def q_from_recurrence(
-    p: ModelParams,
-    f: PreferenceFunction,
-    mean_f: float,
-    k_max: int,
-) -> dict[int, float]:
-    """One forward sweep of the full recurrence at a given mean x.
-
-    Returns {k: Q_k} for every k in 0..k_max, zeros included. The result
-    is a probability distribution only when mean_f solves the fixed point
-    and k_max is large enough; use solve_stationary for that.
-    """
-    if mean_f <= 0.0:
-        raise ValueError(f"mean_f={mean_f} must be positive")
-    if k_max < _arrival_max(p):
-        raise ValueError(
-            f"k_max={k_max} is below the largest arrival degree {_arrival_max(p)}"
-        )
-    arr = _arrival_array(p, k_max)
-    fa = f.weight_array(k_max).tolist()
-    _, _, b, a = _rates(p)
-    q, _ = _sweep_kernel(arr, fa, p.gamma, p.n, p.mu, b, a, mean_f)
-    return dict(enumerate(q.tolist()))
-
-
-def q_gamma0(
-    r1: DegreeDistribution,
-    f: PreferenceFunction,
-    mean_f: float,
-    k_max: int,
-) -> dict[int, float]:
-    """Monads-only reduction, written out separately as a cross-check.
-
-    Q_k = (r1_k x + m1 f(k-1) Q_{k-1}) / (x + f(k) m1).
-    """
-    m1 = r1.mean_degree
-    x = mean_f
-    q: dict[int, float] = {}
-    prev = 0.0
-    for k in range(k_max + 1):
-        val = (r1.prob(k) * x + m1 * f(k - 1) * prev) / (x + f(k) * m1)
-        q[k] = val
-        prev = val
-    return q
-
-
-def q_dyad(
-    rn: DegreeDistribution,
-    f: PreferenceFunction,
-    mu: int,
-    mean_f: float,
-    k_max: int,
-) -> dict[int, float]:
-    """Dyads-only reduction (gamma = 1, n = 2), again as a cross-check.
-
-    Q_k = (2 rn_{k-1} x + (2 mn - 2 mu) f(k-1) Q_{k-1} + mu f(k-2) Q_{k-2})
-          / (2 x + f(k) (2 mn - mu)).
-    """
-    mn = rn.mean_degree
-    x = mean_f
-    q: dict[int, float] = {}
-    p1 = p2 = 0.0
-    for k in range(k_max + 1):
-        num = 2.0 * rn.prob(k - 1) * x + (2.0 * mn - 2.0 * mu) * f(k - 1) * p1
-        num += mu * f(k - 2) * p2
-        val = num / (2.0 * x + f(k) * (2.0 * mn - mu))
-        q[k] = val
-        p2, p1 = p1, val
-    return q
-
-
 def _tail_mass(t: np.ndarray, p: ModelParams, x: float) -> float:
     """Exact mass the recurrence would place beyond the table end."""
     K = t.shape[0] - 1
-    _, _, b, _ = _rates(p)
     bundle = p.gamma * p.mu * float(t[max(0, K - p.n + 1) : K + 1].sum())
-    return (b * float(t[K]) + bundle) / (x * (1.0 + p.gamma * (p.n - 1.0)))
+    return (p.b * float(t[K]) + bundle) / (x * p.c)
 
 
 def _tail_mean(t: np.ndarray, f: PreferenceFunction) -> float:
@@ -224,8 +126,7 @@ def _tail_mean(t: np.ndarray, f: PreferenceFunction) -> float:
 
 def _evaluate(p, f, arr, fa, x):
     """Sweep at x; returns (q, t, total mass, tail-closed sum of t)."""
-    _, _, b, a = _rates(p)
-    q, t = _sweep_kernel(arr, fa, p.gamma, p.n, p.mu, b, a, x)
+    q, t = _sweep_kernel(arr, fa, p, x)
     total = float(q.sum())
     s = float(t.sum()) + _tail_mean(t, f)
     return q, t, total, s
@@ -306,8 +207,8 @@ def solve_stationary(
     validate_params(p)
     if tol <= 0.0:
         raise ValueError(f"tol={tol} must be positive")
-    arr_max = _arrival_max(p)
-    _, _, _, a = _rates(p)
+    arr_max = p.arrival_max
+    a = p.a
     if a <= 0.0:
         raise ValueError("model adds no edge ends per step; no attachment to solve")
 
@@ -378,9 +279,9 @@ def _solve_at(p, f, K, x0, tol, beta, max_iter):
     Returns (x, iterations, method, sweep) where sweep is the _evaluate
     result at the returned x, so callers need not sweep again.
     """
-    arr = _arrival_array(p, K)
+    arr = p.arrival(K)
     fa = f.weight_array(K).tolist()
-    _, _, _, a = _rates(p)
+    a = p.a
     x = x0
     for it in range(1, max_iter + 1):
         sweep = _evaluate(p, f, arr, fa, x)
@@ -428,44 +329,18 @@ def write_q_table(sol: StationarySolution, path, header=None) -> None:
     Extra header entries (tool version, parameter echo) go in front of the
     solver diagnostics, all as "# key=value" comment lines.
     """
-    lines = [f"# {k}={v}" for k, v in (header or {}).items()]
-    lines += [
-        f"# mean_f={sol.mean_f!r}",
-        f"# k_max={sol.k_max}",
-        f"# tail_mass_bound={sol.tail_mass_bound!r}",
-        f"# balance_residual={sol.balance_residual!r}",
-        f"# iterations={sol.iterations}",
-        f"# method={sol.method}",
-        "k,Q",
-    ]
-    for k, val in sol.q.items():
-        lines.append(f"{k},{val!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    diagnostics = {
+        "mean_f": repr(sol.mean_f),
+        "k_max": sol.k_max,
+        "tail_mass_bound": repr(sol.tail_mass_bound),
+        "balance_residual": repr(sol.balance_residual),
+        "iterations": sol.iterations,
+        "method": sol.method,
+    }
+    rows = (f"{k},{val!r}" for k, val in sol.q.items())
+    write_table(path, {**(header or {}), **diagnostics}, rows, title="k,Q")
 
 
 def read_q_table(path) -> tuple[dict[int, float], dict[str, str]]:
     """Read a table written by write_q_table; values are kept verbatim."""
-    meta: dict[str, str] = {}
-    probs: dict[int, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta.setdefault(key.strip(), val.strip())
-            continue
-        if line.lower().startswith("k,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'k,Q', got {raw!r}")
-        k = int(parts[0])
-        if k in probs:
-            raise ValueError(f"{path}:{lineno}: duplicate degree {k}")
-        probs[k] = float(parts[1])
-    if not probs:
-        raise ValueError(f"{path}: no table rows found")
-    return probs, meta
+    return read_degree_table(path)

@@ -15,15 +15,17 @@ import pytest
 from scipy import stats as sps
 
 from polyadnet.analysis import compare, triangle_count
-from polyadnet.calibrate import calibrate, normalizer_a
+from polyadnet.calibrate import calibrate
 from polyadnet.cli import main
 from polyadnet.distributions import DegreeDistribution
 from polyadnet.engine import grow
 from polyadnet.graph import MultiGraph, empirical_vdd, seed_complete
-from polyadnet.layers import LayerIndex, sample_target
-from polyadnet.params import ModelParams, expected_edges_per_step, validate_params
+from polyadnet.layers import LayerIndex
+from polyadnet.params import ModelParams, validate_params
 from polyadnet.preference import PreferenceFunction
-from polyadnet.solver import q_dyad, q_from_recurrence, q_gamma0, solve_stationary
+from polyadnet.solver import solve_stationary
+
+from oracles import q_dyad, q_from_recurrence, q_gamma0
 
 LINEAR = PreferenceFunction.linear()
 
@@ -155,7 +157,7 @@ def test_criterion_4_calibration_round_trip(capsys):
     assert result.feasible
     ratios = [result.f(k) / f_true(k) for k in range(1, 301)]
     prop_err = max(abs(r / ratios[0] - 1.0) for r in ratios)
-    a = normalizer_a(p)
+    a = p.a
     mean_constraint = abs(
         math.fsum(result.f(k) * sol.q.prob(k) for k in range(1, 301)) - a
     )
@@ -224,7 +226,7 @@ def test_criterion_5_sampler_exactness(capsys):
             continue
         probs = weights / weights.sum()
         idx = LayerIndex.build(g, f)
-        assert sample_target(idx, np.random.default_rng(0)) in range(n_vertices)
+        assert idx.sample_many(np.random.default_rng(0), 1)[0] in range(n_vertices)
         hits = np.bincount(idx.sample_many(rng, draws), minlength=n_vertices)
         worst_p = min(worst_p, _chisq_pvalue(hits.astype(float), probs * draws))
     elapsed = time.perf_counter() - t0
@@ -286,7 +288,7 @@ def test_criterion_7_rate_bookkeeping(capsys):
     v_mean, e_mean = np.mean(v_rates), np.mean(e_rates)
     v_se = np.std(v_rates, ddof=1) / math.sqrt(len(v_rates))
     e_se = np.std(e_rates, ddof=1) / math.sqrt(len(e_rates))
-    e_expect = expected_edges_per_step(p)
+    e_expect = p.edges_per_step
     assert e_expect == pytest.approx(3.375)
     v_gap, e_gap = abs(v_mean - 1.5), abs(e_mean - e_expect)
     ok = v_gap <= 3 * v_se and e_gap <= 3 * e_se

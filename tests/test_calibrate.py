@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from polyadnet.calibrate import CalibrationResult, calibrate, normalizer_a
+from polyadnet.calibrate import CalibrationResult, calibrate
 from polyadnet.distributions import DegreeDistribution
 from polyadnet.params import ModelParams
 from polyadnet.preference import PreferenceFunction
@@ -24,19 +24,19 @@ def pentad_params():
 class TestNormalizer:
     def test_monads_only_is_mean_free_edges(self):
         p = ModelParams(gamma=0.0, n=2, mu=0, r1=point(3), rn=point(0))
-        assert normalizer_a(p) == 3.0
+        assert p.a == 3.0
 
     def test_dyads_with_bundle(self):
         # two ends per vertex, one bundled pair counts once: 2*2 - 1
         p = ModelParams(gamma=1.0, n=2, mu=1, r1=point(0), rn=point(2))
-        assert normalizer_a(p) == 3.0
+        assert p.a == 3.0
 
     def test_pentad_run_value(self):
-        assert normalizer_a(pentad_params()) == pytest.approx(2.05348737, abs=1e-9)
+        assert pentad_params().a == pytest.approx(2.05348737, abs=1e-9)
 
     def test_degenerate_zero(self):
         p = ModelParams(gamma=1.0, n=3, mu=0, r1=point(0), rn=point(0))
-        assert normalizer_a(p) == 0.0
+        assert p.a == 0.0
         target = DegreeDistribution.from_probs({2: 1.0})
         with pytest.raises(ValueError):
             calibrate(target, p)

@@ -350,11 +350,36 @@ class TestRoundtrip:
         assert report["failed_stage"] == "calibrate"
 
 
+@pytest.mark.parametrize("command", ["calibrate", "roundtrip"])
+@pytest.mark.parametrize("flag", [["--kmax", "1"], ["--tol", "0"]])
+def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    # a feasible target (f = 1 on [2, 41]) whose arrivals enter at degree
+    # 2, so k_max=1 cannot hold them; nothing may be written
+    write_dist(tmp_path / "r1.tsv", {2: 1.0})
+    probs = {k: 2.0 ** -(k - 1) for k in range(2, 42)}
+    probs[42] = 2.0**-40
+    write_dist(tmp_path / "target.tsv", probs)
+    cfg = tmp_path / "run.yaml"
+    write_yaml(
+        cfg,
+        r1_path="r1.tsv",
+        target_vdd_path="target.tsv",
+        calibration_window=[2, 41],
+        steps=50,
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main([command, "--config", str(cfg), *flag]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 # ---- golden outputs -----------------------------------------------------
 #
 # sha256 of every file each run writes, recorded before the rate formulas
 # and the "# key=value" table IO were gathered into one place each; a
-# refactor of either must keep every output byte for byte. Each run
+# refactor of either must keep every output byte for byte. The one
+# exception is noted at the "diverging" run, whose calibrate-side files
+# were recorded again when the calibrator's a changed. Each run
 # works in its own directory: inputs from GOLDEN_TABLES, one config, and
 # CLI commands whose relative paths resolve there.
 
@@ -373,8 +398,9 @@ MIXED_CFG = dict(
     calibration_window=[2, 60],
 )
 PENTADS_CFG = dict(gamma=1.0, n=5, rn_path="rn_1.tsv", preference_rule=LINEAR_RULE, seed_size=5)
-# solver and calibrator wrote a differently at these parameters:
-# b + gamma mu = 1.3000000000000003 against 1.3
+# the solver's a = b + gamma mu and the calibrator's former
+# (1-gamma) m1 + gamma (n mn - (n-1) mu) differ in the last bit here:
+# 1.3000000000000003 against 1.3
 DIVERGING_CFG = dict(
     gamma=0.1, n=3, mu=1, r1_path="r1_1.tsv", rn_path="rn_2.tsv",
     preference_rule={"kind": "linear", "g": 1, "M": 40},
@@ -451,10 +477,12 @@ GOLDEN = {
     "diverging": (
         dict(DIVERGING_CFG, target_vdd_path="s/q_table.csv"),
         [(["solve", "--out", "s"], 0), (["calibrate", "--out", "o"], 0)],
+        # the calibrate-side files changed when the calibrator took a from
+        # ModelParams (a=1.3 -> a=1.3000000000000003); the target solve did not
         {
-            "o/calibration_report.txt": "2a7704b3e8711063eae34626f18eb406d9982c21ecda760b66b2ac63f4949376",
-            "o/forward_q_table.csv": "703b4e43587513aee72fd83bc9d27857c378ee480e499a99c1ba15555e721488",
-            "o/preference.tsv": "08def7cbbe6121a0231d1f45f88e426c2770a6c58841c352b9dc9f5b7a07fb7f",
+            "o/calibration_report.txt": "c463fae7a5a2e4f8920fd2b431f82c3e02b5b3b21771a22c2f98f2daf649f2af",
+            "o/forward_q_table.csv": "21fafd1b895b0ca8acf987c2336490992537d26a92d49671158346ef2b797132",
+            "o/preference.tsv": "bf9f456bc042e33268348fec00422d80965cdf0028c6d5fbd8a7e3420179c0f6",
             "s/q_table.csv": "94ec5b65d2b501a7375d4c7a7b2cb35e92e4bc8db680520b433facb6ef7e6fe9",
         },
     ),

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from polyadnet.distributions import (
     DegreeDistribution,
-    mean_degree_of,
     read_distribution,
     write_distribution,
 )
@@ -65,7 +64,7 @@ def test_from_counts():
 
 def test_mean_degree_of_matches_property():
     d = DegreeDistribution.from_probs({0: 0.25, 4: 0.75})
-    assert mean_degree_of(d) == d.mean_degree == pytest.approx(3.0)
+    assert d.mean_degree == 0.25 * 0 + 0.75 * 4 == pytest.approx(3.0)
 
 
 def test_sample_matches_support(rng=None):

@@ -3,12 +3,7 @@ import math
 import pytest
 
 from polyadnet.distributions import DegreeDistribution
-from polyadnet.params import (
-    ModelParams,
-    expected_edges_per_step,
-    expected_vertices_per_step,
-    validate_params,
-)
+from polyadnet.params import ModelParams, validate_params
 
 POINT = DegreeDistribution.from_probs({0: 1.0})
 TWO = DegreeDistribution.from_probs({2: 1.0})
@@ -49,26 +44,26 @@ def test_mu_within_rn_support_is_fine():
 
 
 def test_vertices_per_step():
-    assert expected_vertices_per_step(make()) == 1.0
+    assert make().c == 1.0
     p = make(gamma=0.25, n=3, mu=1, rn=DegreeDistribution.from_probs({1: 0.5, 2: 0.5}))
-    assert expected_vertices_per_step(p) == pytest.approx(1.5)
-    assert expected_vertices_per_step(make(gamma=1.0, n=5, rn=POINT)) == 5.0
+    assert p.c == pytest.approx(1.5)
+    assert make(gamma=1.0, n=5, rn=POINT).c == 5.0
 
 
 def test_edges_per_step_dyad_clique_only():
     p = make(gamma=1.0, n=2, mu=0, rn=POINT)
-    assert expected_edges_per_step(p) == pytest.approx(1.0)
+    assert p.edges_per_step == pytest.approx(1.0)
 
 
 def test_edges_per_step_pure_monad():
-    assert expected_edges_per_step(make()) == pytest.approx(2.0)
+    assert make().edges_per_step == pytest.approx(2.0)
 
 
 def test_edges_per_step_mixed():
     rn = DegreeDistribution.from_probs({1: 0.5, 2: 0.5})
     p = make(gamma=0.25, n=3, mu=1, rn=rn)
     # 0.25*(3*1.5 + 3) + 0.75*2 by hand
-    assert expected_edges_per_step(p) == pytest.approx(3.375)
+    assert p.edges_per_step == pytest.approx(3.375)
 
 
 def test_pentad_run_constants():
@@ -84,8 +79,8 @@ def test_pentad_run_constants():
     p = make(gamma=0.01, n=5, mu=1, r1=r1, rn=rn)
     expected = 0.01 * (5 * mn + 10) + 0.99 * 1.950263
     assert expected == pytest.approx(2.19348737, abs=1e-9)
-    assert expected_edges_per_step(p) == pytest.approx(expected, abs=1e-15)
-    assert expected_vertices_per_step(p) == pytest.approx(1.04)
+    assert p.edges_per_step == pytest.approx(expected, abs=1e-15)
+    assert p.c == pytest.approx(1.04)
 
 
 def test_params_are_frozen():

@@ -5,19 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyadnet.distributions import DegreeDistribution
+from polyadnet.distributions import DegreeDistribution, read_distribution
 from polyadnet.params import ModelParams
 from polyadnet import solver
 from polyadnet.preference import PreferenceFunction
 from polyadnet.solver import (
     NonConvergenceError,
-    q_dyad,
-    q_from_recurrence,
-    q_gamma0,
     read_q_table,
     solve_stationary,
     write_q_table,
 )
+
+from oracles import q_dyad, q_from_recurrence, q_gamma0
 
 UNIT = PreferenceFunction.constant(1.0, g=0)
 LINEAR = PreferenceFunction.linear()
@@ -142,11 +141,10 @@ class TestReductions:
             )
             f = _random_pref(rng)
             x = float(rng.uniform(0.3, 5.0))
-            arr = solver._arrival_array(p, 300)
+            arr = p.arrival(300)
             fa = f.weight_array(300)
-            _, _, b, a = solver._rates(p)
-            q, t = solver._sweep_kernel(arr, fa.tolist(), gamma, n, mu, b, a, x)
-            q_ref, t_ref = array_sweep(np.array(arr), fa, gamma, n, mu, b, a, x)
+            q, t = solver._sweep_kernel(arr, fa.tolist(), p, x)
+            q_ref, t_ref = array_sweep(np.array(arr), fa, gamma, n, mu, p.b, p.a, x)
             assert q.tobytes() == q_ref.tobytes()
             assert t.tobytes() == t_ref.tobytes()
 
@@ -239,6 +237,22 @@ def test_q_table_rejects_duplicates(tmp_path):
     path.write_text("k,Q\n1,0.5\n1,0.5\n")
     with pytest.raises(ValueError):
         read_q_table(path)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("q.csv", "# tool=test\nk,Q\n1,0.5\nx,0.5\n"), ("q.tsv", "# tool=test\n\n1\t0.5\nx\t0.5\n")],
+    ids=["csv", "tab"],
+)
+def test_table_rejects_bad_row_with_its_location(tmp_path, name, text):
+    # the k,Q and the tab format both name the file and line of a bad row
+    path = tmp_path / name
+    path.write_text(text)
+    want = rf"^{re.escape(str(path))}:4: invalid literal for int\(\) with base 10: 'x'$"
+    with pytest.raises(ValueError, match=want):
+        read_q_table(path)
+    with pytest.raises(ValueError, match=want):
+        read_distribution(path)
 
 
 def _random_dist(rng, lo, hi):
