@@ -84,7 +84,10 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        return RunConfig(**raw)
+        cfg = RunConfig(**raw)
+        if "output_dir" in raw:
+            cfg.output_dir = str(_resolve(Path(path).resolve().parent, raw["output_dir"]))
+        return cfg
     except TypeError as exc:
         raise UsageError(f"bad config value: {exc}") from exc
 
@@ -252,9 +255,6 @@ def cmd_solve(cfg: RunConfig, base: Path | None) -> int:
     out = _out_dir(cfg)
     try:
         sol = solve_stationary(p, f, tol=cfg.tol, k_max=cfg.k_max)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     write_q_table(sol, out / "q_table.csv", _echo(cfg))

@@ -15,8 +15,9 @@ entries below the preference window are arrival-fed only, matching the
 boundary convention where Q vanishes for negative index.
 
 x itself is pinned by the fixed point x = sum f(k) Q_k(x), solved here by
-damped iteration with a bisection fallback. Truncation at k_max is
-controlled exactly: telescoping the recurrence shows the missing mass
+one loop: damped iteration inside a sign bracket of the root, bisecting
+when a step would leave it or the iteration stalls. Truncation at k_max
+is controlled exactly: telescoping the recurrence shows the missing mass
 beyond k_max equals
 
     [b t_K + gamma mu (t_{K-n+1} + ... + t_K)] / [x (1 + gamma (n-1))]
@@ -32,9 +33,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import zeta
 
 from .distributions import DegreeDistribution, read_degree_table, write_table
@@ -51,6 +52,8 @@ __all__ = [
 
 K_START = 4096
 K_CAP = 1_000_000
+BETA = 0.5  # damping of the fixed-point step
+MAX_ITER = 400  # damped sweeps before every step bisects
 _DIVERGED = float("inf")
 
 
@@ -98,10 +101,11 @@ def _tail_mean(t: np.ndarray, f: PreferenceFunction) -> float:
 
     Fits the decay exponent of t_k on the top half of the table and closes
     the sum with a Hurwitz zeta value. Returns 0 when the window already
-    ends inside the table and inf when the fitted tail does not converge.
+    ends inside the table or the table is too short to fit, and inf when
+    the fitted tail does not converge.
     """
     K = t.shape[0] - 1
-    if f.M <= K or t[K] <= 0.0:
+    if f.M <= K or K < 2 or t[K] <= 0.0:
         return 0.0
     ks = np.unique(np.geomspace(max(2, K // 2), K, 48).astype(np.int64))
     vals = t[ks]
@@ -122,14 +126,6 @@ def _tail_mean(t: np.ndarray, f: PreferenceFunction) -> float:
     # negligible at this point anyway
     ratio = (K / (K + 1.0)) ** qhat
     return float(t[K]) * ratio * (K + 1.0) / (qhat - 1.0)
-
-
-def _evaluate(p, f, arr, fa, x):
-    """Sweep at x; returns (q, t, total mass, tail-closed sum of t)."""
-    q, t = _sweep_kernel(arr, fa, p, x)
-    total = float(q.sum())
-    s = float(t.sum()) + _tail_mean(t, f)
-    return q, t, total, s
 
 
 @dataclass(frozen=True)
@@ -185,8 +181,6 @@ def solve_stationary(
     f: PreferenceFunction,
     tol: float = 1e-10,
     k_max: int | None = None,
-    beta: float = 0.5,
-    max_iter: int = 400,
 ) -> StationarySolution:
     """Solve the fixed point x = sum f(k) Q_k(x) and return the table.
 
@@ -200,9 +194,11 @@ def solve_stationary(
     this), so unbounded solves are accepted only when the mean is stable
     under doubling the table. An explicit k_max above 2 * K_START on an
     unbounded window first solves at K_START entries and starts from
-    that mean. NonConvergenceError means the mean either
-    ran away or kept moving with the truncation level; ValueError flags
-    an explicit k_max smaller than the largest arrival degree.
+    that mean. iterations counts the last level's sweeps and method is
+    "bisection" if any of them bisected (see _solve_at).
+    NonConvergenceError means the mean ran away, kept moving with the
+    truncation level, lost its mass or has no fixed point; ValueError
+    flags a non-positive tol or a k_max below the largest arrival degree.
     """
     validate_params(p)
     if tol <= 0.0:
@@ -238,11 +234,11 @@ def solve_stationary(
     if k_max is not None and unbounded and k_max > 2 * K_START:
         # a cold first level spends most of its sweeps far from the root;
         # take them at the default schedule's first size instead
-        x = _solve_at(p, f, max(K_START, arr_max), x, tol, beta, max_iter)[0]
+        x = _solve_at(p, f, max(K_START, arr_max), x, tol)[0]
 
     means = []
     for K in schedule:
-        x, iters, method, (q, t, _, _) = _solve_at(p, f, K, x, tol, beta, max_iter)
+        x, iters, method, (q, t) = _solve_at(p, f, K, x, tol)
         tail = _tail_mass(t, p, x)
         stable = bool(means) and abs(x - means[-1]) <= stab * max(1.0, abs(x))
         means.append(x)
@@ -273,21 +269,28 @@ def solve_stationary(
     )
 
 
-def _solve_at(p, f, K, x0, tol, beta, max_iter):
+def _solve_at(p, f, K, x0, tol):
     """Fixed-point solve on a table of K + 1 entries, warm-started at x0.
 
-    Returns (x, iterations, method, sweep) where sweep is the _evaluate
-    result at the returned x, so callers need not sweep again.
+    A sweep at x gives g(x) = sum f Q / sum Q (tail-closed) and the damped
+    step (1 - BETA) x + BETA clamp(g(x), x/8, 8x). The sign of g(x) - x
+    (an infinite tail counts as g > x) narrows a bracket [lo, hi]; g need
+    not be monotone, so only these signs set it. A step that would leave
+    the bracket, and every step after MAX_ITER sweeps, bisects it instead
+    (8x while hi is unbounded). Returns (x, iterations, method, (q, t)).
     """
     arr = p.arrival(K)
     fa = f.weight_array(K).tolist()
     a = p.a
     x = x0
-    for it in range(1, max_iter + 1):
-        sweep = _evaluate(p, f, arr, fa, x)
-        _, _, total, s = sweep
+    lo, hi = 0.0, math.inf
+    method = "iteration"
+    for it in count(1):
+        q, t = _sweep_kernel(arr, fa, p, x)
+        total = float(q.sum())
         if total <= 0.0:
             raise NonConvergenceError("stationary sweep lost all probability mass")
+        s = float(t.sum()) + _tail_mean(t, f)
         if math.isinf(s):
             x_new = 8.0 * x
         else:
@@ -297,30 +300,25 @@ def _solve_at(p, f, K, x0, tol, beta, max_iter):
                 "mean preference diverges; no stationary distribution "
                 f"(x exceeded {1e14 * a:.3g})"
             )
-        x_next = (1.0 - beta) * x + beta * x_new
         if math.isfinite(s) and abs(s / total - x) <= tol * max(1.0, x):
-            return x, it, "iteration", sweep
-        x = x_next
-
-    def h(val):
-        _, _, tot, sv = _evaluate(p, f, arr, fa, val)
-        if math.isinf(sv):
-            return 1e18
-        return sv - val * tot
-
-    grid = a * np.geomspace(1e-3, 1e6, 120)
-    hs = [h(v) for v in grid]
-    for i in range(len(grid) - 1):
-        if hs[i] == 0.0:
-            root = float(grid[i])
-        elif hs[i] * hs[i + 1] < 0.0:
-            root = float(brentq(h, grid[i], grid[i + 1], xtol=tol * max(1.0, a)))
+            return x, it, method, (q, t)
+        if math.isinf(s) or s / total > x:
+            lo = x
         else:
-            continue
-        return root, max_iter, "bisection", _evaluate(p, f, arr, fa, root)
-    raise NonConvergenceError(
-        "no mean-preference fixed point found by iteration or bracketing"
-    )
+            hi = x
+        # 4 eps: no narrower bracket exists in double precision
+        if hi - lo <= max(tol, 4.0 * math.ulp(1.0)) * max(1.0, lo):
+            if lo == 0.0:
+                raise NonConvergenceError(
+                    "no mean-preference fixed point: g(x) - x never turned "
+                    f"positive down to x={hi!r} at k_max={K}"
+                )
+            return x, it, "bisection", (q, t)
+        x_next = (1.0 - BETA) * x + BETA * x_new
+        if it >= MAX_ITER or not lo < x_next < hi:
+            x_next = 8.0 * x if math.isinf(hi) else 0.5 * (lo + hi)
+            method = "bisection"
+        x = x_next
 
 
 def write_q_table(sol: StationarySolution, path, header=None) -> None:

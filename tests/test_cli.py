@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -67,10 +71,43 @@ class TestConfig:
         write_yaml(cfg, bogus_key=3)
         assert main(["solve", "--config", str(cfg)]) == 2
 
+    def test_output_dir_resolves_against_the_config(self, tmp_path, monkeypatch):
+        # a config's output_dir is relative to the config file, --out to
+        # the working directory, and no output_dir at all means the latter
+        cfgdir, elsewhere = tmp_path / "cfgdir", tmp_path / "elsewhere"
+        cfgdir.mkdir()
+        elsewhere.mkdir()
+        write_dist(cfgdir / "r1.tsv", {2: 1.0})
+        keys = dict(r1_path="r1.tsv", preference_rule={"kind": "linear", "g": 1, "M": 20})
+        write_yaml(cfgdir / "run.yaml", output_dir="out", **keys)
+        write_yaml(cfgdir / "bare.yaml", **keys)
+        monkeypatch.chdir(elsewhere)
+        solve = ["solve", "--config"]
+        assert main([*solve, "../cfgdir/run.yaml"]) == 0
+        assert (cfgdir / "out" / "q_table.csv").is_file()
+        assert not (elsewhere / "out").exists()
+        assert main([*solve, "../cfgdir/run.yaml", "--out", "o"]) == 0
+        assert (elsewhere / "o" / "q_table.csv").is_file()
+        assert main([*solve, "../cfgdir/bare.yaml"]) == 0
+        assert (elsewhere / "q_table.csv").is_file()
+        assert load_config(cfgdir / "run.yaml").output_dir == str(cfgdir.resolve() / "out")
+
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.startswith("polyadnet ")
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize alone takes most of a second to import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import polyadnet.cli, sys; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestGenerate:
@@ -154,7 +191,7 @@ class TestSolve:
         assert probs[2] == pytest.approx(0.5, rel=1e-5)
         assert probs[3] == pytest.approx(0.2, rel=1e-5)
 
-    def test_superlinear_rule_fails_cleanly(self, tmp_path):
+    def test_superlinear_rule_fails_cleanly(self, tmp_path, capsys):
         write_dist(tmp_path / "r1.tsv", {2: 1.0})
         cfg = tmp_path / "run.yaml"
         write_yaml(
@@ -164,6 +201,23 @@ class TestSolve:
             output_dir=str(tmp_path / "out"),
         )
         assert main(["solve", "--config", str(cfg), "--kmax", "800"]) == 1
+        assert capsys.readouterr().err.startswith("error: stationary mean keeps moving")
+        assert not (tmp_path / "out" / "q_table.csv").exists()
+
+    def test_kmax_one(self, tmp_path):
+        # arrivals at degree 1 fit a two-entry table, too short for a tail fit
+        write_dist(tmp_path / "r1.tsv", {1: 1.0})
+        cfg = tmp_path / "run.yaml"
+        write_yaml(
+            cfg,
+            r1_path="r1.tsv",
+            preference_rule={"kind": "linear", "g": 1},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["solve", "--config", str(cfg), "--kmax", "1"]) == 0
+        probs, meta = read_q_table(tmp_path / "out" / "q_table.csv")
+        assert meta["k_max"] == "1"
+        assert set(probs) <= {0, 1}
 
     def test_missing_r1(self, tmp_path):
         cfg = tmp_path / "run.yaml"

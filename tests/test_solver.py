@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -28,6 +29,86 @@ def point(j):
 
 def ba_params(m=2):
     return ModelParams(gamma=0.0, n=2, mu=0, r1=point(m), rn=point(0))
+
+
+# solves that converge by damped iteration, recorded before the bracketed
+# loop replaced the grid-and-brentq fallback: (model, f, window end) ->
+# (mean_f, iterations, sha256 of repr(list(q.items()))); the linear rule
+# is unbounded and solved at k_max 4096
+NEUTRAL = {
+    ("ba", "linear", None): (4.000001714841242, 2,
+        "4ad936c5f6fa9ec4b984c203df6e986b0a7a8e3a007e1909013f361c56310462"),
+    ("crit3", "linear", None): (4.218246376674518, 5,
+        "333c540c42990fae790c5c1914c11bd89f11720f9c56f1e6fb8a38b0605d96b7"),
+    ("mixed", "linear", None): (3.687500018159977, 6,
+        "e624bf130da618e0a1d29aeb19e7e02d8266c74875afc40bf9df22ddadee3218"),
+    ("m1", "k2", 20): (3.9239820019021723, 12,
+        "2cee99b8ac7270d3a9c47feadc7bfcbfed54092bff09c6be3be145b30aebd6a4"),
+    ("m2", "k2", 60): (17.6120816447581, 13,
+        "4e5a18d92e6ecad36bc80ccca7d612e1749b5f9c2a0682bbeb0133f084617131"),
+    ("mixed", "k2", 200): (27.89748177321241, 21,
+        "c688275720431a2cfb88505d090f0f89fc7fa438d7967b2d93e3d54ed8105e86"),
+    ("m1", "k2", 200): (7.310479038348339, 39,
+        "005fb472596fb500aef4573a2a8ba727a8602dcc6aaa7070569b558ae33e3413"),
+    ("m2", "k2", 200): (23.204886357040056, 36,
+        "3efa343238b7c40ef48e0a023692631f441bab5ac4ca598007ce19f00258d13a"),
+    ("m2", "k3", 20): (39.38911555491218, 20,
+        "d5129e850b3d4fde6b2c5a3fb6fc49bf1614f83417d1e3a71cabbc6dc809df8c"),
+    ("mixed", "k3", 60): (132.53109321438785, 11,
+        "4ecbaed2762542d71366440035d816d0d864a38c16e50b13b7543f8e8f74dc45"),
+    ("m1", "k3", 200): (18.47032977901091, 21,
+        "93044faaf71475babffeaf7d0c80bde8a633715f49d40e0ea5231b1ca1c3889f"),
+    ("mixed", "k6", 20): (7018.627079659925, 38,
+        "c4fc096fab8dd96aa683ab66ee19ff9e6f23aef241e39acbdb54219f9e0766cd"),
+    ("m1", "k6", 60): (35.70853467153324, 23,
+        "bd719fdd99486ccc510b454b71628ca4c1645348ad5ce47cd84fbdfb67a44217"),
+    ("m2", "k6", 200): (2781.6327202773673, 12,
+        "266ac5bfbc5309aafb28b20957dbc620c1724297f52c0d20fce975c80b1796d0"),
+    ("m1", "k6", 200): (78.56510869818382, 16,
+        "9cd5ee744097bd7f39821b89b3f13673df6aa5bc35817514a24b35e4474e09b2"),
+    ("mixed", "k6", 200): (35982.13523438137, 19,
+        "426163e1ffeb10e99a315d2106fbc6199f5de3385927de8fcb6a8f6b5e5280b4"),
+    ("m1", "exp", 20): (3.623063997337197, 12,
+        "6127b1072ef294c309f27f335c77af57dcae45bef8f272bd630bab9bb31cfd9b"),
+    ("m2", "exp", 60): (11.858897256130508, 12,
+        "a0b2d9341c2f51c61f985cc6858e1964da719151a4da43dfa81436d04be0248c"),
+    ("mixed", "exp", 200): (28.69408059524364, 13,
+        "d648541bfbcab42f1713f4a86baeaa5535b813f42aa2e6408da21af77fdbac1b"),
+    ("mixed", "alt", 10): (0.00959915235205497, 203,
+        "a3489fb48ab0edd585eb20423e9f6855d174cde65377e9a43265bb0b9917e9d8"),
+}
+NEUTRAL_RULES = {
+    "k2": lambda k: k**2,
+    "k3": lambda k: k**3,
+    "k6": lambda k: k**6,
+    "exp": lambda k: math.exp(0.5 * k),
+    "alt": lambda k: 1e3 if k % 2 else 1e-3,
+}
+
+
+def _model(name):
+    if name == "mixed":
+        rn = DegreeDistribution.from_probs({1: 0.5, 2: 0.5})
+        return ModelParams(gamma=0.3, n=3, mu=1, r1=point(1), rn=rn)
+    if name == "crit3":
+        r1 = DegreeDistribution.from_probs({1: 0.049737, 2: 0.950263})
+        rn = DegreeDistribution.from_probs(
+            {1: 0.39091, 2: 0.04, 3: 0.08, 4: 0.12, 5: 0.16, 6: 0.2, 7: 0.00909}
+        )
+        return ModelParams(gamma=0.01, n=5, mu=1, r1=r1, rn=rn)
+    return ba_params({"m1": 1, "m2": 2, "ba": 2}[name])
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    kernel = solver._sweep_kernel
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "_sweep_kernel", counted)
+    return calls
 
 
 class TestOracles:
@@ -181,26 +262,53 @@ class TestSolveBehaviour:
         assert sol.k_max == 54
         assert sol.tail_mass_bound == 0.0
 
-    def test_bisection_fallback_agrees_with_iteration(self):
-        p = ModelParams(gamma=0.0, n=2, mu=0, r1=point(1), rn=point(0))
-        f = PreferenceFunction.constant(1.0, g=1, M=5)
-        by_iter = solve_stationary(p, f, tol=1e-11)
-        forced = solve_stationary(p, f, tol=1e-11, max_iter=2)
-        assert forced.method == "bisection"
-        assert by_iter.method == "iteration"
-        assert forced.mean_f == pytest.approx(by_iter.mean_f, abs=1e-9)
+    @pytest.mark.parametrize("case", list(NEUTRAL), ids=lambda c: "-".join(map(str, c)))
+    def test_iteration_solves_are_unchanged(self, case):
+        model, rule, top = case
+        if rule == "linear":
+            sol = solve_stationary(_model(model), LINEAR, k_max=4096)
+        else:
+            f = PreferenceFunction.from_table(
+                {k: float(NEUTRAL_RULES[rule](k)) for k in range(1, top + 1)}
+            )
+            sol = solve_stationary(_model(model), f)
+        digest = hashlib.sha256(repr(list(sol.q.items())).encode()).hexdigest()
+        assert (sol.mean_f, sol.iterations, sol.method, digest) == (
+            NEUTRAL[case][0], NEUTRAL[case][1], "iteration", NEUTRAL[case][2]
+        )
 
-    def test_superlinear_preference_diverges(self):
+    def test_crawling_table_bisects(self, monkeypatch):
+        # the damped step crawls on this alternating table; the bracket
+        # takes over and lands on the root that brentq found before
+        f = PreferenceFunction.from_table(
+            {k: NEUTRAL_RULES["alt"](k) for k in range(1, 11)}
+        )
+        sweeps = _count_sweeps(monkeypatch)
+        sol = solve_stationary(ba_params(1), f)
+        assert sol.method == "bisection"
+        assert sol.iterations == len(sweeps) < 400 + 128
+        assert sol.mean_f == pytest.approx(1.4137136507605705, rel=1e-7)
+
+    def test_superlinear_preference_diverges(self, monkeypatch):
         p = ModelParams(gamma=0.0, n=2, mu=0, r1=point(1), rn=point(0))
         f = PreferenceFunction.from_rule(
             lambda k: np.asarray(k, float) ** 2, g=1
         )
+        sweeps = _count_sweeps(monkeypatch)
         with pytest.raises(NonConvergenceError) as info:
             solve_stationary(p, f, k_max=3000)
         # the message quotes the means of the last two truncation levels
         quoted = re.search(r"\((\S+) -> (\S+) at k_max=3000\)", str(info.value))
         assert quoted is not None
         assert float(quoted.group(1)) != float(quoted.group(2))
+        # each of the two levels bisects its fake root in a few dozen sweeps
+        assert len(sweeps) <= 100
+
+    def test_no_fixed_point_without_a_sign_change(self, monkeypatch):
+        # a NaN tail closure never shows g(x) > x, so no bracket forms
+        monkeypatch.setattr(solver, "_tail_mean", lambda t, f: math.nan)
+        with pytest.raises(NonConvergenceError, match="no mean-preference fixed point"):
+            solve_stationary(ba_params(1), LINEAR, k_max=100)
 
     def test_k_max_below_arrivals_rejected(self):
         rn = DegreeDistribution.from_probs({7: 1.0})
