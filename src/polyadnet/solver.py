@@ -22,10 +22,29 @@ beyond k_max equals
 
     [b t_K + gamma mu (t_{K-n+1} + ... + t_K)] / [x (1 + gamma (n-1))]
 
-where t_k = f(k) Q_k, so the solver can report a rigorous tail bound and
-grow k_max until it is negligible. For preference windows without an
-upper bound the mean is additionally closed with a power-law tail fit so
-that modest tables already give the fixed point to high accuracy.
+where t_k = f(k) Q_k, so the solver reports a rigorous tail bound.
+
+A preference window without an upper bound is first probed far beyond
+any table: p = log2(f(2K) / f(K)) at K = 2^20. Superlinear f (p > 1) has
+no stationary distribution (Krapivsky, Redner and Leyvraz, PRL 85, 4629,
+2000) and is rejected before any sweep. Otherwise f(k) ~ alpha k with
+alpha = (f(2K) - f(K)) / K, and the recurrence makes t_k fall like k^-s,
+
+    s = c x / (alpha (b + n gamma mu)),
+
+so Q_k ~ k^-tau with tau = s + 1 (tau = 3 for Barabasi-Albert). The mean
+counts the exact missing mass above, and closes the sum of t the same
+way: weighting the recurrence by f, continued past K as f(K) + alpha
+(k - K), telescopes to
+
+    sum_{j>K} t_j = [b f(K+1) t_K + gamma mu (f(K+1) t_{K-n+1} + ...
+                     + f(K+n) t_K)] / [x c (1 - 1/s)],
+
+exact for affine f and infinite for s <= 1. Without bundles this is the
+gamma-ratio tail t_K (K + beta) / (s - 1) of t_k ~ Gamma(k + beta) /
+Gamma(k + beta + s). A first phase solves x on a table of K_START
+entries; a second re-solves warm at the explicit k_max, or else at the
+size where the exact bound's decay takes it below tol.
 """
 
 from __future__ import annotations
@@ -36,7 +55,6 @@ from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
-from scipy.special import zeta
 
 from .distributions import DegreeDistribution, read_degree_table, write_table
 from .params import ModelParams, validate_params
@@ -52,9 +70,12 @@ __all__ = [
 
 K_START = 4096
 K_CAP = 1_000_000
+K_PROBE = 2**20
+# an affine f = alpha k + beta probes at p ~ 1 - beta / (2 alpha K ln 2);
+# at K_PROBE this slack keeps every beta > -145 alpha linear
+LINEAR_SLACK = 1e-4
 BETA = 0.5  # damping of the fixed-point step
 MAX_ITER = 400  # damped sweeps before every step bisects
-_DIVERGED = float("inf")
 
 
 class NonConvergenceError(RuntimeError):
@@ -96,36 +117,57 @@ def _tail_mass(t: np.ndarray, p: ModelParams, x: float) -> float:
     return (p.b * float(t[K]) + bundle) / (x * p.c)
 
 
-def _tail_mean(t: np.ndarray, f: PreferenceFunction) -> float:
-    """Estimate sum of t_k beyond the table for unbounded windows.
+def _tail_closure(t: np.ndarray, p: ModelParams, x: float, alpha: float, f_end: float) -> float:
+    """Sum of t_k beyond the table, exact while f(k) = f_end + alpha (k - K).
 
-    Fits the decay exponent of t_k on the top half of the table and closes
-    the sum with a Hurwitz zeta value. Returns 0 when the window already
-    ends inside the table or the table is too short to fit, and inf when
-    the fitted tail does not converge.
+    Weighting the recurrence by f and summing it over k > K telescopes as
+    the mass does: the preference carried out of the table, by single ends
+    into K + 1 and by bundles into K + 1..K + n, over the net loss rate
+    x c - alpha (b + n gamma mu) = x c (1 - 1/s). Returns inf for s <= 1.
     """
     K = t.shape[0] - 1
-    if f.M <= K or K < 2 or t[K] <= 0.0:
-        return 0.0
-    ks = np.unique(np.geomspace(max(2, K // 2), K, 48).astype(np.int64))
-    vals = t[ks]
-    ok = vals > 0.0
-    if ok.sum() < 3:
-        return 0.0
-    slope = np.polyfit(np.log(ks[ok]), np.log(vals[ok]), 1)[0]
-    qhat = -float(slope)
-    if qhat <= 1.0:
-        return _DIVERGED
-    log_k = qhat * math.log(K)
-    if log_k < 250.0:
-        z = float(zeta(qhat, K + 1))
-        if z > 0.0:
-            return float(t[K]) * math.exp(log_k) * z
-    # very steep decay: zeta underflows, fall back to the integral form
-    # sum_{j>K} j^-q ~ (K+1)^(1-q) / (q-1); the whole remainder is
-    # negligible at this point anyway
-    ratio = (K / (K + 1.0)) ** qhat
-    return float(t[K]) * ratio * (K + 1.0) / (qhat - 1.0)
+    loss = x * p.c - alpha * (p.b + p.n * p.gamma * p.mu)
+    if loss <= 0.0:
+        return math.inf
+    lo = max(0, K - p.n + 1)
+    # a bundle end on degree i moves its vertex to i + n
+    bundle = sum(
+        (f_end + alpha * (i + p.n - K)) * ti for i, ti in enumerate(t[lo:].tolist(), lo)
+    )
+    return (p.b * (f_end + alpha) * float(t[K]) + p.gamma * p.mu * bundle) / loss
+
+
+def _linear_rate(f: PreferenceFunction) -> float:
+    """alpha of f(k) ~ alpha k on an unbounded window, probed at K_PROBE.
+
+    Raises NonConvergenceError when p = log2(f(2K) / f(K)) exceeds 1 (up
+    to LINEAR_SLACK): f is superlinear and no stationary distribution
+    exists. A rule that overflows there counts as p = inf.
+    """
+    K = max(K_PROBE, f.g)
+    with np.errstate(all="ignore"):
+        try:
+            lo, hi = f(K), f(2 * K)
+        except OverflowError:
+            lo = hi = math.inf
+    p_hat = math.log2(hi / lo) if math.isfinite(lo + hi) else math.inf
+    if p_hat > 1.0 + LINEAR_SLACK:
+        raise NonConvergenceError(
+            f"preference grows superlinearly: f(2K)/f(K) = 2^{p_hat:.6g} at "
+            f"K={K}, and f(k) ~ k^p with p > 1 has no stationary distribution"
+        )
+    return max(0.0, (hi - lo) / K)
+
+
+def _check_reachable(p: ModelParams, f: PreferenceFunction) -> None:
+    """Reject a window that no arrival degree lies in: nothing can attach."""
+    entry = [k for k, m in enumerate(p.arrival(p.arrival_max)) if m > 0.0]
+    if not any(f.g <= k <= f.M for k in entry):
+        raise NonConvergenceError(
+            f"no arrival degree lies in the preference window [{f.g}, {f.M}]: "
+            f"new vertices enter at degrees {entry[0]}..{entry[-1]}, so no "
+            "vertex can ever attach"
+        )
 
 
 @dataclass(frozen=True)
@@ -184,21 +226,19 @@ def solve_stationary(
 ) -> StationarySolution:
     """Solve the fixed point x = sum f(k) Q_k(x) and return the table.
 
-    k_max defaults to an exact cutoff for bounded preference windows (no
-    degree above M + n is ever reachable with positive preference flow)
-    and otherwise grows by doubling until the exact tail bound drops
-    below max(tol, 1e-12) or the cap of one million entries is hit.
-
-    Truncating an unbounded window can manufacture a fake fixed point
-    whose value depends on the table size (superlinear f does exactly
-    this), so unbounded solves are accepted only when the mean is stable
-    under doubling the table. An explicit k_max above 2 * K_START on an
-    unbounded window first solves at K_START entries and starts from
-    that mean. iterations counts the last level's sweeps and method is
-    "bisection" if any of them bisected (see _solve_at).
-    NonConvergenceError means the mean ran away, kept moving with the
-    truncation level, lost its mass or has no fixed point; ValueError
-    flags a non-positive tol or a k_max below the largest arrival degree.
+    A bounded preference window is solved once, by default at the exact
+    cutoff M + n (no degree above it is reachable with positive
+    preference flow). An unbounded window is probed first (superlinear f
+    is rejected before any sweep), then solved in two phases with the
+    tail closed: at min(k_max, K_START) entries, then warm at an explicit
+    larger k_max, or else at the size where the exact tail bound is
+    predicted to drop below max(tol, 1e-12), doubling while it has not
+    (up to K_CAP entries). iterations counts the last phase's sweeps and
+    method is "bisection" if any of them bisected (see _solve_at).
+    NonConvergenceError means f is superlinear, no arrival degree lies in
+    the window, or the mean ran away, lost its mass or has no fixed
+    point; ValueError flags a non-positive tol or a k_max below the
+    largest arrival degree.
     """
     validate_params(p)
     if tol <= 0.0:
@@ -207,59 +247,56 @@ def solve_stationary(
     a = p.a
     if a <= 0.0:
         raise ValueError("model adds no edge ends per step; no attachment to solve")
+    if k_max is not None and k_max < arr_max:
+        raise ValueError(f"k_max={k_max} is below the largest arrival degree {arr_max}")
+    _check_reachable(p, f)
 
-    unbounded = not math.isfinite(f.M)
-    if k_max is not None:
-        if k_max < arr_max:
-            raise ValueError(
-                f"k_max={k_max} is below the largest arrival degree {arr_max}"
-            )
-        half = int(k_max) // 2
-        if unbounded and half >= max(arr_max, 32):
-            schedule = [half, int(k_max)]
-        else:
-            schedule = [int(k_max)]
-    elif not unbounded:
-        schedule = [max(int(f.M) + p.n, arr_max)]
-    else:
-        schedule = [max(K_START, arr_max)]
-        while schedule[-1] < K_CAP:
-            schedule.append(min(2 * schedule[-1], K_CAP))
-    tail_tol = max(tol, 1e-12)
-    # truncation-dependent fake roots move with the table size (roughly
-    # doubling per stage); honest solutions drift by under 1e-5 relative
-    stab = 1e-3
-
-    x = a
-    if k_max is not None and unbounded and k_max > 2 * K_START:
-        # a cold first level spends most of its sweeps far from the root;
-        # take them at the default schedule's first size instead
-        x = _solve_at(p, f, max(K_START, arr_max), x, tol)[0]
-
-    means = []
-    for K in schedule:
-        x, iters, method, (q, t) = _solve_at(p, f, K, x, tol)
+    if math.isfinite(f.M):
+        K = int(k_max) if k_max is not None else max(int(f.M) + p.n, arr_max)
+        x, iters, method, (q, t) = _solve_at(p, f, K, a, tol)
         tail = _tail_mass(t, p, x)
-        stable = bool(means) and abs(x - means[-1]) <= stab * max(1.0, abs(x))
-        means.append(x)
-        if not unbounded or (stable and tail < tail_tol):
-            break
-    if unbounded and len(schedule) > 1 and not stable:
-        raise NonConvergenceError(
-            "stationary mean keeps moving as the truncated table grows "
-            f"({means[-2]!r} -> {means[-1]!r} at k_max={K}); "
-            "no table-independent fixed point"
-        )
+    else:
+        alpha = _linear_rate(f)
+        K = max(K_START, arr_max)
+        if k_max is not None:
+            K = min(int(k_max), K)
+        x, iters, method, (q, t) = _solve_at(p, f, K, a, tol, alpha)
+        tail = _tail_mass(t, p, x)
+        tail_tol = max(tol, 1e-12)
+        if k_max is not None:
+            size = int(k_max)
+        elif tail < tail_tol:
+            size = K
+        else:
+            # the bound at K/2 is that of the table's first half, since the
+            # sweep runs forward; its decay across the top half still rises
+            # toward s at K_START on every model tested, so extrapolating it
+            # lands just under tail_tol (and the table doubles if it does not)
+            half = _tail_mass(t[: K // 2 + 1], p, x)
+            size = 2 * K
+            if half > tail:
+                decay = math.log2(half / tail)
+                size = math.ceil(K * (tail / tail_tol) ** (1.0 / decay))
+            size = min(K_CAP, size)
+        while size > K:
+            K = size
+            x, iters, method, (q, t) = _solve_at(p, f, K, x, tol, alpha)
+            tail = _tail_mass(t, p, x)
+            if k_max is None and tail >= tail_tol:
+                size = min(K_CAP, 2 * K)
 
-    if q.min() < 0.0:
-        raise RuntimeError("negative probability mass in stationary sweep")
+    if not q.min() >= 0.0:
+        raise RuntimeError("negative or NaN probability mass in stationary sweep")
     residual = _flux_residual(q, t, p, x)
+    # q.tolist() is already in degree order and checked above, so the
+    # table skips DegreeDistribution.from_probs' per-entry validation
     probs = {k: v for k, v in enumerate(q.tolist()) if v > 0.0}
-    dist = DegreeDistribution.from_probs(
-        probs, norm_tol=max(1e-9, 10.0 * tail + 1e-12)
-    )
+    mass = math.fsum(probs.values())
+    norm_tol = max(1e-9, 10.0 * tail + 1e-12)
+    if abs(mass - 1.0) > norm_tol:
+        raise ValueError(f"probabilities sum to {mass!r}, off by more than {norm_tol}")
     return StationarySolution(
-        q=dist,
+        q=DegreeDistribution(probs, min(probs), max(probs)),
         mean_f=x,
         k_max=K,
         iterations=iters,
@@ -269,14 +306,16 @@ def solve_stationary(
     )
 
 
-def _solve_at(p, f, K, x0, tol):
+def _solve_at(p, f, K, x0, tol, alpha=None):
     """Fixed-point solve on a table of K + 1 entries, warm-started at x0.
 
-    A sweep at x gives g(x) = sum f Q / sum Q (tail-closed) and the damped
-    step (1 - BETA) x + BETA clamp(g(x), x/8, 8x). The sign of g(x) - x
-    (an infinite tail counts as g > x) narrows a bracket [lo, hi]; g need
-    not be monotone, so only these signs set it. A step that would leave
-    the bracket, and every step after MAX_ITER sweeps, bisects it instead
+    A sweep at x gives g(x) = sum f Q / sum Q, where for an unbounded
+    window (alpha not None) both sums count the table's tail: the exact
+    mass and the closure of t for f(k) ~ alpha k. The damped step is
+    (1 - BETA) x + BETA clamp(g(x), x/8, 8x). The sign of g(x) - x (an
+    infinite tail counts as g > x) narrows a bracket [lo, hi]; g need not
+    be monotone, so only these signs set it. A step that would leave the
+    bracket, and every step after MAX_ITER sweeps, bisects it instead
     (8x while hi is unbounded). Returns (x, iterations, method, (q, t)).
     """
     arr = p.arrival(K)
@@ -288,9 +327,12 @@ def _solve_at(p, f, K, x0, tol):
     for it in count(1):
         q, t = _sweep_kernel(arr, fa, p, x)
         total = float(q.sum())
+        s = float(t.sum())
+        if alpha is not None:
+            total += _tail_mass(t, p, x)
+            s += _tail_closure(t, p, x, alpha, fa[K])
         if total <= 0.0:
             raise NonConvergenceError("stationary sweep lost all probability mass")
-        s = float(t.sum()) + _tail_mean(t, f)
         if math.isinf(s):
             x_new = 8.0 * x
         else:

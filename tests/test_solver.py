@@ -34,14 +34,15 @@ def ba_params(m=2):
 # solves that converge by damped iteration, recorded before the bracketed
 # loop replaced the grid-and-brentq fallback: (model, f, window end) ->
 # (mean_f, iterations, sha256 of repr(list(q.items()))); the linear rule
-# is unbounded and solved at k_max 4096
+# is unbounded and solved at k_max 4096, its three rows recorded again
+# when the exact tail closure replaced the power-law fit
 NEUTRAL = {
-    ("ba", "linear", None): (4.000001714841242, 2,
-        "4ad936c5f6fa9ec4b984c203df6e986b0a7a8e3a007e1909013f361c56310462"),
-    ("crit3", "linear", None): (4.218246376674518, 5,
-        "333c540c42990fae790c5c1914c11bd89f11720f9c56f1e6fb8a38b0605d96b7"),
-    ("mixed", "linear", None): (3.687500018159977, 6,
-        "e624bf130da618e0a1d29aeb19e7e02d8266c74875afc40bf9df22ddadee3218"),
+    ("ba", "linear", None): (4.0, 8,
+        "3d500056100c555e8d3b1788e00d8d1083baa20772a92f3a4be767c83634bfdf"),
+    ("crit3", "linear", None): (4.2182449423285835, 12,
+        "66f67d3d39e1d9387e38cc6cf2b9037b0277f044a67f9bcc3f0a13550c1413ab"),
+    ("mixed", "linear", None): (3.6875000001386318, 19,
+        "1fd3e977635ddcb76b03ebe6cb3a92f7320f122ee2cc4c46f2761fa7a21ce86f"),
     ("m1", "k2", 20): (3.9239820019021723, 12,
         "2cee99b8ac7270d3a9c47feadc7bfcbfed54092bff09c6be3be145b30aebd6a4"),
     ("m2", "k2", 60): (17.6120816447581, 13,
@@ -86,6 +87,9 @@ NEUTRAL_RULES = {
 }
 
 
+PENTADS = ModelParams(gamma=1.0, n=5, mu=0, r1=point(0), rn=point(1))
+
+
 def _model(name):
     if name == "mixed":
         rn = DegreeDistribution.from_probs({1: 0.5, 2: 0.5})
@@ -109,6 +113,18 @@ def _count_sweeps(monkeypatch):
 
     monkeypatch.setattr(solver, "_sweep_kernel", counted)
     return calls
+
+
+def _assert_probe_rejects(monkeypatch, power, k_max):
+    f = PreferenceFunction.from_rule(lambda k: np.asarray(k, float) ** power, g=1)
+    sweeps = _count_sweeps(monkeypatch)
+    with pytest.raises(NonConvergenceError) as info:
+        solve_stationary(ba_params(1), f, k_max=k_max)
+    # the message quotes the probed growth exponent
+    quoted = re.search(r"f\(2K\)/f\(K\) = 2\^(\S+) at K=1048576", str(info.value))
+    assert quoted is not None
+    assert float(quoted.group(1)) == pytest.approx(power, rel=1e-6)
+    assert sweeps == []
 
 
 class TestOracles:
@@ -290,23 +306,48 @@ class TestSolveBehaviour:
         assert sol.mean_f == pytest.approx(1.4137136507605705, rel=1e-7)
 
     def test_superlinear_preference_diverges(self, monkeypatch):
-        p = ModelParams(gamma=0.0, n=2, mu=0, r1=point(1), rn=point(0))
+        _assert_probe_rejects(monkeypatch, 2.0, k_max=3000)
+
+    @pytest.mark.parametrize("power", [1.5, 1.01])
+    def test_superlinear_default_schedule_rejects_before_any_sweep(self, monkeypatch, power):
+        # with no k_max the probe must answer before the default schedule
+        # sweeps any table
+        _assert_probe_rejects(monkeypatch, power, k_max=None)
+
+    @pytest.mark.parametrize("offset", [5.0, -0.5])
+    def test_affine_preference_is_linear(self, offset):
+        # f = k + offset probes at p = 1 -/+ O(1/K) and counts as linear;
+        # its tail closure is exact, so mean_f = 2E/V + offset
         f = PreferenceFunction.from_rule(
-            lambda k: np.asarray(k, float) ** 2, g=1
+            lambda k: np.asarray(k, float) + offset, g=1
         )
+        p = ba_params(2)
+        sol = solve_stationary(p, f, tol=1e-13, k_max=4096)
+        assert sol.mean_f == pytest.approx(4.0 + offset, abs=1e-12)
+        assert solve_stationary(p, f).tail_mass_bound < 1e-10
+
+    @pytest.mark.parametrize("model", ["m1", "m2", "crit3", "mixed", "pentads"])
+    def test_tail_closed_mean_is_exact_on_small_tables(self, model):
+        # f = k: mean_f is the mean degree 2E/V, and the closure is exact
+        # for linear f, so already a 256-entry table gives it
+        p = PENTADS if model == "pentads" else _model(model)
+        exact = 2.0 * p.edges_per_step / p.c
+        for k_max in (256, 1024, 4096):
+            sol = solve_stationary(p, LINEAR, tol=1e-13, k_max=k_max)
+            assert abs(sol.mean_f - exact) <= 1e-12, (k_max, sol.mean_f)
+
+    def test_window_out_of_reach_is_rejected(self, monkeypatch):
+        # every vertex enters at degree 1, below the window [2, 10], so no
+        # vertex can ever attach
         sweeps = _count_sweeps(monkeypatch)
-        with pytest.raises(NonConvergenceError) as info:
-            solve_stationary(p, f, k_max=3000)
-        # the message quotes the means of the last two truncation levels
-        quoted = re.search(r"\((\S+) -> (\S+) at k_max=3000\)", str(info.value))
-        assert quoted is not None
-        assert float(quoted.group(1)) != float(quoted.group(2))
-        # each of the two levels bisects its fake root in a few dozen sweeps
-        assert len(sweeps) <= 100
+        f = PreferenceFunction.constant(5.0, g=2, M=10)
+        with pytest.raises(NonConvergenceError, match=r"\[2, 10\].*degrees 1\.\.1"):
+            solve_stationary(ba_params(1), f)
+        assert sweeps == []
 
     def test_no_fixed_point_without_a_sign_change(self, monkeypatch):
         # a NaN tail closure never shows g(x) > x, so no bracket forms
-        monkeypatch.setattr(solver, "_tail_mean", lambda t, f: math.nan)
+        monkeypatch.setattr(solver, "_tail_closure", lambda *args: math.nan)
         with pytest.raises(NonConvergenceError, match="no mean-preference fixed point"):
             solve_stationary(ba_params(1), LINEAR, k_max=100)
 
