@@ -69,6 +69,24 @@ class UsageError(Exception):
     """Bad config, flags, or input files; maps to exit code 2."""
 
 
+def _number(key: str, val, kind: str):
+    """``val`` checked against the field type ``kind`` of config ``key``.
+
+    Float fields take ints, floats and numeric strings (YAML reads 1e-10,
+    with no dot, as a string); int fields take ints only. An int stays an
+    int, so ``gamma: 0`` echoes as 0.
+    """
+    if val is None and kind == "int | None" or type(val) is int:
+        return val
+    if kind == "float" and isinstance(val, (float, str)):
+        try:
+            return float(val)
+        except ValueError:
+            pass
+    noun = "a number" if kind == "float" else "an integer"
+    raise UsageError(f"config key {key} must be {noun}, got {val!r}")
+
+
 def load_config(path) -> RunConfig:
     """Parse a YAML mapping into a RunConfig, rejecting unknown keys."""
     try:
@@ -79,17 +97,16 @@ def load_config(path) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a key-value mapping")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(map(str, set(raw) - {f.name for f in fields(RunConfig)}))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        cfg = RunConfig(**raw)
-        if "output_dir" in raw:
-            cfg.output_dir = str(_resolve(Path(path).resolve().parent, raw["output_dir"]))
-        return cfg
-    except TypeError as exc:
-        raise UsageError(f"bad config value: {exc}") from exc
+    for f in fields(RunConfig):
+        if f.name in raw and f.type in ("float", "int", "int | None"):
+            raw[f.name] = _number(f.name, raw[f.name], f.type)
+    cfg = RunConfig(**raw)
+    if "output_dir" in raw:
+        cfg.output_dir = str(_resolve(Path(path).resolve().parent, raw["output_dir"]))
+    return cfg
 
 
 def _resolve(base: Path | None, path: str) -> Path:
@@ -99,10 +116,10 @@ def _resolve(base: Path | None, path: str) -> Path:
     return base / p
 
 
-def _load_dist(path: Path, what: str) -> DegreeDistribution:
-    """Read a tab table, or a solver ``k,Q`` CSV, naming ``what`` on failure."""
+def _load_table(read, path: Path, what: str):
+    """Read an input table with ``read``, naming ``what`` on failure."""
     try:
-        return read_distribution(path)
+        return read(path)
     except OSError as exc:
         raise UsageError(f"cannot read {what} from {path}: {exc}") from exc
     except ValueError as exc:
@@ -111,21 +128,19 @@ def _load_dist(path: Path, what: str) -> DegreeDistribution:
 
 def _build_params(cfg: RunConfig, base: Path | None) -> ModelParams:
     if cfg.r1_path is not None:
-        r1 = _load_dist(_resolve(base, cfg.r1_path), "r1")
+        r1 = _load_table(read_distribution, _resolve(base, cfg.r1_path), "r1")
     elif cfg.gamma == 1.0:
         r1 = DegreeDistribution.from_probs({0: 1.0})
     else:
         raise UsageError("r1_path is required when gamma < 1")
     if cfg.rn_path is not None:
-        rn = _load_dist(_resolve(base, cfg.rn_path), "rn")
+        rn = _load_table(read_distribution, _resolve(base, cfg.rn_path), "rn")
     elif cfg.gamma == 0.0:
         rn = DegreeDistribution.from_probs({max(cfg.mu, 0): 1.0})
     else:
         raise UsageError("rn_path is required when gamma > 0")
     try:
-        return validate_params(
-            ModelParams(gamma=cfg.gamma, n=cfg.n, mu=cfg.mu, r1=r1, rn=rn)
-        )
+        return validate_params(ModelParams(gamma=cfg.gamma, n=cfg.n, mu=cfg.mu, r1=r1, rn=rn))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -135,15 +150,15 @@ def _rule_preference(rule: dict) -> PreferenceFunction:
         raise UsageError("preference_rule must be a mapping with a 'kind' key")
     opts = dict(rule)
     kind = opts.pop("kind")
-    g = int(opts.pop("g", 1))
-    m_raw = opts.pop("M", None)
-    if m_raw in (None, "inf", ".inf"):
-        m_top = math.inf
-    else:
-        m_top = float(m_raw)
-        if m_top.is_integer():
-            m_top = int(m_top)
     try:
+        g = int(opts.pop("g", 1))
+        m_raw = opts.pop("M", None)
+        if m_raw in (None, "inf", ".inf"):
+            m_top = math.inf
+        else:
+            m_top = float(m_raw)
+            if m_top.is_integer():
+                m_top = int(m_top)
         if kind == "linear":
             f = PreferenceFunction.linear(g=g, M=m_top)
         elif kind == "constant":
@@ -160,7 +175,7 @@ def _rule_preference(rule: dict) -> PreferenceFunction:
             raise UsageError(f"unknown preference_rule kind {kind!r}")
     except KeyError as exc:
         raise UsageError(f"preference_rule missing key {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad preference_rule: {exc}") from exc
     if opts:
         raise UsageError(f"unknown preference_rule keys: {', '.join(sorted(opts))}")
@@ -171,12 +186,7 @@ def _build_preference(cfg: RunConfig, base: Path | None) -> PreferenceFunction:
     if cfg.preference_path and cfg.preference_rule:
         raise UsageError("give preference_path or preference_rule, not both")
     if cfg.preference_path:
-        try:
-            return read_preference(_resolve(base, cfg.preference_path))
-        except OSError as exc:
-            raise UsageError(f"cannot read preference table: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(f"bad preference table: {exc}") from exc
+        return _load_table(read_preference, _resolve(base, cfg.preference_path), "preference")
     if cfg.preference_rule:
         return _rule_preference(cfg.preference_rule)
     raise UsageError("config needs preference_path or preference_rule")
@@ -185,18 +195,10 @@ def _build_preference(cfg: RunConfig, base: Path | None) -> PreferenceFunction:
 def _echo(cfg: RunConfig, extra: dict | None = None) -> dict:
     """Header entries common to every output file."""
     out = {"tool": f"polyadnet {__version__}"}
-    out.update(
-        gamma=cfg.gamma,
-        n=cfg.n,
-        mu=cfg.mu,
-        seed_size=cfg.seed_size,
-        steps=cfg.steps,
-        rng_seed=cfg.rng_seed,
-    )
-    for key in ("r1_path", "rn_path", "preference_path", "target_vdd_path"):
-        val = getattr(cfg, key)
-        if val is not None:
-            out[key] = val
+    for key in ("gamma", "n", "mu", "seed_size", "steps", "rng_seed",
+                "r1_path", "rn_path", "preference_path", "target_vdd_path"):
+        if getattr(cfg, key) is not None:
+            out[key] = getattr(cfg, key)
     if cfg.preference_rule:
         out["preference_rule"] = dict(sorted(cfg.preference_rule.items()))
     if extra:
@@ -213,7 +215,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_generate(cfg: RunConfig, base: Path | None) -> int:
+def cmd_generate(cfg: RunConfig, base: Path | None, args) -> int:
     p = _build_params(cfg, base)
     f = _build_preference(cfg, base)
     if cfg.seed_size < 2:
@@ -249,7 +251,7 @@ def cmd_generate(cfg: RunConfig, base: Path | None) -> int:
     return 1 if saturated else 0
 
 
-def cmd_solve(cfg: RunConfig, base: Path | None) -> int:
+def cmd_solve(cfg: RunConfig, base: Path | None, args) -> int:
     p = _build_params(cfg, base)
     f = _build_preference(cfg, base)
     out = _out_dir(cfg)
@@ -274,61 +276,55 @@ def _window(cfg: RunConfig) -> tuple[int, int] | None:
     return int(win[0]), int(win[1])
 
 
-def _target_run(cfg: RunConfig, base: Path | None, command: str):
-    """Parameters, target VDD and output dir of calibrate and roundtrip."""
+def _fail(report: dict, path: Path, message: str) -> int:
+    """Write the report of a failed run, say why on stderr; exit code 1."""
+    write_stats(report, path)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def _calibrate_stage(cfg: RunConfig, base: Path | None, command: str):
+    """Calibrate f to the target VDD, solve forward from it and compare.
+
+    Returns (params, output dir, calibration result, forward solution,
+    forward report entries); the last two are None for an infeasible
+    target. A feasible run writes preference.tsv and forward_q_table.csv,
+    both only once the forward solve has succeeded. A missing or bad
+    target, window or solver setting raises UsageError;
+    NonConvergenceError from the forward solve propagates.
+    """
     p = _build_params(cfg, base)
     if cfg.target_vdd_path is None:
         raise UsageError(f"{command} needs target_vdd_path")
-    target = _load_dist(_resolve(base, cfg.target_vdd_path), "target VDD")
-    return p, target, _out_dir(cfg)
-
-
-def _calibrate_stage(cfg: RunConfig, p: ModelParams, target: DegreeDistribution, out: Path):
-    """Calibrate f to the target, solve forward from it and compare.
-
-    Returns (calibration result, forward solution, forward TV to the
-    target); the last two are None for an infeasible target. A feasible
-    run writes preference.tsv and forward_q_table.csv, both only once the
-    forward solve has succeeded. Bad window or solver settings raise
-    UsageError; NonConvergenceError from the forward solve propagates.
-    """
+    target = _load_table(read_distribution, _resolve(base, cfg.target_vdd_path), "target VDD")
+    out = _out_dir(cfg)
     try:
         result = calibrate(target, p, window=_window(cfg))
         if not result.feasible:
-            return result, None, None
+            return p, out, result, None, None
         sol = solve_stationary(p, result.f, tol=cfg.tol, k_max=cfg.k_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     write_preference(result.f, out / "preference.tsv", _echo(cfg))
     write_q_table(sol, out / "forward_q_table.csv", _echo(cfg))
-    return result, sol, compare(target, sol.q).tv_distance
+    tv, limit = compare(target, sol.q).tv_distance, cfg.forward_tv_max
+    forward = {"forward_tv": tv, "forward_tv_max": limit, "forward_pass": tv < limit}
+    return p, out, result, sol, forward
 
 
-def cmd_calibrate(cfg: RunConfig, base: Path | None) -> int:
-    p, target, out = _target_run(cfg, base, "calibrate")
-    result, _, forward_tv = _calibrate_stage(cfg, p, target, out)
+def cmd_calibrate(cfg: RunConfig, base: Path | None, args) -> int:
+    _, out, result, _, forward = _calibrate_stage(cfg, base, "calibrate")
     report: dict = {"feasible": result.feasible, "a": repr(result.a)}
-    code = 0
-    if result.feasible:
-        report.update(
-            window=f"{result.f.g}..{result.f.M}",
-            forward_tv=repr(forward_tv),
-            forward_tv_max=repr(cfg.forward_tv_max),
-            forward_pass=forward_tv < cfg.forward_tv_max,
-        )
-        print(f"calibrate: feasible window={result.f.g}..{result.f.M} forward_tv={forward_tv:.3e}")
-    else:
-        report["first_infeasible_k"] = result.first_infeasible_k
-        worst = min(result.raw_weights.values())
-        report["min_raw_weight"] = repr(worst)
-        print(
-            "error: target infeasible, first nonpositive preference at "
-            f"k={result.first_infeasible_k}",
-            file=sys.stderr,
-        )
-        code = 1
-    write_stats(report, out / "calibration_report.txt")
-    return code
+    path = out / "calibration_report.txt"
+    if not result.feasible:
+        k = result.first_infeasible_k
+        report.update(first_infeasible_k=k, min_raw_weight=repr(min(result.raw_weights.values())))
+        return _fail(report, path, f"target infeasible, first nonpositive preference at k={k}")
+    window = f"{result.f.g}..{result.f.M}"
+    report.update(window=window, **forward)
+    write_stats(report, path)
+    print(f"calibrate: feasible window={window} forward_tv={forward['forward_tv']:.3e}")
+    return 0
 
 
 def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
@@ -342,29 +338,21 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
     out = _out_dir(cfg)
 
     triangles = triangle_count(g)
-    summary: dict = {
-        "tool": f"polyadnet {__version__}",
-        "vertices": g.n,
-        "edges": len(g.edges),
-        "triangles": triangles,
-    }
+    summary: dict = {"tool": f"polyadnet {__version__}", "vertices": g.n,
+                     "edges": len(g.edges), "triangles": triangles}
     try:
         summary["clustering"] = repr(global_clustering(g, triangles))
     except ValueError:
         summary["clustering"] = "undefined"
     try:
-        summary["loglog_slope"] = repr(
-            loglog_slope(empirical, args.slope_lo, args.slope_hi)
-        )
+        summary["loglog_slope"] = repr(loglog_slope(empirical, args.slope_lo, args.slope_hi))
     except ValueError:
         summary["loglog_slope"] = "undefined"
 
-    theory_path = args.theory or (
-        _resolve(base, cfg.target_vdd_path) if cfg.target_vdd_path else None
-    )
+    theory_path = args.theory or (cfg.target_vdd_path and _resolve(base, cfg.target_vdd_path))
     report_path = out / "analysis_report.csv"
-    if theory_path is not None:
-        theory = _load_dist(Path(theory_path), "theory VDD")
+    if theory_path:
+        theory = _load_table(read_distribution, Path(theory_path), "theory VDD")
         rep = compare(empirical, theory)
         write_report(report_path, empirical, theory, rep, summary)
         print(
@@ -378,36 +366,24 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
     return 0
 
 
-def cmd_roundtrip(cfg: RunConfig, base: Path | None) -> int:
+def cmd_roundtrip(cfg: RunConfig, base: Path | None, args) -> int:
     if cfg.replications < 1:
         raise UsageError(f"replications={cfg.replications} must be >= 1")
-    p, target, out = _target_run(cfg, base, "roundtrip")
+    path = Path(cfg.output_dir) / "roundtrip_report.txt"
     try:
-        result, sol, forward_tv = _calibrate_stage(cfg, p, target, out)
+        p, out, result, sol, forward = _calibrate_stage(cfg, base, "roundtrip")
     except NonConvergenceError as exc:
-        # only a feasible calibration reaches the forward solve
-        report = {"calibrate_feasible": True, "a": repr(p.a), "failed_stage": "solve"}
-        write_stats(report, out / "roundtrip_report.txt")
-        print(f"error: stage solve failed: {exc}", file=sys.stderr)
-        return 1
+        # only a feasible calibration reaches the forward solve; its a is
+        # that of the parameters, read again here
+        a = _build_params(cfg, base).a
+        report = {"calibrate_feasible": True, "a": repr(a), "failed_stage": "solve"}
+        return _fail(report, path, f"stage solve failed: {exc}")
     report: dict = {"calibrate_feasible": result.feasible, "a": repr(result.a)}
     if not result.feasible:
-        report["failed_stage"] = "calibrate"
-        report["first_infeasible_k"] = result.first_infeasible_k
-        write_stats(report, out / "roundtrip_report.txt")
-        print(
-            f"error: stage calibrate failed, first nonpositive preference at "
-            f"k={result.first_infeasible_k}",
-            file=sys.stderr,
-        )
-        return 1
-    forward_pass = forward_tv < cfg.forward_tv_max
-    report.update(
-        forward_tv=repr(forward_tv),
-        forward_tv_max=repr(cfg.forward_tv_max),
-        forward_pass=forward_pass,
-    )
-
+        k = result.first_infeasible_k
+        report.update(failed_stage="calibrate", first_infeasible_k=k)
+        return _fail(report, path, f"stage calibrate failed, first nonpositive preference at k={k}")
+    report.update(forward)
     tvs = []
     for i in range(cfg.replications):
         g = seed_complete(cfg.seed_size)
@@ -415,31 +391,34 @@ def cmd_roundtrip(cfg: RunConfig, base: Path | None) -> int:
             grow(g, p, result.f, cfg.steps, cfg.rng_seed + i)
         except SaturationError:
             report["failed_stage"] = f"generate (replication {i})"
-            write_stats(report, out / "roundtrip_report.txt")
-            print(f"error: stage generate failed: replication {i} saturated", file=sys.stderr)
-            return 1
-        write_edge_list(
-            g, out / f"edges_rep{i}.tsv", _echo(cfg, {"replication": i, "rep_seed": cfg.rng_seed + i})
-        )
+            return _fail(report, path, f"stage generate failed: replication {i} saturated")
+        echo = _echo(cfg, {"replication": i, "rep_seed": cfg.rng_seed + i})
+        write_edge_list(g, out / f"edges_rep{i}.tsv", echo)
         tv = compare(empirical_vdd(g), sol.q).tv_distance
         tvs.append(tv)
         report[f"empirical_tv_rep{i}"] = repr(tv)
     mean_tv = sum(tvs) / len(tvs)
     empirical_pass = mean_tv < cfg.empirical_tv_max
-    overall = forward_pass and empirical_pass
-    report.update(
-        empirical_tv_mean=repr(mean_tv),
-        empirical_tv_max=repr(cfg.empirical_tv_max),
-        empirical_pass=empirical_pass,
-        overall_pass=overall,
-    )
-    write_stats(report, out / "roundtrip_report.txt")
+    overall = forward["forward_pass"] and empirical_pass
+    report.update(empirical_tv_mean=repr(mean_tv), empirical_tv_max=repr(cfg.empirical_tv_max),
+                  empirical_pass=empirical_pass, overall_pass=overall)
+    write_stats(report, path)
+    verdict = {True: "pass", False: "FAIL"}
     print(
-        f"roundtrip: forward_tv={forward_tv:.3e} ({'pass' if forward_pass else 'FAIL'}) "
-        f"empirical_tv={mean_tv:.4f} ({'pass' if empirical_pass else 'FAIL'})"
+        f"roundtrip: forward_tv={forward['forward_tv']:.3e} ({verdict[forward['forward_pass']]}) "
+        f"empirical_tv={mean_tv:.4f} ({verdict[empirical_pass]})"
     )
     return 0 if overall else 1
 
+
+# subcommand -> (function, help); every function takes (cfg, base, args)
+COMMANDS = {
+    "generate": (cmd_generate, "grow a graph and write edge list, stats and empirical VDD"),
+    "solve": (cmd_solve, "solve the stationary degree distribution"),
+    "calibrate": (cmd_calibrate, "recover a preference function for a target VDD"),
+    "analyze": (cmd_analyze, "compare a written graph against a theoretical VDD"),
+    "roundtrip": (cmd_roundtrip, "calibrate, verify, generate and compare in one run"),
+}
 
 # flag -> (RunConfig key it overrides, type, metavar), on every subcommand
 _OVERRIDES = {
@@ -459,13 +438,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"polyadnet {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("generate", "grow a graph and write edge list, stats and empirical VDD"),
-        ("solve", "solve the stationary degree distribution"),
-        ("calibrate", "recover a preference function for a target VDD"),
-        ("analyze", "compare a written graph against a theoretical VDD"),
-        ("roundtrip", "calibrate, verify, generate and compare in one run"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="YAML run configuration")
         for flag, (key, kind, metavar) in _OVERRIDES.items():
@@ -484,7 +457,10 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         for flag, (key, _, _) in _OVERRIDES.items()
         if getattr(args, flag) is not None
     }
-    return replace(cfg, **updates)
+    cfg = replace(cfg, **updates)
+    if cfg.rng_seed < 0:
+        raise UsageError(f"rng_seed={cfg.rng_seed} must be >= 0")
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -500,15 +476,7 @@ def main(argv=None) -> int:
             cfg = RunConfig()
             base = None
         cfg = _apply_overrides(cfg, args)
-        if args.command == "generate":
-            return cmd_generate(cfg, base)
-        if args.command == "solve":
-            return cmd_solve(cfg, base)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg, base)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, base, args)
-        return cmd_roundtrip(cfg, base)
+        return COMMANDS[args.command][0](cfg, base, args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ __all__ = [
     "write_table",
 ]
 
-#: Default tolerance on |sum(probs) - 1| at construction time.
+#: Tolerance on |sum(probs) - 1| at construction time.
 NORMALIZATION_TOL = 1e-9
 
 #: Text tables off by more than this are rejected; smaller deviations are
@@ -46,22 +46,15 @@ class DegreeDistribution:
     support_max: int
 
     @classmethod
-    def from_probs(
-        cls,
-        probs: Mapping[int, float],
-        norm_tol: float = NORMALIZATION_TOL,
-    ) -> "DegreeDistribution":
+    def from_probs(cls, probs: Mapping[int, float]) -> "DegreeDistribution":
         """Validate a degree -> probability mapping and build a distribution.
 
         Args:
             probs: mapping from non-negative integer degree to probability.
-            norm_tol: allowed deviation of the total mass from 1. Solver
-                output truncated at a finite degree legitimately sums to
-                slightly less than 1, so callers may widen this.
 
         Raises:
             ValueError: on negative degrees, negative probabilities, an empty
-                table, or total mass off by more than ``norm_tol``.
+                table, or total mass off by more than ``NORMALIZATION_TOL``.
         """
         clean: dict[int, float] = {}
         for k, p in probs.items():
@@ -79,9 +72,9 @@ class DegreeDistribution:
         if not clean:
             raise ValueError("distribution has no positive-probability entries")
         total = math.fsum(clean.values())
-        if abs(total - 1.0) > norm_tol:
+        if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(
-                f"probabilities sum to {total!r}, off by more than {norm_tol}"
+                f"probabilities sum to {total!r}, off by more than {NORMALIZATION_TOL}"
             )
         return cls(
             probs=dict(sorted(clean.items())),

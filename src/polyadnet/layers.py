@@ -66,8 +66,6 @@ class LayerIndex:
         self.f = f
         self._cap = capacity
         self._fw: list[float] = f.weight_array(capacity - 1).tolist()
-        self._count = [0] * capacity
-        self._w = [0.0] * capacity
         self._members: list[list[int] | None] = [None] * capacity
         self._pos: list[int] = []
         self._hi = 1  # one past the highest degree ever seen
@@ -90,8 +88,6 @@ class LayerIndex:
         new_cap = max(self._cap * 2, k + 1)
         extra = new_cap - self._cap
         self._fw = self.f.weight_array(new_cap - 1).tolist()
-        self._count.extend([0] * extra)
-        self._w.extend([0.0] * extra)
         self._members.extend([None] * extra)
         self._cap = new_cap
         # nodes up to the old size keep their ranges; of the new ones only
@@ -121,11 +117,8 @@ class LayerIndex:
         if v >= len(pos):
             pos.extend([-1] * (v + 1 - len(pos)))
         pos[v] = len(lst) - 1
-        c = self._count[k] + 1
-        self._count[k] = c
         fw = self._fw[k]
         if fw > 0.0:
-            self._w[k] = fw * c
             self._live += 1
             tree, size = self._tree, self._size
             i = k + 1
@@ -157,19 +150,8 @@ class LayerIndex:
         lst.append(v)
         pos[v] = len(lst) - 1
 
-        count, fws, w = self._count, self._fw, self._w
-        c = count[old_k] - 1
-        count[old_k] = c
-        f_old = fws[old_k]
-        if f_old > 0.0:
-            w[old_k] = f_old * c
-            self._live -= 1
-        c = count[new_k] + 1
-        count[new_k] = c
-        f_new = fws[new_k]
-        if f_new > 0.0:
-            w[new_k] = f_new * c
-            self._live += 1
+        f_old, f_new = self._fw[old_k], self._fw[new_k]
+        self._live += (f_new > 0.0) - (f_old > 0.0)
         if new_k >= self._hi:
             self._raise_hi(new_k)
 
@@ -208,7 +190,7 @@ class LayerIndex:
         u = rng.random(2 * count)
         if isinstance(u, np.ndarray):
             u = u.tolist()
-        tree, w, members = self._tree, self._w, self._members
+        tree, fw, members = self._tree, self._fw, self._members
         top = self._top
         half = top >> 1
         total = tree[top]
@@ -226,7 +208,7 @@ class LayerIndex:
                     step >>= 1
             else:  # u * total rounded up to the total
                 k = self._hi - 1
-            if w[k] <= 0.0:  # float rounding put x on an empty layer
+            if not members[k] or fw[k] <= 0.0:  # float rounding put x on an empty layer
                 k = self._nearest_live(k)
             lst = members[k]
             out.append(lst[int(u[count + i] * len(lst))])
@@ -234,21 +216,21 @@ class LayerIndex:
 
     def _nearest_live(self, k: int) -> int:
         """The closest layer of positive weight below ``k``, else above it."""
-        w = self._w
+        fw, members = self._fw, self._members
         j = min(k, self._hi - 1)
-        while j >= 0 and w[j] <= 0.0:
+        while j >= 0 and (not members[j] or fw[j] <= 0.0):
             j -= 1
         if j < 0:
             j = k + 1
-            while w[j] <= 0.0:
+            while not members[j] or fw[j] <= 0.0:
                 j += 1
         return j
 
     def verify(self, g: MultiGraph) -> None:
         """Rebuild from the graph and compare; raises on any drift.
 
-        Membership, counts and layer weights must match exactly, and so
-        must every Fenwick node when all weights are integers. With
+        Membership and the live count must match exactly, and so must
+        every Fenwick node when all weights are integers. With
         non-integer weights a node may differ from a fresh build by
         ``TREE_RTOL`` times the total weight, or times the largest f(k) seen
         when that is larger (a tree emptied of its weight keeps a residue).
@@ -260,12 +242,12 @@ class LayerIndex:
 
         if layers(self) != layers(fresh):
             raise AssertionError("layer membership drifted from the graph")
-        hi = max(self._hi, fresh._hi)
-        a = self._w[:hi] + [0.0] * (hi - len(self._w))
-        b = fresh._w[:hi] + [0.0] * (hi - len(fresh._w))
-        if a != b or self._live != fresh._live:
-            raise AssertionError("layer weights drifted from the graph")
-        ref = _fenwick(self._w, self._size)
+        if self._live != fresh._live:
+            raise AssertionError("live vertex count drifted from the graph")
+        ref = _fenwick(
+            [w * len(lst) if lst and w > 0.0 else 0.0 for w, lst in zip(self._fw, self._members)],
+            self._size,
+        )
         # weights that were ever added, not only the current ones: an
         # emptied layer of weight 0.3 can leave rounding residue behind
         if all(x.is_integer() for x in self._fw[: self._hi]):

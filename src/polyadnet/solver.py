@@ -316,7 +316,9 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
     infinite tail counts as g > x) narrows a bracket [lo, hi]; g need not
     be monotone, so only these signs set it. A step that would leave the
     bracket, and every step after MAX_ITER sweeps, bisects it instead
-    (8x while hi is unbounded). Returns (x, iterations, method, (q, t)).
+    (8x while hi is unbounded). The loop stops at |g(x) - x| <= tol x, a
+    relative test at every scale of x. Returns (x, iterations, method,
+    (q, t)).
     """
     arr = p.arrival(K)
     fa = f.weight_array(K).tolist()
@@ -342,7 +344,7 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
                 "mean preference diverges; no stationary distribution "
                 f"(x exceeded {1e14 * a:.3g})"
             )
-        if math.isfinite(s) and abs(s / total - x) <= tol * max(1.0, x):
+        if math.isfinite(s) and abs(s / total - x) <= tol * x:
             return x, it, method, (q, t)
         if math.isinf(s) or s / total > x:
             lo = x

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+from polyadnet import cli
 from polyadnet.cli import RunConfig, UsageError, load_config, main
+from polyadnet.layers import SaturationError
 from polyadnet.engine import read_edge_list, read_stats
-from polyadnet.solver import read_q_table
+from polyadnet.solver import NonConvergenceError, read_q_table
 
 
 def write_dist(path, probs):
@@ -49,6 +51,12 @@ class TestConfig:
         cfg = tmp_path / "c.yaml"
         write_yaml(cfg, gamma=0.1, bogus_key=3)
         with pytest.raises(UsageError, match="bogus_key"):
+            load_config(cfg)
+
+    def test_non_string_key_rejected(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("1: 2\ngamma: 0.1\n")
+        with pytest.raises(UsageError, match="unknown config keys: 1"):
             load_config(cfg)
 
     def test_non_mapping_rejected(self, tmp_path):
@@ -91,6 +99,71 @@ class TestConfig:
         assert main([*solve, "../cfgdir/bare.yaml"]) == 0
         assert (elsewhere / "q_table.csv").is_file()
         assert load_config(cfgdir / "run.yaml").output_dir == str(cfgdir.resolve() / "out")
+
+
+class TestConfigValues:
+    """Number fields are checked once, in load_config; bad ones exit 2."""
+
+    def _run(self, mixed_setup, command, key, raw, *flags):
+        # raw YAML text: safe_dump would write 1e-10 as 1.0e-10
+        tmp_path, cfg = mixed_setup
+        keys = yaml.safe_load(cfg.read_text())
+        keys.pop(key, None)
+        cfg.write_text(yaml.safe_dump(keys) + f"{key}: {raw}\n")
+        return main([command, "--config", str(cfg), *flags])
+
+    def test_exponent_without_a_dot_is_a_float(self, mixed_setup):
+        # YAML 1.1 reads 1e-10 as the string "1e-10"
+        tmp_path, cfg = mixed_setup
+        assert self._run(mixed_setup, "solve", "tol", "1e-10") == 0
+        assert load_config(cfg).tol == 1e-10
+        assert (tmp_path / "out" / "q_table.csv").is_file()
+
+    def test_ints_stay_ints(self, tmp_path):
+        # an int in a float field echoes as written: gamma=0, not 0.0
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("gamma: 0\ntol: 1\nforward_tv_max: 1.5e-3\n")
+        got = load_config(cfg)
+        assert (type(got.gamma), type(got.tol), got.forward_tv_max) == (int, int, 1.5e-3)
+
+    @pytest.mark.parametrize(
+        "command, key, raw",
+        [
+            ("solve", "tol", "abc"),
+            ("solve", "gamma", "[0.3]"),
+            ("generate", "steps", "abc"),
+            ("generate", "steps", "true"),
+            ("generate", "seed_size", "4.0"),
+            ("generate", "rng_seed", "-1"),
+            ("solve", "k_max", "64.5"),
+            ("solve", "k_max", "'64'"),
+            ("generate", "preference_rule", "{kind: linear, g: abc}"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, mixed_setup, capsys, command, key, raw):
+        tmp_path, _ = mixed_setup
+        assert self._run(mixed_setup, command, key, raw) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag(self, mixed_setup, capsys):
+        tmp_path, cfg = mixed_setup
+        assert main(["generate", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: rng_seed=-1 must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_preference_table_errors_name_the_table(tmp_path, capsys):
+    # the same wording as every other input table
+    write_dist(tmp_path / "r1.tsv", {2: 1.0})
+    (tmp_path / "bad.tsv").write_text("1\tabc\n")
+    cases = (("none.tsv", "cannot read preference from"), ("bad.tsv", "bad preference table"))
+    for name, start in cases:
+        cfg = tmp_path / "run.yaml"
+        write_yaml(cfg, r1_path="r1.tsv", preference_path=name, output_dir=str(tmp_path / "out"))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {start} {tmp_path / name}: ")
 
 
 def test_version_flag(capsys):
@@ -436,6 +509,48 @@ class TestRoundtrip:
         assert report["failed_stage"] == "calibrate"
 
 
+# recorded before the subcommands were put behind one command table
+REPLICATION_SATURATED_REPORT = (
+    "calibrate_feasible=True\na=1.0\nforward_tv=0.0\nforward_tv_max=1e-06\n"
+    "forward_pass=True\nempirical_tv_rep0=0.06869612068965517\n"
+    "failed_stage=generate (replication 1)\n"
+)
+
+
+class TestRoundtripStageFailures:
+    """Failures no small config reaches, forced through cli's own bindings."""
+
+    def _run(self, tmp_path, capsys):
+        cfg = TestRoundtrip()._config(tmp_path, steps=200)
+        assert main(["roundtrip", "--config", str(cfg)]) == 1
+        out = tmp_path / "out"
+        return (out / "roundtrip_report.txt").read_text(), capsys.readouterr(), out
+
+    def test_forward_solve(self, tmp_path, capsys, monkeypatch):
+        def stuck(*args, **kwargs):
+            raise NonConvergenceError("stuck")
+
+        monkeypatch.setattr(cli, "solve_stationary", stuck)
+        report, streams, out = self._run(tmp_path, capsys)
+        assert report == "calibrate_feasible=True\na=1.0\nfailed_stage=solve\n"
+        assert streams == ("", "error: stage solve failed: stuck\n")
+        assert sorted(p.name for p in out.iterdir()) == ["roundtrip_report.txt"]
+
+    def test_saturated_replication(self, tmp_path, capsys, monkeypatch):
+        grow = cli.grow
+
+        def second_saturates(g, p, f, steps, seed):
+            if seed == 12:  # replication 1 of rng_seed 11
+                raise SaturationError("saturated")
+            return grow(g, p, f, steps, seed)
+
+        monkeypatch.setattr(cli, "grow", second_saturates)
+        report, streams, out = self._run(tmp_path, capsys)
+        assert report == REPLICATION_SATURATED_REPORT
+        assert streams == ("", "error: stage generate failed: replication 1 saturated\n")
+        assert not (out / "edges_rep1.tsv").exists()
+
+
 @pytest.mark.parametrize("command", ["calibrate", "roundtrip"])
 @pytest.mark.parametrize("flag", [["--kmax", "1"], ["--tol", "0"]])
 def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, command, flag):
@@ -467,9 +582,11 @@ def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, command, flag):
 # exceptions: the "diverging" run's calibrate-side files were recorded
 # again when the calibrator's a changed, and the unbounded solves of
 # "solve_ba" and "analyze" (with the --theory report that reads the
-# latter) when the exact tail closure replaced the power-law fit. Each run
-# works in its own directory: inputs from GOLDEN_TABLES, one config, and
-# CLI commands whose relative paths resolve there.
+# latter) when the exact tail closure replaced the power-law fit. The
+# failure runs (exit code 1) and every command's stdout and stderr were
+# recorded before the subcommands were put behind one command table. Each
+# run works in its own directory: inputs from GOLDEN_TABLES, one config,
+# and CLI commands whose relative paths resolve there.
 
 GOLDEN_TABLES = {
     "r1_1.tsv": {1: 1.0},
@@ -477,6 +594,8 @@ GOLDEN_TABLES = {
     "rn_mixed.tsv": {1: 0.5, 2: 0.5},
     "rn_1.tsv": {1: 1.0},
     "rn_2.tsv": {2: 1.0},
+    # mass at degree 1, below the arrival degree 2 of r1_2.tsv
+    "infeasible.tsv": {1: 0.3, 2: 0.5, 3: 0.2},
 }
 LINEAR_RULE = {"kind": "linear", "g": 1}
 BA_CFG = dict(r1_path="r1_2.tsv", preference_rule=LINEAR_RULE)
@@ -498,26 +617,37 @@ ROUNDTRIP_CFG = dict(
     r1_path="r1_1.tsv", target_vdd_path="target.tsv", calibration_window=[1, 40],
     seed_size=3, steps=2000, rng_seed=11, replications=2, empirical_tv_max=0.15,
 )
+INFEASIBLE_CFG = dict(r1_path="r1_2.tsv", target_vdd_path="infeasible.tsv")
+# two seed vertices of degree 1 and f = 1 on [1, 1]: the first arrival
+# lifts both out of the window
+SATURATED_CFG = dict(
+    r1_path="r1_2.tsv", preference_rule={"kind": "constant", "g": 1, "M": 1},
+    seed_size=2, steps=5,
+)
 
-# name -> (config keys, [(argv after "--config run.yaml", exit code)], digests)
+# name -> (config keys, [(argv after "--config run.yaml", exit code,
+# stdout, stderr)], digests)
 GOLDEN = {
     "solve_ba": (
         BA_CFG,
-        [(["solve", "--kmax", "4096", "--out", "o"], 0)],
+        [(["solve", "--kmax", "4096", "--out", "o"], 0,
+          "solve: mean_f=4.0 k_max=4096 residual=5.551e-17 tail=3.574e-07\n", "")],
         {
             "o/q_table.csv": "2800f2eb70ac8043cb836496bf491bb3b38e48145196be1303e3621b27578df5",
         },
     ),
     "solve_mixed_window": (
         MIXED_CFG,
-        [(["solve", "--out", "o"], 0)],
+        [(["solve", "--out", "o"], 0,
+          "solve: mean_f=4.512462653900007 k_max=63 residual=1.110e-16 tail=0.000e+00\n", "")],
         {
             "o/q_table.csv": "8887ba2fd0cb17015f21f59c9e2080a90d958f825e4bd18ce42e672fcbe92aa3",
         },
     ),
     "generate_pentads": (
         PENTADS_CFG,
-        [(["generate", "--steps", "2000", "--seed", "3", "--out", "o"], 0)],
+        [(["generate", "--steps", "2000", "--seed", "3", "--out", "o"], 0,
+          "generate: vertices=10005 edges=30010 out=o\n", "")],
         {
             "o/edges.tsv": "734fed854910e73b043749c2f8978d2e2122868d8de3f064d4b3001d89ef8f40",
             "o/empirical_vdd.tsv": "3fa774c41f708bc362a88dae65963daf99a87c9b052020be5eb1ab374c9f459d",
@@ -526,7 +656,12 @@ GOLDEN = {
     ),
     "calibrate_solved": (
         dict(MIXED_CFG, target_vdd_path="s/q_table.csv"),
-        [(["solve", "--out", "s"], 0), (["calibrate", "--out", "o"], 0)],
+        [
+            (["solve", "--out", "s"], 0,
+             "solve: mean_f=4.512462653900007 k_max=63 residual=1.110e-16 tail=0.000e+00\n", ""),
+            (["calibrate", "--out", "o"], 0,
+             "calibrate: feasible window=2..60 forward_tv=1.406e-16\n", ""),
+        ],
         {
             "o/calibration_report.txt": "fff50e97b161f1d7fafb0b5b3a61e8a50a515cc87610979203ac296f395ec83f",
             "o/forward_q_table.csv": "e41906dd0b2166443bc449f3d740e02bdcadde58a1082b3ecad1e11f47a13a00",
@@ -536,7 +671,8 @@ GOLDEN = {
     ),
     "roundtrip": (
         ROUNDTRIP_CFG,
-        [(["roundtrip", "--out", "o"], 0)],
+        [(["roundtrip", "--out", "o"], 0,
+          "roundtrip: forward_tv=0.000e+00 (pass) empirical_tv=0.0153 (pass)\n", "")],
         {
             "o/edges_rep0.tsv": "b71714384000c0fb8f5d10d9a5c13838cf55aaf10fe6cb3b663b686a639a85f7",
             "o/edges_rep1.tsv": "4fee72cbb89a605a7c918af0e41904cef3ad886f755fe634c025a3a61172b7f6",
@@ -548,10 +684,14 @@ GOLDEN = {
     "analyze": (
         PENTADS_CFG,
         [
-            (["generate", "--steps", "2000", "--seed", "4", "--out", "g"], 0),
-            (["solve", "--kmax", "4096", "--out", "s"], 0),
-            (["analyze", "--edges", "g/edges.tsv", "--theory", "s/q_table.csv", "--out", "t"], 0),
-            (["analyze", "--edges", "g/edges.tsv", "--out", "p"], 0),
+            (["generate", "--steps", "2000", "--seed", "4", "--out", "g"], 0,
+             "generate: vertices=10005 edges=30010 out=g\n", ""),
+            (["solve", "--kmax", "4096", "--out", "s"], 0,
+             "solve: mean_f=5.999999999744679 k_max=4096 residual=1.110e-16 tail=3.185e-17\n", ""),
+            (["analyze", "--edges", "g/edges.tsv", "--theory", "s/q_table.csv", "--out", "t"], 0,
+             "analyze: tv=0.0081 ks=0.0026 triangles=20024\n", ""),
+            (["analyze", "--edges", "g/edges.tsv", "--out", "p"], 0,
+             "analyze: triangles=20024 (no theory table given)\n", ""),
         ],
         {
             "g/edges.tsv": "155a805a1f427f7f9bd31c34d3bc3a3dd06a7e6c17fce7d3f8bff17956d0bb63",
@@ -564,7 +704,12 @@ GOLDEN = {
     ),
     "diverging": (
         dict(DIVERGING_CFG, target_vdd_path="s/q_table.csv"),
-        [(["solve", "--out", "s"], 0), (["calibrate", "--out", "o"], 0)],
+        [
+            (["solve", "--out", "s"], 0,
+             "solve: mean_f=2.9148301349915626 k_max=43 residual=3.331e-16 tail=0.000e+00\n", ""),
+            (["calibrate", "--out", "o"], 0,
+             "calibrate: feasible window=1..40 forward_tv=2.122e-17\n", ""),
+        ],
         # the calibrate-side files changed when the calibrator took a from
         # ModelParams (a=1.3 -> a=1.3000000000000003); the target solve did not
         {
@@ -574,10 +719,47 @@ GOLDEN = {
             "s/q_table.csv": "94ec5b65d2b501a7375d4c7a7b2cb35e92e4bc8db680520b433facb6ef7e6fe9",
         },
     ),
+    "calibrate_infeasible": (
+        INFEASIBLE_CFG,
+        [(["calibrate", "--out", "o"], 1,
+          "", "error: target infeasible, first nonpositive preference at k=1\n")],
+        {
+            "o/calibration_report.txt": "01105aa07f6847a383bde07d9a6895dd97da76465583b15caa248e42b2ce259e",
+        },
+    ),
+    "roundtrip_infeasible": (
+        INFEASIBLE_CFG,
+        [(["roundtrip", "--out", "o"], 1,
+          "", "error: stage calibrate failed, first nonpositive preference at k=1\n")],
+        {
+            "o/roundtrip_report.txt": "96213d6fa6ac53fcd24e6ab50a7a752cebfa60c15d66f3743d22e01d32e25cbb",
+        },
+    ),
+    "roundtrip_missed": (
+        dict(ROUNDTRIP_CFG, replications=1, empirical_tv_max=1e-9),
+        [(["roundtrip", "--steps", "60", "--out", "o"], 1,
+          "roundtrip: forward_tv=0.000e+00 (pass) empirical_tv=0.0621 (FAIL)\n", "")],
+        {
+            "o/edges_rep0.tsv": "96c24c107d91414fac6f2781aacb1979f288fad02a4218692ad5a16c69ff2769",
+            "o/forward_q_table.csv": "4f1df8d67de2d0a0836813d925164bbbebec2f44c139fcf679ff3519a431dcdb",
+            "o/preference.tsv": "c4589f5b097bbabdeb3de308dbdedc2b0350d807265df452f0b52d020ac0be45",
+            "o/roundtrip_report.txt": "f68cc268d0aeee3994ac2c48656d9cbb9cb2d12ac3b3b7f6047d8e2b16a7f8dc",
+        },
+    ),
+    "generate_saturated": (
+        SATURATED_CFG,
+        [(["generate", "--out", "o"], 1,
+          "generate: vertices=4 edges=5 out=o\n", "error: sampling saturated after 2 steps\n")],
+        {
+            "o/edges.tsv": "6f84c3cda5d87f75294b91944256d0781bfdf0d49c01508f7c046bed3088822e",
+            "o/empirical_vdd.tsv": "ca437b3160435e6d0f466ddf6eb972d5363d2b562c3bf9cabde2405d7683a07a",
+            "o/stats.txt": "cf0d8b7a98c33bdc9049ef0518ae62cf3c470ee2cee053a8acf273ba621d9aa7",
+        },
+    ),
 }
 
 
-def run_golden(tmp_path, monkeypatch, name) -> dict[str, str]:
+def run_golden(tmp_path, monkeypatch, capsys, name) -> dict[str, str]:
     cfg_keys, commands, _ = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     for table, probs in GOLDEN_TABLES.items():
@@ -585,8 +767,9 @@ def run_golden(tmp_path, monkeypatch, name) -> dict[str, str]:
     geometric_target(tmp_path / "target.tsv")
     write_yaml(tmp_path / "run.yaml", **cfg_keys)
     inputs = {p for p in tmp_path.rglob("*")}
-    for argv, code in commands:
+    for argv, code, out, err in commands:
         assert main([argv[0], "--config", "run.yaml", *argv[1:]]) == code, argv
+        assert capsys.readouterr() == (out, err), argv
     return {
         p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(tmp_path.rglob("*"))
@@ -595,5 +778,5 @@ def run_golden(tmp_path, monkeypatch, name) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_golden_outputs(tmp_path, monkeypatch, name):
-    assert run_golden(tmp_path, monkeypatch, name) == GOLDEN[name][2]
+def test_golden_outputs(tmp_path, monkeypatch, capsys, name):
+    assert run_golden(tmp_path, monkeypatch, capsys, name) == GOLDEN[name][2]

@@ -41,19 +41,12 @@ def test_total_mass_uses_fsum():
         {1: -0.1, 2: 1.1},
         {1.5: 1.0},
         {1: float("nan")},
+        {1: 0.4, 2: 0.6 - 1e-7},  # mass off by 1e-7, above NORMALIZATION_TOL
     ],
 )
 def test_from_probs_rejects_bad_input(probs):
     with pytest.raises(ValueError):
         DegreeDistribution.from_probs(probs)
-
-
-def test_norm_tol_widens_acceptance():
-    probs = {1: 0.4, 2: 0.6 - 1e-7}
-    with pytest.raises(ValueError):
-        DegreeDistribution.from_probs(probs)
-    d = DegreeDistribution.from_probs(probs, norm_tol=1e-6)
-    assert d.total_mass < 1.0
 
 
 def test_from_counts():
