@@ -145,13 +145,20 @@ def _build_params(cfg: RunConfig, base: Path | None) -> ModelParams:
         raise UsageError(str(exc)) from exc
 
 
+def _degree(what: str, val) -> int:
+    """``val`` as an integer degree; a float only when integral (2.0, not 1.9)."""
+    if type(val) is int or isinstance(val, float) and val.is_integer():
+        return int(val)
+    raise UsageError(f"{what} must be an integer degree, got {val!r}")
+
+
 def _rule_preference(rule: dict) -> PreferenceFunction:
     if not isinstance(rule, dict) or "kind" not in rule:
         raise UsageError("preference_rule must be a mapping with a 'kind' key")
     opts = dict(rule)
     kind = opts.pop("kind")
     try:
-        g = int(opts.pop("g", 1))
+        g = _degree("preference_rule key g", opts.pop("g", 1))
         m_raw = opts.pop("M", None)
         if m_raw in (None, "inf", ".inf"):
             m_top = math.inf
@@ -240,14 +247,14 @@ def cmd_generate(cfg: RunConfig, base: Path | None, args) -> int:
         "realized_vertices": stats.realized_vertices,
         "realized_edges": stats.realized_edges,
         "vertices": g.n,
-        "edges": len(g.edges),
+        "edges": g.edge_count,
         "rng_seed": stats.rng_seed,
         "expected_vertices_per_step": p.c,
         "expected_edges_per_step": p.edges_per_step,
     }
     write_stats(entries, out / "stats.txt")
     write_distribution(empirical_vdd(g), out / "empirical_vdd.tsv", _echo(cfg))
-    print(f"generate: vertices={g.n} edges={len(g.edges)} out={out}")
+    print(f"generate: vertices={g.n} edges={g.edge_count} out={out}")
     return 1 if saturated else 0
 
 
@@ -273,7 +280,7 @@ def _window(cfg: RunConfig) -> tuple[int, int] | None:
     win = cfg.calibration_window
     if not isinstance(win, (list, tuple)) or len(win) != 2:
         raise UsageError("calibration_window must be a [low, high] pair")
-    return int(win[0]), int(win[1])
+    return _degree("calibration_window", win[0]), _degree("calibration_window", win[1])
 
 
 def _fail(report: dict, path: Path, message: str) -> int:
@@ -297,9 +304,10 @@ def _calibrate_stage(cfg: RunConfig, base: Path | None, command: str):
     if cfg.target_vdd_path is None:
         raise UsageError(f"{command} needs target_vdd_path")
     target = _load_table(read_distribution, _resolve(base, cfg.target_vdd_path), "target VDD")
+    window = _window(cfg)
     out = _out_dir(cfg)
     try:
-        result = calibrate(target, p, window=_window(cfg))
+        result = calibrate(target, p, window=window)
         if not result.feasible:
             return p, out, result, None, None
         sol = solve_stationary(p, result.f, tol=cfg.tol, k_max=cfg.k_max)
@@ -339,7 +347,7 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
 
     triangles = triangle_count(g)
     summary: dict = {"tool": f"polyadnet {__version__}", "vertices": g.n,
-                     "edges": len(g.edges), "triangles": triangles}
+                     "edges": g.edge_count, "triangles": triangles}
     try:
         summary["clustering"] = repr(global_clustering(g, triangles))
     except ValueError:

@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
+from itertools import islice
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -29,6 +29,9 @@ NORMALIZATION_TOL = 1e-9
 #: Text tables off by more than this are rejected; smaller deviations are
 #: renormalized on load.
 TEXT_RENORM_TOL = 1e-6
+
+#: Rows that ``write_table`` joins into one write.
+ROWS_PER_WRITE = 8192
 
 
 @dataclass(frozen=True)
@@ -139,16 +142,22 @@ def write_distribution(d: DegreeDistribution, path, header: Mapping | None = Non
 
 
 def write_table(path, header: Mapping, rows: Iterable[str], title: str | None = None) -> None:
-    """Write ``# key=value`` header lines, an optional column title, then rows."""
-    lines = [f"# {key}={val}" for key, val in header.items()]
-    if title is not None:
-        lines.append(title)
-    lines.extend(rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write ``# key=value`` header lines, an optional column title, then rows.
+
+    Rows are joined and written ``ROWS_PER_WRITE`` at a time, so a long
+    table is streamed to the file rather than held as one string.
+    """
+    rows = iter(rows)
+    with open(path, "w") as fh:
+        fh.write("".join(f"# {key}={val}\n" for key, val in header.items()))
+        if title is not None:
+            fh.write(title + "\n")
+        while block := list(islice(rows, ROWS_PER_WRITE)):
+            fh.write("\n".join(block) + "\n")
 
 
 def read_table(path, row: Callable[[str], None]) -> dict[str, str]:
-    """Read a text table in one pass; return its ``# key=value`` header.
+    """Read a text table line by line; return its ``# key=value`` header.
 
     Lines starting with ``#`` are comments, and those of the form
     ``# key=value`` are header entries (the first of a repeated key wins).
@@ -156,19 +165,20 @@ def read_table(path, row: Callable[[str], None]) -> dict[str, str]:
     raised there is reported as ``path:lineno: message``.
     """
     header: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] == "#":
-            key, eq, val = line[1:].partition("=")
-            if eq:
-                header.setdefault(key.strip(), val.strip())
-            continue
-        try:
-            row(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line[0] == "#":
+                key, eq, val = line[1:].partition("=")
+                if eq:
+                    header.setdefault(key.strip(), val.strip())
+                continue
+            try:
+                row(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return header
 
 

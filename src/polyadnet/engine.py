@@ -16,6 +16,7 @@ many single draws.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -182,7 +183,7 @@ def grow(
     idx = LayerIndex.build(g, f)
     rng = _Uniforms(np.random.default_rng(rng_seed))
     gamma = p.gamma
-    n0, e0 = g.n, len(g.edges)
+    n0, e0 = g.n, g.edge_count
     monads = nads = 0
     for step in range(steps):
         if gamma == 0.0:
@@ -204,7 +205,7 @@ def grow(
                 monad_steps=monads,
                 nad_steps=nads,
                 realized_vertices=g.n - n0,
-                realized_edges=len(g.edges) - e0,
+                realized_edges=g.edge_count - e0,
                 rng_seed=rng_seed,
             )
             raise
@@ -215,7 +216,7 @@ def grow(
         monad_steps=monads,
         nad_steps=nads,
         realized_vertices=g.n - n0,
-        realized_edges=len(g.edges) - e0,
+        realized_edges=g.edge_count - e0,
         rng_seed=rng_seed,
     )
 
@@ -224,9 +225,10 @@ def write_edge_list(g: MultiGraph, path, header: Mapping | None = None) -> None:
     """Write one ``u<TAB>v`` line per edge in creation order.
 
     The header records at least the vertex count, without which isolated
-    vertices could not be reconstructed.
+    vertices could not be reconstructed. Rows go to the file a block at a
+    time, so the text of the whole list is never held at once.
     """
-    rows = (f"{u}\t{v}" for u, v in g.edges)
+    rows = (f"{u}\t{v}" for u, v in g.iter_edges())
     write_table(path, {"vertices": g.n, **(header or {})}, rows)
 
 
@@ -234,36 +236,42 @@ def read_edge_list(path) -> tuple[MultiGraph, dict[str, str]]:
     """Load a graph written by :func:`write_edge_list`.
 
     Returns the graph and the parsed header key=value entries. The file
-    is read in one pass and the graph filled in bulk rather than through
-    ``add_vertex`` / ``add_edge``, with the same checks and messages. A
-    malformed row or a short header vertex count is reported before a
-    self-loop or a negative id.
+    is read in one pass straight into the graph's edge columns rather
+    than through ``add_vertex`` / ``add_edge``, with the same checks and
+    messages. A malformed row, an id beyond the int32 columns or a short
+    header vertex count is reported before a self-loop or a negative id.
     """
-    edges: list[tuple[int, int]] = []
-    add = edges.append
+    lo, hi = array("i"), array("i")
 
     def row(line: str) -> None:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"expected 'u<TAB>v', got {line!r}")
         u, v = int(parts[0]), int(parts[1])
-        add((u, v) if u <= v else (v, u))
+        if u > v:
+            u, v = v, u
+        try:
+            lo.append(u)
+            hi.append(v)
+        except OverflowError:
+            raise ValueError(f"vertex id out of range in {line!r}") from None
 
     header = read_table(path, row)
-    max_id = max((v for _, v in edges), default=-1)
+    lo_ids = np.frombuffer(lo, dtype=np.int32)
+    hi_ids = np.frombuffer(hi, dtype=np.int32)
+    max_id = int(hi_ids.max()) if len(hi) else -1
     n = int(header.get("vertices", max_id + 1))
     if n < max_id + 1:
         raise ValueError(f"{path}: header vertex count {n} below max id {max_id}")
-    g = MultiGraph()
-    deg = g.degrees = [0] * n
-    for u, v in edges:
+    bad = np.flatnonzero((lo_ids == hi_ids) | (lo_ids < 0))
+    if bad.size:
+        u, v = lo[bad[0]], hi[bad[0]]
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if u < 0:
-            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-        deg[u] += 1
-        deg[v] += 1
-    g.edges = edges
+        raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
+    g = MultiGraph()
+    g.degrees = (np.bincount(lo_ids, minlength=n) + np.bincount(hi_ids, minlength=n)).tolist()
+    g.lo, g.hi = lo, hi
     return g, header
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 from .distributions import DegreeDistribution
@@ -10,23 +12,46 @@ from .distributions import DegreeDistribution
 __all__ = ["MultiGraph", "seed_complete", "empirical_vdd"]
 
 
+@cache
+def _clique_offsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lower and higher endpoint offsets of an n-clique's edges, pairs in lexicographic order."""
+    pairs = list(combinations(range(n), 2))
+    return tuple(i for i, _ in pairs), tuple(j for _, j in pairs)
+
+
 class MultiGraph:
     """Undirected multigraph: parallel edges allowed, no self-loops.
 
     Vertices are numbered in creation order. ``degrees[v]`` counts edge
-    ends at ``v``; ``edges`` keeps (u, v) pairs in insertion order with
-    u < v (new vertices always carry the larger id).
+    ends at ``v``. Edges are kept in insertion order as two ``array('i')``
+    columns, 8 bytes per edge: ``lo[i] < hi[i]`` are the endpoints of edge
+    ``i`` (new vertices always carry the larger id). ``iter_edges()``
+    walks them as (u, v) pairs; ``edges`` copies them into a list.
     """
 
-    __slots__ = ("degrees", "edges")
+    __slots__ = ("degrees", "lo", "hi")
 
     def __init__(self):
         self.degrees: list[int] = []
-        self.edges: list[tuple[int, int]] = []
+        self.lo = array("i")
+        self.hi = array("i")
 
     @property
     def n(self) -> int:
         return len(self.degrees)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.lo)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge as a (u, v) pair with u < v, in insertion order; an O(m) copy."""
+        return list(zip(self.lo, self.hi))
+
+    def iter_edges(self):
+        """Iterate the edges as (u, v) pairs with u < v, in insertion order."""
+        return zip(self.lo, self.hi)
 
     def add_vertex(self) -> int:
         self.degrees.append(0)
@@ -39,7 +64,8 @@ class MultiGraph:
             u, v = v, u
         if u < 0 or v >= len(self.degrees):
             raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-        self.edges.append((u, v))
+        self.lo.append(u)
+        self.hi.append(v)
         self.degrees[u] += 1
         self.degrees[v] += 1
 
@@ -50,20 +76,20 @@ class MultiGraph:
         in a double loop over i < j would append them.
         """
         base = len(self.degrees)
+        lo, hi = _clique_offsets(n)
         self.degrees.extend([n - 1] * n)
-        self.edges.extend(combinations(range(base, base + n), 2))
+        self.lo.fromlist([base + i for i in lo])
+        self.hi.fromlist([base + j for j in hi])
         return base
 
     def check_handshake(self) -> None:
         """Assert sum of degrees equals twice the edge count."""
-        total = sum(self.degrees)
-        if total != 2 * len(self.edges):
-            raise AssertionError(
-                f"handshake violated: degree sum {total} != 2*{len(self.edges)} edges"
-            )
+        total, m = sum(self.degrees), self.edge_count
+        if total != 2 * m:
+            raise AssertionError(f"handshake violated: degree sum {total} != 2*{m} edges")
 
     def __repr__(self):
-        return f"MultiGraph(n={self.n}, edges={len(self.edges)})"
+        return f"MultiGraph(n={self.n}, edges={self.edge_count})"
 
 
 def seed_complete(s: int) -> MultiGraph:

@@ -1,9 +1,10 @@
-"""Reference sweeps of the stationary recurrence for the test suite.
+"""Reference computations for the test suite.
 
 q_from_recurrence runs the solver's own sweep once at a given mean; the
 monads-only and dyads-only reductions are written out separately by
 hand, so comparing them with it checks the general recurrence term by
-term.
+term. edge_list_text is the edge-list file written the plain way, one
+f-string per line joined in memory.
 """
 
 from polyadnet.distributions import DegreeDistribution
@@ -79,3 +80,10 @@ def q_dyad(
         q[k] = val
         p2, p1 = p1, val
     return q
+
+
+def edge_list_text(g, header: dict) -> bytes:
+    """The bytes ``write_edge_list(g, path, header)`` must put in the file."""
+    lines = [f"# {k}={v}\n" for k, v in {"vertices": g.n, **header}.items()]
+    lines += [f"{u}\t{v}\n" for u, v in g.edges]
+    return "".join(lines).encode()

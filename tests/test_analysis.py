@@ -99,6 +99,13 @@ class TestTriangles:
             g.add_edge(i, i + 1)
         assert triangle_count(g) == 0
 
+    def test_empty_and_edgeless_graphs_have_none(self):
+        g = MultiGraph()
+        assert triangle_count(g) == 0
+        g.add_vertex()
+        g.add_vertex()
+        assert triangle_count(g) == 0
+
     def test_parallel_edges_count_once(self):
         g = seed_complete(3)
         g.add_edge(0, 1)

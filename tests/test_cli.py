@@ -147,6 +147,16 @@ class TestConfigValues:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
 
+    def test_non_integral_rule_degree_is_a_usage_error(self, mixed_setup, capsys):
+        tmp_path, _ = mixed_setup
+        assert self._run(mixed_setup, "generate", "preference_rule", "{kind: linear, g: 1.5}") == 2
+        err = capsys.readouterr().err
+        assert err == "error: preference_rule key g must be an integer degree, got 1.5\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_rule_degree_is_accepted(self, mixed_setup):
+        assert self._run(mixed_setup, "generate", "preference_rule", "{kind: linear, g: 2.0}") == 0
+
     def test_negative_seed_flag(self, mixed_setup, capsys):
         tmp_path, cfg = mixed_setup
         assert main(["generate", "--config", str(cfg), "--seed", "-1"]) == 2
@@ -373,6 +383,24 @@ class TestCalibrate:
         vals = {float(ln.split("\t")[1]) for ln in pref_lines}
         assert len(pref_lines) == 40
         assert max(vals) == pytest.approx(min(vals), rel=1e-12)
+
+    @pytest.mark.parametrize("window, bad", [([1.9, 40], 1.9), ([1, 40.7], 40.7)])
+    def test_non_integral_window_is_a_usage_error(self, tmp_path, capsys, window, bad):
+        geometric_target(tmp_path / "target.tsv")
+        cfg = self._config(tmp_path, calibration_window=window)
+        assert main(["calibrate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: calibration_window must be an integer degree, got {bad!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_window_matches_int_window(self, tmp_path):
+        geometric_target(tmp_path / "target.tsv")
+        outputs = []
+        for window in ([1, 40], [1.0, 40.0]):
+            cfg = self._config(tmp_path, calibration_window=window)
+            assert main(["calibrate", "--config", str(cfg)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_infeasible_target(self, tmp_path):
         # mass below the arrival degree cannot be reached by growth

@@ -1,10 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import edge_list_text
 
 from polyadnet import engine
-from polyadnet.distributions import DegreeDistribution
+from polyadnet.distributions import ROWS_PER_WRITE, DegreeDistribution
 from polyadnet.engine import (
     grow,
     read_edge_list,
@@ -204,6 +206,68 @@ def test_edge_list_rejects_malformed_row(tmp_path):
         read_edge_list(path)
 
 
+def _chained_pentads(m: int) -> MultiGraph:
+    """``m`` edges: pentad cliques, each tied to the one before by a double
+    edge, topped up with parallel edges and followed by an isolated vertex."""
+    g = seed_complete(5)
+    while g.edge_count + 12 <= m:
+        base = g.add_clique(5)
+        g.add_edge(base - 1, base)
+        g.add_edge(base - 1, base)
+    while g.edge_count < m:
+        g.add_edge(0, 1)
+    g.add_vertex()
+    return g
+
+
+@pytest.mark.parametrize("m", [10, ROWS_PER_WRITE, 2 * ROWS_PER_WRITE + 7])
+def test_edge_list_bytes_match_oracle(tmp_path, m):
+    # one block, exactly one full block, and blocks with a short last one
+    g = _chained_pentads(m)
+    assert g.edge_count == m
+    header = {"rng_seed": 42, "gamma": 0.5}
+    write_edge_list(g, tmp_path / "edges.tsv", header)
+    assert (tmp_path / "edges.tsv").read_bytes() == edge_list_text(g, header)
+
+
+def test_edge_list_without_edges_matches_oracle(tmp_path):
+    g = MultiGraph()
+    g.add_vertex()
+    write_edge_list(g, tmp_path / "edges.tsv")
+    assert (tmp_path / "edges.tsv").read_bytes() == edge_list_text(g, {}) == b"# vertices=1\n"
+
+
+def test_edge_list_round_trip_keeps_columns(tmp_path):
+    g = _chained_pentads(2 * ROWS_PER_WRITE + 7)
+    write_edge_list(g, tmp_path / "edges.tsv")
+    back, _ = read_edge_list(tmp_path / "edges.tsv")
+    assert (back.lo, back.hi, back.degrees) == (g.lo, g.hi, g.degrees)
+    # the columns read back still grow
+    back.add_edge(0, back.n - 1)
+    assert back.edge_count == g.edge_count + 1
+
+
+def test_write_edge_list_streams_its_rows(tmp_path):
+    # joined in memory, the rows of 200k edges would take about 18 MB:
+    # their strings plus the text; a block of ROWS_PER_WRITE rows is under 1 MB
+    g = _chained_pentads(200_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_edge_list(g, tmp_path / "edges.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2 * 2**20
+
+
+def test_edge_list_rejects_out_of_range_id(tmp_path):
+    path = tmp_path / "edges.tsv"
+    path.write_text("0\t1\n1\t4294967296\n")
+    with pytest.raises(ValueError, match=r":2: vertex id out of range in '1\\t4294967296'$"):
+        read_edge_list(path)
+
+
 def test_stats_round_trip(tmp_path):
     path = tmp_path / "stats.txt"
     write_stats({"steps": 10, "saturated": False}, path)
@@ -288,3 +352,26 @@ def test_block_uniforms_match_scalar_draws():
             want = [ref.random() for _ in range(size)]
             assert isinstance(got, list)
             assert got == want
+
+
+def test_graph_keeps_few_bytes_per_edge():
+    # tracemalloc slows the engine tenfold, so the graph is grown untraced
+    # and rebuilt under tracing through the graph calls grow made: per
+    # pentad step one add_clique(5), then one add_edge per free end
+    g = seed_complete(5)
+    grow(g, PENTADS, LINEAR, 20_000, rng_seed=5)
+    edges = g.edges
+    tracemalloc.start()
+    try:
+        h = seed_complete(5)
+        for m in range(10, len(edges), 15):
+            h.add_clique(5)
+            for u, v in edges[m + 10 : m + 15]:
+                h.add_edge(u, v)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert h.edges == edges and h.degrees == g.degrees
+    # two int32 columns take 8 B per edge; the degree list and its ints
+    # add the rest (a list of (u, v) tuples would keep about 78 B)
+    assert live / len(edges) <= 40

@@ -13,6 +13,24 @@ def test_add_vertex_and_edge():
     assert g.degrees == [1, 1]
 
 
+def test_edges_live_in_two_columns():
+    g = seed_complete(3)
+    g.add_vertex()
+    g.add_edge(3, 1)
+    assert (list(g.lo), list(g.hi)) == ([0, 0, 1, 1], [1, 2, 2, 3])
+    assert g.edge_count == 4
+    assert list(g.iter_edges()) == g.edges == [(0, 1), (0, 2), (1, 2), (1, 3)]
+    assert repr(g) == "MultiGraph(n=4, edges=4)"
+
+
+def test_edges_is_a_read_only_copy():
+    g = seed_complete(3)
+    g.edges.append((0, 1))
+    assert g.edge_count == 3
+    with pytest.raises(AttributeError):
+        g.edges = []
+
+
 def test_parallel_edges_accumulate_degree():
     g = MultiGraph()
     g.add_vertex()
