@@ -153,6 +153,8 @@ def _degree(what: str, val) -> int:
 
 
 def _rule_preference(rule: dict) -> PreferenceFunction:
+    """The preference function of a rule. Integral float bounds are written
+    back into ``rule`` as ints, so ``M: 40.0`` echoes as ``M: 40`` does."""
     if not isinstance(rule, dict) or "kind" not in rule:
         raise UsageError("preference_rule must be a mapping with a 'kind' key")
     opts = dict(rule)
@@ -160,12 +162,7 @@ def _rule_preference(rule: dict) -> PreferenceFunction:
     try:
         g = _degree("preference_rule key g", opts.pop("g", 1))
         m_raw = opts.pop("M", None)
-        if m_raw in (None, "inf", ".inf"):
-            m_top = math.inf
-        else:
-            m_top = float(m_raw)
-            if m_top.is_integer():
-                m_top = int(m_top)
+        m_top = math.inf if m_raw in (None, math.inf, "inf", ".inf") else _degree("preference_rule key M", m_raw)
         if kind == "linear":
             f = PreferenceFunction.linear(g=g, M=m_top)
         elif kind == "constant":
@@ -174,7 +171,7 @@ def _rule_preference(rule: dict) -> PreferenceFunction:
             e = float(opts.pop("exponent"))
             f = PreferenceFunction.from_rule(
                 lambda k: np.asarray(k, dtype=float) ** e,
-                g=max(g, 1),
+                g=g,
                 M=m_top,
                 label=f"k^{e}",
             )
@@ -186,6 +183,10 @@ def _rule_preference(rule: dict) -> PreferenceFunction:
         raise UsageError(f"bad preference_rule: {exc}") from exc
     if opts:
         raise UsageError(f"unknown preference_rule keys: {', '.join(sorted(opts))}")
+    if "g" in rule:
+        rule["g"] = g
+    if m_top != math.inf:
+        rule["M"] = m_top
     return f
 
 
@@ -238,6 +239,8 @@ def cmd_generate(cfg: RunConfig, base: Path | None, args) -> int:
         stats = exc.stats
         saturated = True
         print(f"error: sampling saturated after {stats.steps} steps", file=sys.stderr)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     write_edge_list(g, out / "edges.tsv", _echo(cfg, {"saturated": saturated}))
     entries = {
         "saturated": saturated,

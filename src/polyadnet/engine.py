@@ -1,9 +1,11 @@
 """Growth by monad and polyad increments.
 
-Each step appends either one vertex (monad) or an n-clique of new vertices
-(polyad). Free edge ends attach to existing vertices drawn by preference
-weight; within one increment every draw is taken against the pre-increment
-weights, then the graph and layer index are updated together.
+Each step appends an n-clique of new vertices (polyad), or one vertex
+(monad): the one-vertex n-ad without bundles, grown by the same code.
+Free edge ends attach to existing vertices drawn by preference weight;
+within one increment every draw is taken against the pre-increment
+weights, then the increment's edges enter the graph in one ``add_clique``
+call and the layer index follows.
 
 Randomness comes from one numpy PCG64 generator per run, seeded
 explicitly, with a fixed draw order per increment (increment type, then
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from pathlib import Path
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -86,67 +88,47 @@ class GrowthStats:
     rng_seed: int
 
 
-def _bump_targets(g: MultiGraph, idx: LayerIndex, gains: dict[int, int]) -> None:
-    """Move sampled targets to their new layers (after edges were added)."""
+@lru_cache(maxsize=4096)
+def _ends(js: tuple[int, ...], mu: int) -> tuple[int, ...]:
+    """New-vertex offset of each attachment edge, bundles first; a run repeats few shapes."""
+    return (*range(len(js)),) * mu + tuple(i for i, j in enumerate(js) for _ in range(j - mu))
+
+
+def _increment(g: MultiGraph, idx: LayerIndex, rng, js: tuple[int, ...], mu: int) -> None:
+    """Add ``len(js)`` new vertices as a clique; vertex i has ``js[i]`` free ends.
+
+    The first ``mu`` free ends of every new vertex form conjugate bundles:
+    bundle b has one target that receives an edge from each of the n new
+    vertices, so its degree jumps by n. The other ends attach one target
+    each. All targets are drawn against the pre-increment weights, so the
+    graph stays untouched if sampling saturates; a target drawn twice gets
+    parallel edges. Edges go in as the clique, then each bundle target
+    times n, then the single ends vertex by vertex.
+    """
+    n = len(js)
+    n_draws = sum(js) - (n - 1) * mu
+    targets = idx.sample_many(rng, n_draws) if n_draws else []
+    if mu:
+        targets[:mu] = [t for t in targets[:mu] for _ in range(n)]
+    base = g.add_clique(n, targets, _ends(js, mu))
+    gains: dict[int, int] = {}
+    for t in targets:
+        gains[t] = gains.get(t, 0) + 1
     deg = g.degrees
     for t, h in gains.items():
         idx.bump(t, deg[t] - h, deg[t])
+    for i, j in enumerate(js):
+        idx.insert(base + i, j + n - 1)
 
 
 def apply_monad(g: MultiGraph, idx: LayerIndex, p: ModelParams, rng) -> None:
-    """Add one vertex with a free-edge count drawn from r1.
-
-    All targets are drawn against the pre-increment weights; duplicate
-    targets produce parallel edges. On saturation the graph is untouched.
-    """
-    j = p.r1.sample(rng)
-    targets = idx.sample_many(rng, j) if j else []
-    v = g.add_vertex()
-    gains: dict[int, int] = {}
-    for t in targets:
-        g.add_edge(t, v)
-        gains[t] = gains.get(t, 0) + 1
-    if gains:
-        _bump_targets(g, idx, gains)
-    idx.insert(v, j)
+    """Add one vertex with a free-edge count drawn from r1: the one-vertex n-ad without bundles."""
+    _increment(g, idx, rng, (p.r1.sample(rng),), 0)
 
 
 def apply_nad(g: MultiGraph, idx: LayerIndex, p: ModelParams, rng) -> None:
-    """Add an n-clique of new vertices plus its free edges.
-
-    Each new vertex draws its own free-edge count from rn. The first mu
-    free ends of every vertex form conjugate bundles: bundle b has one
-    sampled target that receives an edge from each of the n vertices (its
-    degree jumps by n). Remaining ends attach independently. Every target
-    draw happens against the pre-increment weights, so the graph stays
-    untouched if sampling saturates.
-    """
-    n, mu = p.n, p.mu
-    js = [p.rn.sample(rng) for _ in range(n)]
-    n_single = sum(js) - n * mu
-    n_draws = mu + n_single
-    targets = idx.sample_many(rng, n_draws) if n_draws else []
-    bundle_targets = targets[:mu]
-    single_targets = targets[mu:]
-
-    base = g.add_clique(n)
-    gains: dict[int, int] = {}
-    for t in bundle_targets:
-        for i in range(n):
-            g.add_edge(t, base + i)
-        gains[t] = gains.get(t, 0) + n
-    pos = 0
-    for i in range(n):
-        for _ in range(js[i] - mu):
-            t = single_targets[pos]
-            g.add_edge(t, base + i)
-            gains[t] = gains.get(t, 0) + 1
-            pos += 1
-
-    if gains:
-        _bump_targets(g, idx, gains)
-    for i in range(n):
-        idx.insert(base + i, js[i] + n - 1)
+    """Add an n-clique of new vertices with free-edge counts drawn from rn and mu bundles."""
+    _increment(g, idx, rng, tuple([p.rn.sample(rng) for _ in range(p.n)]), p.mu)
 
 
 def grow(
@@ -185,40 +167,32 @@ def grow(
     gamma = p.gamma
     n0, e0 = g.n, g.edge_count
     monads = nads = 0
-    for step in range(steps):
-        if gamma == 0.0:
-            nad = False
-        elif gamma == 1.0:
-            nad = True
-        else:
-            nad = rng.random() < gamma
-        try:
+    saturated = None
+    try:
+        for step in range(1, steps + 1):
+            nad = gamma == 1.0 if gamma in (0.0, 1.0) else rng.random() < gamma
             if nad:
                 apply_nad(g, idx, p, rng)
                 nads += 1
             else:
                 apply_monad(g, idx, p, rng)
                 monads += 1
-        except SaturationError as exc:
-            exc.stats = GrowthStats(
-                steps=monads + nads,
-                monad_steps=monads,
-                nad_steps=nads,
-                realized_vertices=g.n - n0,
-                realized_edges=g.edge_count - e0,
-                rng_seed=rng_seed,
-            )
-            raise
-        if check_every and (step + 1) % check_every == 0:
-            idx.verify(g)
-    return GrowthStats(
-        steps=steps,
+            if check_every and step % check_every == 0:
+                idx.verify(g)
+    except SaturationError as exc:
+        saturated = exc
+    stats = GrowthStats(
+        steps=monads + nads,
         monad_steps=monads,
         nad_steps=nads,
         realized_vertices=g.n - n0,
         realized_edges=g.edge_count - e0,
         rng_seed=rng_seed,
     )
+    if saturated is not None:
+        saturated.stats = stats
+        raise saturated
+    return stats
 
 
 def write_edge_list(g: MultiGraph, path, header: Mapping | None = None) -> None:
@@ -276,9 +250,8 @@ def read_edge_list(path) -> tuple[MultiGraph, dict[str, str]]:
 
 
 def write_stats(entries: Mapping, path) -> None:
-    """Flat ``key=value`` text, one entry per line."""
-    lines = [f"{k}={v}" for k, v in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Flat ``key=value`` text, one entry per line, without a header."""
+    write_table(path, {}, (f"{k}={v}" for k, v in entries.items()))
 
 
 def read_stats(path) -> dict[str, str]:

@@ -6,6 +6,7 @@ from array import array
 from collections import Counter
 from functools import cache
 from itertools import combinations
+from typing import Sequence
 
 from .distributions import DegreeDistribution
 
@@ -69,17 +70,31 @@ class MultiGraph:
         self.degrees[u] += 1
         self.degrees[v] += 1
 
-    def add_clique(self, n: int) -> int:
-        """Add ``n`` new vertices joined pairwise; returns the first id.
+    def add_clique(self, n: int, targets: Sequence[int] = (), ends: Sequence[int] = ()) -> int:
+        """Add ``n`` new vertices joined pairwise, then attach them; returns the first id.
 
-        Edges are appended in lexicographic order, as ``add_edge`` calls
-        in a double loop over i < j would append them.
+        The clique's edges come first, in lexicographic order, as
+        ``add_edge`` calls in a double loop over i < j would append them.
+        Then edge ``i`` of the attachment columns joins the existing vertex
+        ``targets[i]`` to new vertex ``first + ends[i]``. Unlike ``add_edge``
+        this bulk path does not check ids: every target must be an
+        existing vertex and every end lie in ``range(n)``.
         """
-        base = len(self.degrees)
+        deg = self.degrees
+        base = len(deg)
+        if len(targets) != len(ends):
+            raise ValueError(f"{len(targets)} attachment targets for {len(ends)} ends")
         lo, hi = _clique_offsets(n)
-        self.degrees.extend([n - 1] * n)
-        self.lo.fromlist([base + i for i in lo])
-        self.hi.fromlist([base + j for j in hi])
+        if lo:  # one new vertex has no clique edges
+            self.lo.fromlist([base + i for i in lo])
+            self.hi.fromlist([base + j for j in hi])
+        self.lo.extend(targets)
+        self.hi.fromlist([base + e for e in ends])
+        deg.extend([n - 1] * n)
+        for t in targets:
+            deg[t] += 1
+        for e in ends:
+            deg[base + e] += 1
         return base
 
     def check_handshake(self) -> None:

@@ -19,6 +19,11 @@ from .distributions import read_degree_table, write_table
 __all__ = ["PreferenceFunction", "read_preference", "write_preference"]
 
 
+def _weight(rule: Callable, k: int) -> float:
+    """``rule(k)`` as a float, for a rule that may return a scalar or an array."""
+    return float(np.asarray(rule(int(k))).reshape(-1)[0])
+
+
 class PreferenceFunction:
     """Weights ``f(k)`` on a degree window, zero elsewhere.
 
@@ -73,14 +78,15 @@ class PreferenceFunction:
     def from_rule(cls, rule: Callable, g: int, M=math.inf, label: str = "rule") -> "PreferenceFunction":
         """Build from a callable ``rule(k) -> weight``.
 
-        The rule is trusted to be positive on ``[g, M]``; positivity is
-        checked lazily whenever weights are materialized. ``rule`` may
-        accept a numpy integer array for vectorized evaluation.
+        The weight at the window start must be finite and > 0; elsewhere
+        on ``[g, M]`` the rule is checked lazily whenever weights are
+        materialized. ``rule`` may accept a numpy integer array for
+        vectorized evaluation.
         """
         pf = cls(g, M, rule=rule, label=label)
-        probe = pf(g)
-        if not probe > 0.0:
-            raise ValueError(f"rule gives non-positive weight {probe} at window start {g}")
+        probe = _weight(rule, g)
+        if not 0.0 < probe < math.inf:
+            raise ValueError(f"rule gives {probe} at the window start g={g}, not a finite weight > 0")
         return pf
 
     @classmethod
@@ -92,8 +98,8 @@ class PreferenceFunction:
     def constant(cls, value: float = 1.0, g: int = 0, M=math.inf) -> "PreferenceFunction":
         """Degree-blind attachment, ``f(k) = value`` on the window."""
         v = float(value)
-        if not v > 0.0:
-            raise ValueError("constant preference must be positive")
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"constant preference must be finite and > 0, got {v}")
         return cls.from_rule(lambda k: np.full_like(np.asarray(k, dtype=float), v), g, M, label=f"constant({v})")
 
     def __call__(self, k: int) -> float:
@@ -101,16 +107,16 @@ class PreferenceFunction:
             return 0.0
         if self._table is not None:
             return self._table[k]
-        val = float(np.asarray(self._rule(int(k))).reshape(-1)[0])
-        if not val > 0.0 or math.isnan(val):
+        val = _weight(self._rule, k)
+        if not val > 0.0:
             raise ValueError(f"preference rule gives {val} at degree {k} inside the window")
         return val
 
     def weight_array(self, upto: int) -> np.ndarray:
         """Dense weights for degrees ``0..upto`` (zeros outside the window).
 
-        Raises ValueError if the backing rule produces a non-positive value
-        anywhere inside the covered part of the window.
+        Raises ValueError naming the first degree in the covered part of
+        the window where the backing rule is not finite and > 0.
         """
         out = np.zeros(upto + 1)
         lo = self.g
@@ -122,15 +128,17 @@ class PreferenceFunction:
         if self._table is not None:
             out[lo : hi + 1] = [self._table[int(k)] for k in ks]
         else:
-            try:
-                vals = np.asarray(self._rule(ks), dtype=float)
+            try:  # an overflow or nan is reported below, not warned about
+                with np.errstate(all="ignore"):
+                    vals = np.asarray(self._rule(ks), dtype=float)
                 if vals.shape != ks.shape:
                     raise TypeError("shape mismatch")
             except Exception:
                 vals = np.array([float(self._rule(int(k))) for k in ks])
-            if not np.all(vals > 0.0) or not np.all(np.isfinite(vals)):
-                bad = int(ks[np.argmin(vals > 0.0)])
-                raise ValueError(f"preference rule is not positive at degree {bad}")
+            ok = (vals > 0.0) & np.isfinite(vals)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ValueError(f"preference rule gives {vals[i]} at degree {ks[i]}, not a finite weight > 0")
             out[lo : hi + 1] = vals
         return out
 

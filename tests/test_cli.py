@@ -157,6 +157,38 @@ class TestConfigValues:
     def test_integral_float_rule_degree_is_accepted(self, mixed_setup):
         assert self._run(mixed_setup, "generate", "preference_rule", "{kind: linear, g: 2.0}") == 0
 
+    @pytest.mark.parametrize(
+        "command, rule, message",
+        [
+            ("generate", "{kind: constant, value: .inf}",
+             "bad preference_rule: constant preference must be finite and > 0, got inf"),
+            ("solve", "{kind: constant, value: .inf}",
+             "bad preference_rule: constant preference must be finite and > 0, got inf"),
+            ("generate", "{kind: power, exponent: .nan}",
+             "preference rule gives nan at degree 2, not a finite weight > 0"),
+            ("generate", "{kind: power, exponent: 200}",
+             "preference rule gives inf at degree 35, not a finite weight > 0"),
+            # g: 0 used to be raised to 1 while the header still said g: 0
+            ("generate", "{kind: power, exponent: 1.5, g: 0}",
+             "bad preference_rule: rule gives 0.0 at the window start g=0, not a finite weight > 0"),
+            ("generate", "{kind: linear, M: true}", "preference_rule key M must be an integer degree, got True"),
+            ("solve", "{kind: linear, M: '40'}", "preference_rule key M must be an integer degree, got '40'"),
+        ],
+    )
+    def test_bad_rule_is_a_usage_error_naming_its_cause(self, mixed_setup, capsys, command, rule, message):
+        # exit 2 with the key or the first bad degree, not a traceback
+        assert self._run(mixed_setup, command, "preference_rule", rule) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integral_float_rule_bounds_write_the_same_files(self, mixed_setup):
+        tmp_path, _ = mixed_setup
+        outputs = []
+        for rule in ("{kind: linear, g: 1, M: 40}", "{kind: linear, g: 1.0, M: 40.0}"):
+            assert self._run(mixed_setup, "generate", "preference_rule", rule) == 0
+            outputs.append({f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()})
+        assert outputs[0] == outputs[1]
+        assert b"preference_rule={'M': 40, 'g': 1, 'kind': 'linear'}" in outputs[0]["edges.tsv"]
+
     def test_negative_seed_flag(self, mixed_setup, capsys):
         tmp_path, cfg = mixed_setup
         assert main(["generate", "--config", str(cfg), "--seed", "-1"]) == 2

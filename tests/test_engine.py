@@ -304,7 +304,8 @@ def test_edge_list_reports_row_and_count_errors_before_bad_edges(tmp_path):
 #
 # sha256 of the edge list ("u<TAB>v" lines) after 2000 steps from the seed
 # graph, recorded before the engine drew its uniforms in blocks and kept
-# its layer weights in a Fenwick tree; engine changes must keep every
+# its layer weights in a Fenwick tree (the bundles stream before monads
+# and polyads shared one increment body); engine changes must keep every
 # graph byte for byte.
 
 MIXED = ModelParams(
@@ -312,6 +313,10 @@ MIXED = ModelParams(
 )
 BA = ModelParams(gamma=0.0, n=2, mu=0, r1=point(2), rn=point(0))
 PENTADS = ModelParams(gamma=1.0, n=5, mu=0, r1=point(0), rn=point(1))
+# two bundles per tetrad: one polyad of the stream draws the same target for both
+BUNDLES = ModelParams(
+    gamma=0.5, n=4, mu=2, r1=point(2), rn=DegreeDistribution.from_probs({2: 0.5, 3: 0.5})
+)
 FLOAT_TABLE = PreferenceFunction.from_table({k: 0.5 + k**0.8 for k in range(1, 401)})
 POWER_1_5 = PreferenceFunction.from_rule(lambda k: np.asarray(k, dtype=float) ** 1.5, g=1)
 
@@ -321,6 +326,7 @@ GOLDEN = {
     "pentads": (PENTADS, LINEAR, 5, "23da56237313fadc28d4cc9a5d4ded548f6ffd390b4af88ee7bd2fdfdd6d7ba1"),
     "float_table": (MIXED, FLOAT_TABLE, 4, "dc2b19ad86445775247108178c86b519859cff5a60544f1b50e7c974f0dbd060"),
     "power_1_5": (BA, POWER_1_5, 4, "f393b4a6d81d3aa098511217704ab4d77a899ba803b5376844b85248e806cd9c"),
+    "bundles": (BUNDLES, LINEAR, 4, "9bd8fc0461694e255f7906f8d5cfa33f2e6ba9b5f0d6f459866ed7847a330010"),
 }
 
 
@@ -356,8 +362,8 @@ def test_block_uniforms_match_scalar_draws():
 
 def test_graph_keeps_few_bytes_per_edge():
     # tracemalloc slows the engine tenfold, so the graph is grown untraced
-    # and rebuilt under tracing through the graph calls grow made: per
-    # pentad step one add_clique(5), then one add_edge per free end
+    # and rebuilt under tracing through the graph call grow made: per
+    # pentad step one add_clique(5) with its five attachment edges
     g = seed_complete(5)
     grow(g, PENTADS, LINEAR, 20_000, rng_seed=5)
     edges = g.edges
@@ -365,9 +371,9 @@ def test_graph_keeps_few_bytes_per_edge():
     try:
         h = seed_complete(5)
         for m in range(10, len(edges), 15):
-            h.add_clique(5)
-            for u, v in edges[m + 10 : m + 15]:
-                h.add_edge(u, v)
+            base = h.n
+            attach = edges[m + 10 : m + 15]
+            h.add_clique(5, [u for u, _ in attach], [v - base for _, v in attach])
         live = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -375,3 +381,18 @@ def test_graph_keeps_few_bytes_per_edge():
     # two int32 columns take 8 B per edge; the degree list and its ints
     # add the rest (a list of (u, v) tuples would keep about 78 B)
     assert live / len(edges) <= 40
+
+
+@pytest.mark.parametrize("name", ["ba", "mixed", "pentads", "bundles"])
+def test_grow_adds_each_increment_in_one_graph_call(monkeypatch, name):
+    # add_edge and add_vertex are builders for callers; grow appends an
+    # increment's clique and attachment edges through add_clique alone
+    def refuse(*args):
+        raise AssertionError("grow called a per-edge graph builder")
+
+    p, f, seed_size, _ = GOLDEN[name]
+    g = seed_complete(seed_size)
+    monkeypatch.setattr(MultiGraph, "add_edge", refuse)
+    monkeypatch.setattr(MultiGraph, "add_vertex", refuse)
+    grow(g, p, f, 300, rng_seed=3, check_every=50)
+    g.check_handshake()

@@ -109,3 +109,32 @@ def test_add_clique_matches_pairwise_add_edge():
     assert base == 3
     assert g.edges == h.edges
     assert g.degrees == h.degrees == [2, 2, 2, 3, 3, 3, 3]
+
+
+def test_add_clique_attachments_match_add_edge():
+    # a triad whose bundle target 0 takes one edge from each new vertex,
+    # then single ends 2 -> new 0 and 0 -> new 2
+    g = seed_complete(3)
+    base = g.add_clique(3, [0, 0, 0, 2, 0], [0, 1, 2, 0, 2])
+    h = seed_complete(3)
+    for _ in range(3):
+        h.add_vertex()
+    for u, v in [(3, 4), (3, 5), (4, 5), (0, 3), (0, 4), (0, 5), (2, 3), (0, 5)]:
+        h.add_edge(u, v)
+    assert base == 3
+    assert (g.lo, g.hi, g.degrees) == (h.lo, h.hi, h.degrees)
+    assert g.degrees == [6, 2, 3, 4, 3, 4]
+
+
+def test_add_clique_of_one_vertex_has_only_attachments():
+    g = seed_complete(2)
+    assert g.add_clique(1, [1, 0, 1], [0, 0, 0]) == 2
+    assert g.edges == [(0, 1), (1, 2), (0, 2), (1, 2)]
+    assert g.degrees == [2, 3, 3]
+
+
+def test_add_clique_rejects_unequal_columns():
+    g = seed_complete(3)
+    with pytest.raises(ValueError, match="2 attachment targets for 1 ends"):
+        g.add_clique(2, [0, 1], [0])
+    assert (g.n, g.edge_count) == (3, 3)

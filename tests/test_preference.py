@@ -57,6 +57,27 @@ def test_rule_probe_rejects_nonpositive():
         PreferenceFunction.from_rule(lambda k: 0.0 * np.asarray(k, float), g=1)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_constant_rejects_a_weight_that_is_not_finite_and_positive(value):
+    with pytest.raises(ValueError, match=r"^constant preference must be finite and > 0, got"):
+        PreferenceFunction.constant(value)
+
+
+@pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0])
+def test_rule_probe_rejects_a_start_weight_that_is_not_finite_and_positive(weight):
+    with pytest.raises(ValueError, match=r"at the window start g=3, not a finite weight > 0$"):
+        PreferenceFunction.from_rule(lambda k: np.full_like(np.asarray(k, float), weight), g=3)
+
+
+def test_weight_array_names_the_first_degree_that_overflows():
+    # k^200 is 1 at the window start and first overflows at k = 35
+    f = PreferenceFunction.from_rule(lambda k: np.asarray(k, float) ** 200, g=1)
+    with np.errstate(over="ignore"):
+        assert f(34) < math.inf and f(35) == math.inf
+    with pytest.raises(ValueError, match=r"^preference rule gives inf at degree 35, not a finite weight > 0$"):
+        f.weight_array(100)
+
+
 def test_weight_array_matches_call():
     f = PreferenceFunction.linear(g=2, M=6)
     w = f.weight_array(9)
