@@ -37,7 +37,7 @@ from .engine import grow, read_edge_list, write_edge_list, write_stats
 from .graph import empirical_vdd, seed_complete
 from .layers import SaturationError
 from .params import ModelParams, validate_params
-from .preference import PreferenceFunction, read_preference, write_preference
+from .preference import PreferenceError, PreferenceFunction, read_preference, write_preference
 from .solver import NonConvergenceError, solve_stationary, write_q_table
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -239,7 +239,7 @@ def cmd_generate(cfg: RunConfig, base: Path | None, args) -> int:
         stats = exc.stats
         saturated = True
         print(f"error: sampling saturated after {stats.steps} steps", file=sys.stderr)
-    except ValueError as exc:
+    except PreferenceError as exc:
         raise UsageError(str(exc)) from exc
     write_edge_list(g, out / "edges.tsv", _echo(cfg, {"saturated": saturated}))
     entries = {

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -88,47 +87,40 @@ class GrowthStats:
     rng_seed: int
 
 
-@lru_cache(maxsize=4096)
-def _ends(js: tuple[int, ...], mu: int) -> tuple[int, ...]:
-    """New-vertex offset of each attachment edge, bundles first; a run repeats few shapes."""
-    return (*range(len(js)),) * mu + tuple(i for i, j in enumerate(js) for _ in range(j - mu))
+def _increment(g: MultiGraph, idx: LayerIndex, rng, n: int, singles: list[int], mu: int) -> None:
+    """Add ``n`` new vertices as a clique, then ``mu`` bundles and the single ends.
 
-
-def _increment(g: MultiGraph, idx: LayerIndex, rng, js: tuple[int, ...], mu: int) -> None:
-    """Add ``len(js)`` new vertices as a clique; vertex i has ``js[i]`` free ends.
-
-    The first ``mu`` free ends of every new vertex form conjugate bundles:
-    bundle b has one target that receives an edge from each of the n new
-    vertices, so its degree jumps by n. The other ends attach one target
-    each. All targets are drawn against the pre-increment weights, so the
-    graph stays untouched if sampling saturates; a target drawn twice gets
-    parallel edges. Edges go in as the clique, then each bundle target
-    times n, then the single ends vertex by vertex.
+    A bundle's one target takes an edge from each new vertex; ``singles``
+    holds the new-vertex offset of every other free end, vertex by vertex.
+    All targets are drawn against the pre-increment weights, so the graph
+    stays untouched if sampling saturates; a target drawn twice gets
+    parallel edges. Edges go in as the clique, the bundles, the singles.
     """
-    n = len(js)
-    n_draws = sum(js) - (n - 1) * mu
+    n_draws = mu + len(singles)
     targets = idx.sample_many(rng, n_draws) if n_draws else []
+    ends = singles
     if mu:
         targets[:mu] = [t for t in targets[:mu] for _ in range(n)]
-    base = g.add_clique(n, targets, _ends(js, mu))
+        ends = [*range(n)] * mu + singles
+    base = g.add_clique(n, targets, ends)
     gains: dict[int, int] = {}
     for t in targets:
         gains[t] = gains.get(t, 0) + 1
     deg = g.degrees
     for t, h in gains.items():
         idx.bump(t, deg[t] - h, deg[t])
-    for i, j in enumerate(js):
-        idx.insert(base + i, j + n - 1)
+    for v in range(base, base + n):
+        idx.insert(v, deg[v])
 
 
 def apply_monad(g: MultiGraph, idx: LayerIndex, p: ModelParams, rng) -> None:
     """Add one vertex with a free-edge count drawn from r1: the one-vertex n-ad without bundles."""
-    _increment(g, idx, rng, (p.r1.sample(rng),), 0)
+    _increment(g, idx, rng, 1, [0] * p.r1.sample(rng), 0)
 
 
 def apply_nad(g: MultiGraph, idx: LayerIndex, p: ModelParams, rng) -> None:
-    """Add an n-clique of new vertices with free-edge counts drawn from rn and mu bundles."""
-    _increment(g, idx, rng, tuple([p.rn.sample(rng) for _ in range(p.n)]), p.mu)
+    """Add an n-clique of new vertices with free-edge counts drawn from rn, mu of each in bundles."""
+    _increment(g, idx, rng, p.n, [i for i in range(p.n) for _ in range(p.rn.sample(rng) - p.mu)], p.mu)
 
 
 def grow(
@@ -143,9 +135,8 @@ def grow(
 
     Each step is a polyad with probability gamma, otherwise a monad (the
     type uniform is skipped when gamma is exactly 0 or 1). With
-    ``check_every`` set, the layer index is rebuilt from scratch every that
-    many increments and compared against the incrementally maintained one;
-    1024 is a reasonable debug cadence.
+    ``check_every`` set, the layer index is rebuilt every that many
+    increments and compared with the maintained one (1024 suits debugging).
 
     Returns realized step and edge counts. If sampling saturates mid-run
     the error carries partial stats in ``.stats`` and the graph keeps all

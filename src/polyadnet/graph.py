@@ -76,25 +76,29 @@ class MultiGraph:
         The clique's edges come first, in lexicographic order, as
         ``add_edge`` calls in a double loop over i < j would append them.
         Then edge ``i`` of the attachment columns joins the existing vertex
-        ``targets[i]`` to new vertex ``first + ends[i]``. Unlike ``add_edge``
-        this bulk path does not check ids: every target must be an
-        existing vertex and every end lie in ``range(n)``.
+        ``targets[i]`` to new vertex ``first + ends[i]``. A target that is
+        not an existing vertex, or an end outside ``range(n)``, raises
+        ValueError before the graph changes.
         """
         deg = self.degrees
         base = len(deg)
         if len(targets) != len(ends):
             raise ValueError(f"{len(targets)} attachment targets for {len(ends)} ends")
+        for t in targets:
+            if not 0 <= t < base:
+                raise ValueError(f"attachment target {t} is not an existing vertex in range({base})")
+        new = [n - 1] * n
+        for e in ends:
+            if not 0 <= e < n:
+                raise ValueError(f"attachment end {e} is not a new vertex offset in range({n})")
+            new[e] += 1
         lo, hi = _clique_offsets(n)
-        if lo:  # one new vertex has no clique edges
-            self.lo.fromlist([base + i for i in lo])
-            self.hi.fromlist([base + j for j in hi])
+        self.lo.fromlist([base + i for i in lo])
         self.lo.extend(targets)
-        self.hi.fromlist([base + e for e in ends])
-        deg.extend([n - 1] * n)
+        self.hi.fromlist([base + j for j in (*hi, *ends)])
         for t in targets:
             deg[t] += 1
-        for e in ends:
-            deg[base + e] += 1
+        deg.extend(new)
         return base
 
     def check_handshake(self) -> None:

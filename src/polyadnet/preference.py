@@ -16,7 +16,11 @@ import numpy as np
 
 from .distributions import read_degree_table, write_table
 
-__all__ = ["PreferenceFunction", "read_preference", "write_preference"]
+__all__ = ["PreferenceError", "PreferenceFunction", "read_preference", "write_preference"]
+
+
+class PreferenceError(ValueError):
+    """A rule gives a weight that is not finite and > 0 inside its window."""
 
 
 def _weight(rule: Callable, k: int) -> float:
@@ -109,13 +113,13 @@ class PreferenceFunction:
             return self._table[k]
         val = _weight(self._rule, k)
         if not val > 0.0:
-            raise ValueError(f"preference rule gives {val} at degree {k} inside the window")
+            raise PreferenceError(f"preference rule gives {val} at degree {k} inside the window")
         return val
 
     def weight_array(self, upto: int) -> np.ndarray:
         """Dense weights for degrees ``0..upto`` (zeros outside the window).
 
-        Raises ValueError naming the first degree in the covered part of
+        Raises PreferenceError naming the first degree in the covered part of
         the window where the backing rule is not finite and > 0.
         """
         out = np.zeros(upto + 1)
@@ -138,7 +142,7 @@ class PreferenceFunction:
             ok = (vals > 0.0) & np.isfinite(vals)
             if not ok.all():
                 i = int(np.argmin(ok))
-                raise ValueError(f"preference rule gives {vals[i]} at degree {ks[i]}, not a finite weight > 0")
+                raise PreferenceError(f"preference rule gives {vals[i]} at degree {ks[i]}, not a finite weight > 0")
             out[lo : hi + 1] = vals
         return out
 

@@ -180,6 +180,16 @@ class TestConfigValues:
         assert self._run(mixed_setup, command, "preference_rule", rule) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_other_value_errors_from_grow_are_not_usage_errors(self, mixed_setup, monkeypatch):
+        # only a bad preference weight is the config's fault; any other
+        # ValueError in the engine is a defect and keeps its traceback
+        def broken(*args, **kwargs):
+            raise ValueError("engine invariant broken")
+
+        monkeypatch.setattr(cli, "grow", broken)
+        with pytest.raises(ValueError, match="^engine invariant broken$"):
+            self._run(mixed_setup, "generate", "preference_rule", "{kind: linear}")
+
     def test_integral_float_rule_bounds_write_the_same_files(self, mixed_setup):
         tmp_path, _ = mixed_setup
         outputs = []

@@ -138,3 +138,23 @@ def test_add_clique_rejects_unequal_columns():
     with pytest.raises(ValueError, match="2 attachment targets for 1 ends"):
         g.add_clique(2, [0, 1], [0])
     assert (g.n, g.edge_count) == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "targets, ends, message",
+    [
+        ([0, 3], [0, 1], "attachment target 3 is not an existing vertex in range(3)"),  # a self-loop
+        ([2, 4], [0, 0], "attachment target 4 is not an existing vertex in range(3)"),  # lo > hi
+        ([-1], [0], "attachment target -1 is not an existing vertex in range(3)"),  # would wrap
+        ([0, 9], [1, 0], "attachment target 9 is not an existing vertex in range(3)"),  # beyond the graph
+        ([1], [-1], "attachment end -1 is not a new vertex offset in range(2)"),  # an existing vertex
+        ([1, 2], [0, 2], "attachment end 2 is not a new vertex offset in range(2)"),  # beyond the clique
+    ],
+)
+def test_add_clique_rejects_a_bad_id_before_any_change(targets, ends, message):
+    g = seed_complete(3)
+    before = (list(g.lo), list(g.hi), list(g.degrees))
+    with pytest.raises(ValueError) as info:
+        g.add_clique(2, targets, ends)
+    assert str(info.value) == message
+    assert (list(g.lo), list(g.hi), list(g.degrees)) == before

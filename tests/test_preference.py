@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyadnet.preference import PreferenceFunction, read_preference, write_preference
+from polyadnet.preference import PreferenceError, PreferenceFunction, read_preference, write_preference
 
 
 def test_table_window_and_values():
@@ -74,7 +74,7 @@ def test_weight_array_names_the_first_degree_that_overflows():
     f = PreferenceFunction.from_rule(lambda k: np.asarray(k, float) ** 200, g=1)
     with np.errstate(over="ignore"):
         assert f(34) < math.inf and f(35) == math.inf
-    with pytest.raises(ValueError, match=r"^preference rule gives inf at degree 35, not a finite weight > 0$"):
+    with pytest.raises(PreferenceError, match=r"^preference rule gives inf at degree 35, not a finite weight > 0$"):
         f.weight_array(100)
 
 
