@@ -166,9 +166,10 @@ def _rule_preference(rule: dict) -> PreferenceFunction:
         if kind == "linear":
             f = PreferenceFunction.linear(g=g, M=m_top)
         elif kind == "constant":
-            f = PreferenceFunction.constant(float(opts.pop("value", 1.0)), g=g, M=m_top)
+            v = _number("preference_rule.value", opts.pop("value", 1.0), "float")
+            f = PreferenceFunction.constant(v, g=g, M=m_top)
         elif kind == "power":
-            e = float(opts.pop("exponent"))
+            e = float(_number("preference_rule.exponent", opts.pop("exponent"), "float"))
             f = PreferenceFunction.from_rule(
                 lambda k: np.asarray(k, dtype=float) ** e,
                 g=g,
@@ -182,7 +183,7 @@ def _rule_preference(rule: dict) -> PreferenceFunction:
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad preference_rule: {exc}") from exc
     if opts:
-        raise UsageError(f"unknown preference_rule keys: {', '.join(sorted(opts))}")
+        raise UsageError(f"unknown preference_rule keys: {', '.join(sorted(map(str, opts)))}")
     if "g" in rule:
         rule["g"] = g
     if m_top != math.inf:

@@ -3,8 +3,10 @@
 A preference function assigns weight ``f(k) > 0`` to every degree in a
 window ``[g, M]`` and exactly zero outside it. Attachment probabilities are
 proportional to these weights, so any positive rescaling describes the same
-model. ``M`` may be ``math.inf`` for rule-backed functions such as
-``f(k) = k``, which have no natural cutoff.
+model. A function is its window plus one vectorized rule, which maps a numpy
+integer array of degrees to one weight per degree; an explicit table is the
+rule that indexes a dense weight array by ``k - g``. ``M`` may be
+``math.inf`` for a rule such as ``f(k) = k``, which has no natural cutoff.
 """
 
 from __future__ import annotations
@@ -18,35 +20,29 @@ from .distributions import read_degree_table, write_table
 
 __all__ = ["PreferenceError", "PreferenceFunction", "read_preference", "write_preference"]
 
+_CONTRACT = "a preference rule maps a numpy integer array of degrees to one weight per degree"
+
 
 class PreferenceError(ValueError):
     """A rule gives a weight that is not finite and > 0 inside its window."""
 
 
-def _weight(rule: Callable, k: int) -> float:
-    """``rule(k)`` as a float, for a rule that may return a scalar or an array."""
-    return float(np.asarray(rule(int(k))).reshape(-1)[0])
-
-
 class PreferenceFunction:
     """Weights ``f(k)`` on a degree window, zero elsewhere.
 
-    Backed either by an explicit table (finite window) or by a rule applied
-    lazily (window may be unbounded above). Instances are immutable.
+    A window ``[g, M]`` (``M`` may be inf) plus a vectorized rule that is
+    evaluated lazily. Instances are immutable.
     """
 
-    __slots__ = ("g", "M", "_table", "_rule", "_label")
+    __slots__ = ("g", "M", "_rule", "_label")
 
-    def __init__(self, g: int, M, table=None, rule=None, label: str = "table"):
+    def __init__(self, g: int, M, rule: Callable, label: str = "rule"):
         if not isinstance(g, int) or g < 0:
             raise ValueError(f"window start {g!r} must be a non-negative integer")
         if M != math.inf and (not isinstance(M, int) or M < g):
             raise ValueError(f"window end {M!r} must be an integer >= {g} or inf")
-        if (table is None) == (rule is None):
-            raise ValueError("exactly one of table and rule must be given")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_rule", rule)
         object.__setattr__(self, "_label", label)
 
@@ -74,21 +70,23 @@ class PreferenceFunction:
             w = clean.get(k)
             if w is None:
                 raise ValueError(f"preference table has a gap at degree {k}")
-            if not w > 0.0 or math.isinf(w) or math.isnan(w):
+            if not 0.0 < w < math.inf:
                 raise ValueError(f"preference weight at degree {k} is {w}, must be finite and > 0")
-        return cls(g, M, table=clean)
+        dense = np.array([clean[k] for k in range(g, M + 1)])
+        return cls(g, M, lambda ks: dense[ks - g], label="table")
 
     @classmethod
     def from_rule(cls, rule: Callable, g: int, M=math.inf, label: str = "rule") -> "PreferenceFunction":
-        """Build from a callable ``rule(k) -> weight``.
+        """Build from a vectorized ``rule``.
 
-        The weight at the window start must be finite and > 0; elsewhere
-        on ``[g, M]`` the rule is checked lazily whenever weights are
-        materialized. ``rule`` may accept a numpy integer array for
-        vectorized evaluation.
+        Given a numpy integer array of degrees, ``rule`` returns one weight
+        per degree, as an array of the same shape; wrap a scalar function
+        in ``np.vectorize``. The weight at the window start must be finite
+        and > 0; elsewhere on ``[g, M]`` the rule is checked lazily
+        whenever weights are materialized.
         """
-        pf = cls(g, M, rule=rule, label=label)
-        probe = _weight(rule, g)
+        pf = cls(g, M, rule, label)
+        probe = float(pf._at(np.array([g]))[0])
         if not 0.0 < probe < math.inf:
             raise ValueError(f"rule gives {probe} at the window start g={g}, not a finite weight > 0")
         return pf
@@ -96,7 +94,7 @@ class PreferenceFunction:
     @classmethod
     def linear(cls, g: int = 1, M=math.inf) -> "PreferenceFunction":
         """The classic proportional rule ``f(k) = k`` (needs g >= 1)."""
-        return cls.from_rule(lambda k: np.asarray(k, dtype=float), g, M, label="linear")
+        return cls.from_rule(lambda ks: ks, g, M, label="linear")
 
     @classmethod
     def constant(cls, value: float = 1.0, g: int = 0, M=math.inf) -> "PreferenceFunction":
@@ -104,14 +102,28 @@ class PreferenceFunction:
         v = float(value)
         if not 0.0 < v < math.inf:
             raise ValueError(f"constant preference must be finite and > 0, got {v}")
-        return cls.from_rule(lambda k: np.full_like(np.asarray(k, dtype=float), v), g, M, label=f"constant({v})")
+        return cls.from_rule(lambda ks: np.full(ks.shape, v), g, M, label=f"constant({v})")
+
+    def _at(self, ks: np.ndarray) -> np.ndarray:
+        """The rule's weights at the degrees ``ks``, as floats.
+
+        An overflow or nan is returned for the caller to report, not warned
+        about. A rule that cannot take the array, or that does not give one
+        weight per degree, raises TypeError.
+        """
+        try:
+            with np.errstate(all="ignore"):
+                vals = np.asarray(self._rule(ks), dtype=float)
+        except TypeError as exc:
+            raise TypeError(f"{_CONTRACT}: {exc}") from exc
+        if vals.shape != ks.shape:
+            raise TypeError(f"{_CONTRACT}, got shape {vals.shape} for {ks.size} degrees")
+        return vals
 
     def __call__(self, k: int) -> float:
         if k < self.g or k > self.M:
             return 0.0
-        if self._table is not None:
-            return self._table[k]
-        val = _weight(self._rule, k)
+        val = float(self._at(np.array([k]))[0])
         if not val > 0.0:
             raise PreferenceError(f"preference rule gives {val} at degree {k} inside the window")
         return val
@@ -120,30 +132,19 @@ class PreferenceFunction:
         """Dense weights for degrees ``0..upto`` (zeros outside the window).
 
         Raises PreferenceError naming the first degree in the covered part of
-        the window where the backing rule is not finite and > 0.
+        the window where the rule is not finite and > 0.
         """
         out = np.zeros(upto + 1)
-        lo = self.g
         hi = min(self.M, upto)
-        if hi < lo:
+        if hi < self.g:
             return out
-        hi = int(hi)
-        ks = np.arange(lo, hi + 1)
-        if self._table is not None:
-            out[lo : hi + 1] = [self._table[int(k)] for k in ks]
-        else:
-            try:  # an overflow or nan is reported below, not warned about
-                with np.errstate(all="ignore"):
-                    vals = np.asarray(self._rule(ks), dtype=float)
-                if vals.shape != ks.shape:
-                    raise TypeError("shape mismatch")
-            except Exception:
-                vals = np.array([float(self._rule(int(k))) for k in ks])
-            ok = (vals > 0.0) & np.isfinite(vals)
-            if not ok.all():
-                i = int(np.argmin(ok))
-                raise PreferenceError(f"preference rule gives {vals[i]} at degree {ks[i]}, not a finite weight > 0")
-            out[lo : hi + 1] = vals
+        ks = np.arange(self.g, hi + 1)
+        vals = self._at(ks)
+        ok = (vals > 0.0) & np.isfinite(vals)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise PreferenceError(f"preference rule gives {vals[i]} at degree {ks[i]}, not a finite weight > 0")
+        out[self.g : hi + 1] = vals
         return out
 
     @property
@@ -151,32 +152,22 @@ class PreferenceFunction:
         """Explicit table; only available for finite windows."""
         if self.M == math.inf:
             raise ValueError("preference window is unbounded; no finite table")
-        if self._table is not None:
-            return dict(sorted(self._table.items()))
-        arr = self.weight_array(int(self.M))
-        return {k: float(arr[k]) for k in range(self.g, int(self.M) + 1)}
+        return dict(zip(range(self.g, self.M + 1), self.weight_array(self.M)[self.g :].tolist()))
 
     def scaled(self, c: float) -> "PreferenceFunction":
         """Positive rescaling; describes the same attachment model."""
         c = float(c)
         if not c > 0.0:
             raise ValueError("scale factor must be positive")
-        if self._table is not None:
-            return PreferenceFunction.from_table({k: c * w for k, w in self._table.items()})
-        rule = self._rule
-        return PreferenceFunction(
-            self.g, self.M, rule=lambda k: c * np.asarray(rule(k), dtype=float),
-            label=f"{c}*{self._label}",
-        )
+        return PreferenceFunction(self.g, self.M, lambda ks: c * self._at(ks), label=f"{c}*{self._label}")
 
     def __eq__(self, other):
+        """Same window, and the same rule or, on a finite window, equal weights."""
         if not isinstance(other, PreferenceFunction):
             return NotImplemented
         if (self.g, self.M) != (other.g, other.M):
             return False
-        if self._table is not None and other._table is not None:
-            return self._table == other._table
-        return self._rule is other._rule
+        return self._rule is other._rule or (self.M != math.inf and self.weights == other.weights)
 
     def __repr__(self):
         return f"PreferenceFunction(g={self.g}, M={self.M}, {self._label})"
@@ -186,7 +177,7 @@ def write_preference(f: PreferenceFunction, path, header: Mapping | None = None)
     """Write ``k<TAB>weight`` lines with the window recorded in the header."""
     if f.M == math.inf:
         raise ValueError("cannot export an unbounded preference window to a table")
-    rows = (f"{k}\t{w!r}" for k, w in sorted(f.weights.items()))
+    rows = (f"{k}\t{w!r}" for k, w in f.weights.items())
     write_table(path, {"g": f.g, "M": int(f.M), **(header or {})}, rows)
 
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from .distributions import DegreeDistribution, read_degree_table, write_table
 from .params import ModelParams, validate_params
-from .preference import PreferenceFunction
+from .preference import PreferenceError, PreferenceFunction
 
 __all__ = [
     "NonConvergenceError",
@@ -145,11 +145,7 @@ def _linear_rate(f: PreferenceFunction) -> float:
     exists. A rule that overflows there counts as p = inf.
     """
     K = max(K_PROBE, f.g)
-    with np.errstate(all="ignore"):
-        try:
-            lo, hi = f(K), f(2 * K)
-        except OverflowError:
-            lo = hi = math.inf
+    lo, hi = f(K), f(2 * K)
     p_hat = math.log2(hi / lo) if math.isfinite(lo + hi) else math.inf
     if p_hat > 1.0 + LINEAR_SLACK:
         raise NonConvergenceError(
@@ -238,7 +234,8 @@ def solve_stationary(
     NonConvergenceError means f is superlinear, no arrival degree lies in
     the window, or the mean ran away, lost its mass or has no fixed
     point; ValueError flags a non-positive tol or a k_max below the
-    largest arrival degree.
+    largest arrival degree. PreferenceError names the first degree of the
+    first table where f is not finite and > 0, or else the probed degree.
     """
     validate_params(p)
     if tol <= 0.0:
@@ -256,10 +253,14 @@ def solve_stationary(
         x, iters, method, (q, t) = _solve_at(p, f, K, a, tol)
         tail = _tail_mass(t, p, x)
     else:
-        alpha = _linear_rate(f)
         K = max(K_START, arr_max)
         if k_max is not None:
             K = min(int(k_max), K)
+        try:
+            alpha = _linear_rate(f)
+        except PreferenceError:
+            f.weight_array(K)  # names the first bad degree if the table has one
+            raise
         x, iters, method, (q, t) = _solve_at(p, f, K, a, tol, alpha)
         tail = _tail_mass(t, p, x)
         tail_tol = max(tol, 1e-12)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from polyadnet import cli
+from polyadnet import cli, solver
 from polyadnet.cli import RunConfig, UsageError, load_config, main
 from polyadnet.layers import SaturationError
 from polyadnet.engine import read_edge_list, read_stats
@@ -166,6 +166,9 @@ class TestConfigValues:
              "bad preference_rule: constant preference must be finite and > 0, got inf"),
             ("generate", "{kind: power, exponent: .nan}",
              "preference rule gives nan at degree 2, not a finite weight > 0"),
+            # the probe at K = 2^20 meets the nan first; the table names degree 2
+            ("solve", "{kind: power, exponent: .nan}",
+             "preference rule gives nan at degree 2, not a finite weight > 0"),
             ("generate", "{kind: power, exponent: 200}",
              "preference rule gives inf at degree 35, not a finite weight > 0"),
             # g: 0 used to be raised to 1 while the header still said g: 0
@@ -173,12 +176,35 @@ class TestConfigValues:
              "bad preference_rule: rule gives 0.0 at the window start g=0, not a finite weight > 0"),
             ("generate", "{kind: linear, M: true}", "preference_rule key M must be an integer degree, got True"),
             ("solve", "{kind: linear, M: '40'}", "preference_rule key M must be an integer degree, got '40'"),
+            ("generate", "{kind: linear, 1: 2}", "unknown preference_rule keys: 1"),
+            ("solve", "{kind: linear, extra: 1, 2: 3}", "unknown preference_rule keys: 2, extra"),
+            ("generate", "{kind: power, exponent: true}",
+             "config key preference_rule.exponent must be a number, got True"),
+            ("solve", "{kind: power, exponent: abc}",
+             "config key preference_rule.exponent must be a number, got 'abc'"),
+            ("generate", "{kind: constant, value: true}",
+             "config key preference_rule.value must be a number, got True"),
         ],
     )
     def test_bad_rule_is_a_usage_error_naming_its_cause(self, mixed_setup, capsys, command, rule, message):
         # exit 2 with the key or the first bad degree, not a traceback
         assert self._run(mixed_setup, command, "preference_rule", rule) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_overflowing_rule_is_superlinear_under_solve(self, mixed_setup, capsys, monkeypatch):
+        # k^200 overflows at the probe and is rejected there, before any
+        # sweep, not reported as a bad weight at degree 35
+        monkeypatch.setattr(solver, "_sweep_kernel", None)
+        assert self._run(mixed_setup, "solve", "preference_rule", "{kind: power, exponent: 200}") == 1
+        assert capsys.readouterr().err == (
+            "error: preference grows superlinearly: f(2K)/f(K) = 2^inf at K=1048576, "
+            "and f(k) ~ k^p with p > 1 has no stationary distribution\n"
+        )
+
+    @pytest.mark.parametrize("rule", ["{kind: power, exponent: '1.5', M: 40}", "{kind: power, exponent: 1e0}"])
+    def test_numeric_string_rule_numbers_are_accepted(self, mixed_setup, rule):
+        # as for config floats: YAML reads 1e0, with no dot, as a string
+        assert self._run(mixed_setup, "solve", "preference_rule", rule) == 0
 
     def test_other_value_errors_from_grow_are_not_usage_errors(self, mixed_setup, monkeypatch):
         # only a bad preference weight is the config's fault; any other

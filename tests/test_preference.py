@@ -85,10 +85,40 @@ def test_weight_array_matches_call():
     assert [f(k) for k in range(10)] == list(w)
 
 
-def test_weight_array_python_rule_fallback():
-    # rule that chokes on arrays still works through the scalar path
-    f = PreferenceFunction.from_rule(lambda k: float(k) + 0.5, g=0, M=4)
+@pytest.mark.parametrize("rule", [lambda k: float(k) + 0.5, lambda k: 2.0, lambda k: np.ones(3)])
+def test_a_rule_must_give_one_weight_per_degree_of_an_array(rule):
+    # a scalar rule is rejected when it is built, not evaluated degree by degree
+    with pytest.raises(TypeError, match=r"^a preference rule maps a numpy integer array of degrees to one weight per degree"):
+        PreferenceFunction.from_rule(rule, g=0, M=4)
+
+
+def test_a_vectorized_scalar_rule_is_accepted():
+    f = PreferenceFunction.from_rule(np.vectorize(lambda k: float(k) + 0.5), g=0, M=4)
     assert list(f.weight_array(4)) == [0.5, 1.5, 2.5, 3.5, 4.5]
+    assert f(3) == 3.5
+
+
+def test_table_and_rule_with_the_same_weights_agree(tmp_path):
+    # one representation: a table is a rule indexing its weights by k - g
+    rule = PreferenceFunction.from_rule(lambda k: np.asarray(k, float) ** 1.5, g=2, M=8)
+    table = PreferenceFunction.from_table(dict(zip(range(2, 9), (np.arange(2.0, 9.0) ** 1.5).tolist())))
+    assert list(table.weight_array(10)) == list(rule.weight_array(10))
+    assert table.weights == rule.weights
+    assert [table(k) for k in range(11)] == [rule(k) for k in range(11)]
+    write_preference(table, tmp_path / "table.tsv")
+    write_preference(rule, tmp_path / "rule.tsv")
+    assert (tmp_path / "table.tsv").read_bytes() == (tmp_path / "rule.tsv").read_bytes()
+    assert table == rule and rule == table
+    assert table != rule.scaled(2.0)
+    assert table.scaled(2.0) == rule.scaled(2.0)
+
+
+def test_unbounded_rules_are_equal_only_when_they_are_the_same_rule():
+    square = lambda k: np.asarray(k, float) ** 2  # noqa: E731
+    f = PreferenceFunction.from_rule(square, g=1)
+    assert f == PreferenceFunction.from_rule(square, g=1)
+    assert f != PreferenceFunction.from_rule(lambda k: np.asarray(k, float) ** 2, g=1)
+    assert f != PreferenceFunction.from_rule(square, g=2)
 
 
 def test_weights_property_table():
