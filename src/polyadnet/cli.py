@@ -88,7 +88,11 @@ def _number(key: str, val, kind: str):
 
 
 def load_config(path) -> RunConfig:
-    """Parse a YAML mapping into a RunConfig, rejecting unknown keys."""
+    """Parse a YAML mapping into a RunConfig, rejecting unknown keys.
+
+    Number keys are checked by ``_number``; the ``*_path`` keys and
+    ``output_dir`` must be strings (a ``*_path`` may also be null).
+    """
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except (OSError, yaml.YAMLError) as exc:
@@ -101,8 +105,13 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     for f in fields(RunConfig):
-        if f.name in raw and f.type in ("float", "int", "int | None"):
-            raw[f.name] = _number(f.name, raw[f.name], f.type)
+        if f.name not in raw:
+            continue
+        val = raw[f.name]
+        if f.type in ("float", "int", "int | None"):
+            raw[f.name] = _number(f.name, val, f.type)
+        elif f.type.startswith("str") and not isinstance(val, str) and (val is not None or f.type == "str"):
+            raise UsageError(f"config key {f.name} must be a path string, got {val!r}")
     cfg = RunConfig(**raw)
     if "output_dir" in raw:
         cfg.output_dir = str(_resolve(Path(path).resolve().parent, raw["output_dir"]))

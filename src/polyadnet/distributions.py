@@ -106,10 +106,6 @@ class DegreeDistribution:
         return math.fsum(k * p for k, p in self.probs.items())
 
     @cached_property
-    def total_mass(self) -> float:
-        return math.fsum(self.probs.values())
-
-    @cached_property
     def _sampling_table(self) -> tuple[list[int], list[float]]:
         """Sorted support values and their cumulative probabilities."""
         vals = sorted(self.probs)

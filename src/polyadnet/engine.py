@@ -200,11 +200,12 @@ def write_edge_list(g: MultiGraph, path, header: Mapping | None = None) -> None:
 def read_edge_list(path) -> tuple[MultiGraph, dict[str, str]]:
     """Load a graph written by :func:`write_edge_list`.
 
-    Returns the graph and the parsed header key=value entries. The file
-    is read in one pass straight into the graph's edge columns rather
-    than through ``add_vertex`` / ``add_edge``, with the same checks and
-    messages. A malformed row, an id beyond the int32 columns or a short
-    header vertex count is reported before a self-loop or a negative id.
+    Returns the graph and the parsed header key=value entries. The rows
+    are read in one pass into two ``array('i')`` columns, which
+    ``MultiGraph.from_columns`` checks and takes over. A malformed row, an
+    id beyond the int32 columns, a ``# vertices=`` header that is not a
+    non-negative integer or one below the largest id is reported before a
+    self-loop or a negative id.
     """
     lo, hi = array("i"), array("i")
 
@@ -212,32 +213,23 @@ def read_edge_list(path) -> tuple[MultiGraph, dict[str, str]]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"expected 'u<TAB>v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u > v:
-            u, v = v, u
         try:
-            lo.append(u)
-            hi.append(v)
+            lo.append(int(parts[0]))
+            hi.append(int(parts[1]))
         except OverflowError:
             raise ValueError(f"vertex id out of range in {line!r}") from None
 
     header = read_table(path, row)
-    lo_ids = np.frombuffer(lo, dtype=np.int32)
-    hi_ids = np.frombuffer(hi, dtype=np.int32)
-    max_id = int(hi_ids.max()) if len(hi) else -1
-    n = int(header.get("vertices", max_id + 1))
-    if n < max_id + 1:
-        raise ValueError(f"{path}: header vertex count {n} below max id {max_id}")
-    bad = np.flatnonzero((lo_ids == hi_ids) | (lo_ids < 0))
-    if bad.size:
-        u, v = lo[bad[0]], hi[bad[0]]
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-    g = MultiGraph()
-    g.degrees = (np.bincount(lo_ids, minlength=n) + np.bincount(hi_ids, minlength=n)).tolist()
-    g.lo, g.hi = lo, hi
-    return g, header
+    max_id = int(max(np.frombuffer(c, dtype=np.int32).max(initial=-1) for c in (lo, hi)))
+    n = max_id + 1
+    if "vertices" in header:
+        raw = header["vertices"]
+        if not raw.isdecimal():
+            raise ValueError(f"{path}: header vertices={raw!r} is not a non-negative integer")
+        n = int(raw)
+        if n <= max_id:
+            raise ValueError(f"{path}: header vertex count {n} below max id {max_id}")
+    return MultiGraph.from_columns(n, lo, hi), header
 
 
 def write_stats(entries: Mapping, path) -> None:

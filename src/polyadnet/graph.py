@@ -8,6 +8,8 @@ from functools import cache
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from .distributions import DegreeDistribution
 
 __all__ = ["MultiGraph", "seed_complete", "empirical_vdd"]
@@ -26,8 +28,10 @@ class MultiGraph:
     Vertices are numbered in creation order. ``degrees[v]`` counts edge
     ends at ``v``. Edges are kept in insertion order as two ``array('i')``
     columns, 8 bytes per edge: ``lo[i] < hi[i]`` are the endpoints of edge
-    ``i`` (new vertices always carry the larger id). ``iter_edges()``
-    walks them as (u, v) pairs; ``edges`` copies them into a list.
+    ``i``. A graph is built either whole from its edge columns
+    (``from_columns``, which checks every edge) or one increment at a
+    time (``add_clique``, whose new vertices always carry the larger
+    ids). ``iter_edges()`` walks the edges as (u, v) pairs.
     """
 
     __slots__ = ("degrees", "lo", "hi")
@@ -45,40 +49,54 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.lo)
 
+    @classmethod
+    def from_columns(cls, n: int, lo: Sequence[int], hi: Sequence[int]) -> "MultiGraph":
+        """The graph on ``n`` vertices whose edge ``i`` joins ``lo[i]`` and ``hi[i]``.
+
+        The two ends of an edge may come in either order; each pair is put
+        in order in place. ``array('i')`` columns become the graph's own
+        without a copy, other sequences are copied into one. The first
+        edge in input order that is a self-loop or names an id outside
+        ``range(n)`` raises ValueError, and the columns stay as they were.
+        """
+        if len(lo) != len(hi):
+            raise ValueError(f"edge columns of unequal length {len(lo)} and {len(hi)}")
+        lo, hi = (c if isinstance(c, array) and c.typecode == "i" else array("i", c) for c in (lo, hi))
+        a, b = np.frombuffer(lo, dtype=np.int32), np.frombuffer(hi, dtype=np.int32)
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        bad = np.flatnonzero((low == high) | (low < 0) | (high >= n))
+        if bad.size:
+            u, v = int(low[bad[0]]), int(high[bad[0]])
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
+        a[:], b[:] = low, high
+        g = cls()
+        g.degrees = (np.bincount(low, minlength=n) + np.bincount(high, minlength=n)).tolist()
+        g.lo, g.hi = lo, hi
+        return g
+
     @property
     def edges(self) -> list[tuple[int, int]]:
-        """Every edge as a (u, v) pair with u < v, in insertion order; an O(m) copy."""
+        """Every edge as a (u, v) pair with u < v, in insertion order; an O(m) copy.
+
+        Only the benchmark's spans (``perfbench/spans.py``) still read it,
+        for an edge count; it goes once they read ``edge_count``.
+        """
         return list(zip(self.lo, self.hi))
 
     def iter_edges(self):
         """Iterate the edges as (u, v) pairs with u < v, in insertion order."""
         return zip(self.lo, self.hi)
 
-    def add_vertex(self) -> int:
-        self.degrees.append(0)
-        return len(self.degrees) - 1
-
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if u > v:
-            u, v = v, u
-        if u < 0 or v >= len(self.degrees):
-            raise ValueError(f"edge ({u}, {v}) references an unknown vertex")
-        self.lo.append(u)
-        self.hi.append(v)
-        self.degrees[u] += 1
-        self.degrees[v] += 1
-
     def add_clique(self, n: int, targets: Sequence[int] = (), ends: Sequence[int] = ()) -> int:
         """Add ``n`` new vertices joined pairwise, then attach them; returns the first id.
 
-        The clique's edges come first, in lexicographic order, as
-        ``add_edge`` calls in a double loop over i < j would append them.
-        Then edge ``i`` of the attachment columns joins the existing vertex
-        ``targets[i]`` to new vertex ``first + ends[i]``. A target that is
-        not an existing vertex, or an end outside ``range(n)``, raises
-        ValueError before the graph changes.
+        The clique's edges come first, in lexicographic order of their
+        offset pairs (i, j), i < j. Then edge ``i`` of the attachment
+        columns joins the existing vertex ``targets[i]`` to new vertex
+        ``first + ends[i]``. A target that is not an existing vertex, or an
+        end outside ``range(n)``, raises ValueError before the graph changes.
         """
         deg = self.degrees
         base = len(deg)
@@ -100,12 +118,6 @@ class MultiGraph:
             deg[t] += 1
         deg.extend(new)
         return base
-
-    def check_handshake(self) -> None:
-        """Assert sum of degrees equals twice the edge count."""
-        total, m = sum(self.degrees), self.edge_count
-        if total != 2 * m:
-            raise AssertionError(f"handshake violated: degree sum {total} != 2*{m} edges")
 
     def __repr__(self):
         return f"MultiGraph(n={self.n}, edges={self.edge_count})"

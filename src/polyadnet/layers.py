@@ -13,8 +13,6 @@ is the same as a linear search of the cumulative sums would give.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .graph import MultiGraph
 from .preference import PreferenceFunction
 
@@ -176,10 +174,11 @@ class LayerIndex:
 
         All draws see the same weight snapshot, so callers can implement
         increments whose attachments are simultaneous rather than
-        sequential. ``rng`` is a numpy Generator or anything whose
-        ``random(n)`` returns n uniforms as an array or list. Draw order is
-        fixed: ``count`` uniforms select layers, the next ``count`` select
-        members within layers.
+        sequential. ``rng`` is anything whose ``random(n)`` returns n
+        uniforms on [0, 1) that index as floats: the engine's block buffer
+        hands out a list; a numpy Generator's array gives the same picks,
+        only slower. Draw order is fixed: ``count`` uniforms select layers,
+        the next ``count`` select members within layers.
 
         Raises SaturationError when no vertex has positive weight.
         """
@@ -188,8 +187,6 @@ class LayerIndex:
                 "no attachable vertex: every degree is outside the preference window"
             )
         u = rng.random(2 * count)
-        if isinstance(u, np.ndarray):
-            u = u.tolist()
         tree, fw, members = self._tree, self._fw, self._members
         top = self._top
         half = top >> 1

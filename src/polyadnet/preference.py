@@ -154,21 +154,6 @@ class PreferenceFunction:
             raise ValueError("preference window is unbounded; no finite table")
         return dict(zip(range(self.g, self.M + 1), self.weight_array(self.M)[self.g :].tolist()))
 
-    def scaled(self, c: float) -> "PreferenceFunction":
-        """Positive rescaling; describes the same attachment model."""
-        c = float(c)
-        if not c > 0.0:
-            raise ValueError("scale factor must be positive")
-        return PreferenceFunction(self.g, self.M, lambda ks: c * self._at(ks), label=f"{c}*{self._label}")
-
-    def __eq__(self, other):
-        """Same window, and the same rule or, on a finite window, equal weights."""
-        if not isinstance(other, PreferenceFunction):
-            return NotImplemented
-        if (self.g, self.M) != (other.g, other.M):
-            return False
-        return self._rule is other._rule or (self.M != math.inf and self.weights == other.weights)
-
     def __repr__(self):
         return f"PreferenceFunction(g={self.g}, M={self.M}, {self._label})"
 

@@ -233,13 +233,14 @@ def solve_stationary(
     method is "bisection" if any of them bisected (see _solve_at).
     NonConvergenceError means f is superlinear, no arrival degree lies in
     the window, or the mean ran away, lost its mass or has no fixed
-    point; ValueError flags a non-positive tol or a k_max below the
-    largest arrival degree. PreferenceError names the first degree of the
-    first table where f is not finite and > 0, or else the probed degree.
+    point; ValueError flags a tol that is not finite and > 0, or a k_max
+    below the largest arrival degree. PreferenceError names the first
+    degree of the first table where f is not finite and > 0, or else the
+    probed degree.
     """
     validate_params(p)
-    if tol <= 0.0:
-        raise ValueError(f"tol={tol} must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol={tol} must be finite and > 0")
     arr_max = p.arrival_max
     a = p.a
     if a <= 0.0:

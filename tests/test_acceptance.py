@@ -205,13 +205,9 @@ def test_criterion_5_sampler_exactness(capsys):
     worst_p = 1.0
     for trial in range(50):
         n_vertices = int(rng.integers(5, 201))
-        g = MultiGraph()
-        for _ in range(n_vertices):
-            g.add_vertex()
-        for _ in range(2 * n_vertices):
-            u, v = rng.integers(0, n_vertices, 2)
-            if u != v:
-                g.add_edge(int(u), int(v))
+        pairs = [rng.integers(0, n_vertices, 2) for _ in range(2 * n_vertices)]
+        pairs = [(int(u), int(v)) for u, v in pairs if u != v]
+        g = MultiGraph.from_columns(n_vertices, [u for u, _ in pairs], [v for _, v in pairs])
         kind = trial % 3
         if kind == 0:
             f = PreferenceFunction.linear(g=1)

@@ -32,16 +32,13 @@ def brute_triangles(g):
 
 
 def random_multigraph(rng, n, m):
-    g = MultiGraph()
-    for _ in range(n):
-        g.add_vertex()
-    made = 0
-    while made < m:
+    lo, hi = [], []
+    while len(lo) < m:
         u, v = rng.integers(0, n, 2)
         if u != v:
-            g.add_edge(int(u), int(v))
-            made += 1
-    return g
+            lo.append(int(u))
+            hi.append(int(v))
+    return MultiGraph.from_columns(n, lo, hi)
 
 
 class TestCompare:
@@ -92,24 +89,15 @@ class TestTriangles:
         assert triangle_count(seed_complete(s)) == expected
 
     def test_path_has_none(self):
-        g = MultiGraph()
-        for _ in range(5):
-            g.add_vertex()
-        for i in range(4):
-            g.add_edge(i, i + 1)
+        g = MultiGraph.from_columns(5, range(4), range(1, 5))
         assert triangle_count(g) == 0
 
     def test_empty_and_edgeless_graphs_have_none(self):
-        g = MultiGraph()
-        assert triangle_count(g) == 0
-        g.add_vertex()
-        g.add_vertex()
-        assert triangle_count(g) == 0
+        assert triangle_count(MultiGraph()) == 0
+        assert triangle_count(MultiGraph.from_columns(2, [], [])) == 0
 
     def test_parallel_edges_count_once(self):
-        g = seed_complete(3)
-        g.add_edge(0, 1)
-        g.add_edge(0, 1)
+        g = MultiGraph.from_columns(3, [0, 0, 1, 0, 1], [1, 2, 2, 1, 0])
         assert triangle_count(g) == 1
 
     def test_matches_brute_force_on_random_graphs(self):
@@ -125,18 +113,13 @@ class TestClustering:
 
     def test_k4_with_pendant(self):
         g = seed_complete(4)
-        v = g.add_vertex()
-        g.add_edge(0, v)
+        g.add_clique(1, [0], [0])
         # 4 triangles, wedges: C(4,2) at the hub plus 3*C(3,2) = 15
         assert global_clustering(g) == pytest.approx(12 / 15)
 
     def test_no_wedges_raises(self):
-        g = MultiGraph()
-        g.add_vertex()
-        g.add_vertex()
-        g.add_edge(0, 1)
         with pytest.raises(ValueError):
-            global_clustering(g)
+            global_clustering(MultiGraph.from_columns(2, [0], [1]))
 
     def test_brute_wedge_comparison(self):
         rng = np.random.default_rng(32)

@@ -102,7 +102,7 @@ class TestConfig:
 
 
 class TestConfigValues:
-    """Number fields are checked once, in load_config; bad ones exit 2."""
+    """Number and path fields are checked once, in load_config; bad ones exit 2."""
 
     def _run(self, mixed_setup, command, key, raw, *flags):
         # raw YAML text: safe_dump would write 1e-10 as 1.0e-10
@@ -138,6 +138,11 @@ class TestConfigValues:
             ("solve", "k_max", "64.5"),
             ("solve", "k_max", "'64'"),
             ("generate", "preference_rule", "{kind: linear, g: abc}"),
+            ("generate", "output_dir", "5"),
+            ("solve", "output_dir", "null"),
+            ("solve", "r1_path", "7"),
+            ("generate", "rn_path", "[rn.tsv]"),
+            ("solve", "target_vdd_path", "3"),
         ],
     )
     def test_bad_value_is_a_usage_error(self, mixed_setup, capsys, command, key, raw):
@@ -146,6 +151,27 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key", [("generate", "output_dir"), ("solve", "r1_path")])
+    def test_non_string_path_names_its_key(self, mixed_setup, capsys, command, key):
+        # a TypeError traceback with exit 1 before the key was checked
+        assert self._run(mixed_setup, command, key, "5") == 2
+        assert capsys.readouterr().err == f"error: config key {key} must be a path string, got 5\n"
+
+    def test_null_input_path_is_unset(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("target_vdd_path: null\n")
+        assert load_config(cfg).target_vdd_path is None
+
+    @pytest.mark.parametrize("raw, flags", [(".nan", ()), ("1e-10", ("--tol", "nan"))])
+    def test_nan_tol_is_a_usage_error(self, mixed_setup, capsys, monkeypatch, raw, flags):
+        # a NaN tol kept the solve sweeping forever; without a kernel a
+        # sweep fails at once, so only a check before it can pass
+        monkeypatch.setattr(solver, "_sweep_kernel", None)
+        tmp_path, _ = mixed_setup
+        assert self._run(mixed_setup, "solve", "tol", raw, *flags) == 2
+        assert capsys.readouterr().err == "error: tol=nan must be finite and > 0\n"
+        assert not (tmp_path / "out" / "q_table.csv").exists()
 
     def test_non_integral_rule_degree_is_a_usage_error(self, mixed_setup, capsys):
         tmp_path, _ = mixed_setup

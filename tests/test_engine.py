@@ -1,5 +1,7 @@
 import hashlib
 import tracemalloc
+from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ def test_monad_step_hand_count():
     assert (g.n, len(g.edges)) == (5, 9)
     assert g.degrees[4] == 3
     assert stats.monad_steps == 1 and stats.nad_steps == 0
-    g.check_handshake()
+    assert sum(g.degrees) == 2 * g.edge_count
 
 
 def test_triad_step_hand_count():
@@ -48,7 +50,7 @@ def test_triad_step_hand_count():
     assert sum(g.degrees) == 12 + 18
     # each new vertex: 2 clique neighbours + 2 own free ends
     assert g.degrees[4:] == [4, 4, 4]
-    g.check_handshake()
+    assert sum(g.degrees) == 2 * g.edge_count
 
 
 def test_pentad_step_hand_count():
@@ -79,7 +81,7 @@ def test_narrow_window_forces_parallel_edges():
     grow(g, p, f, 1, rng_seed=4)
     assert len(g.edges) == 11
     assert len(set(g.edges)) < 11
-    g.check_handshake()
+    assert sum(g.degrees) == 2 * g.edge_count
 
 
 def test_all_targets_drawn_before_increment_applies():
@@ -87,10 +89,7 @@ def test_all_targets_drawn_before_increment_applies():
     # that only matches the newcomer's degree, sampling saturates instead
     p = ModelParams(gamma=0.0, n=2, mu=0, r1=point(2), rn=point(0))
     f = PreferenceFunction.constant(1.0, g=1, M=1)
-    g = MultiGraph()
-    g.add_vertex()
-    g.add_vertex()
-    g.add_edge(0, 1)  # both vertices start at degree 1
+    g = MultiGraph.from_columns(2, [0], [1])  # both vertices start at degree 1
     stats = grow(g, p, f, 1, rng_seed=5)
     # both ends had to land on the two degree-1 vertices
     assert stats.realized_edges == 2
@@ -100,10 +99,7 @@ def test_all_targets_drawn_before_increment_applies():
 def test_saturation_carries_partial_stats():
     p = ModelParams(gamma=0.0, n=2, mu=0, r1=point(2), rn=point(0))
     f = PreferenceFunction.constant(1.0, g=1, M=1)
-    g = MultiGraph()
-    g.add_vertex()
-    g.add_vertex()
-    g.add_edge(0, 1)
+    g = MultiGraph.from_columns(2, [0], [1])
     with pytest.raises(SaturationError) as exc_info:
         grow(g, p, f, 10, rng_seed=6)
     stats = exc_info.value.stats
@@ -140,7 +136,7 @@ def test_growth_rates_match_expectation():
     # expectations 1.5 vertices and 3.375 edges per step; bounds are ~4 sigma
     assert abs(stats.realized_vertices / steps - 1.5) < 0.08
     assert abs(stats.realized_edges / steps - 3.375) < 0.25
-    g.check_handshake()
+    assert sum(g.degrees) == 2 * g.edge_count
 
 
 def test_zero_steps_leaves_seed():
@@ -156,7 +152,7 @@ def test_periodic_self_check_passes():
     p = ModelParams(gamma=0.4, n=3, mu=1, r1=point(2), rn=rn)
     g = seed_complete(4)
     grow(g, p, LINEAR, 400, rng_seed=11, check_every=50)
-    g.check_handshake()
+    assert sum(g.degrees) == 2 * g.edge_count
 
 
 def test_same_seed_same_graph():
@@ -179,9 +175,8 @@ def test_negative_steps_rejected():
 
 
 def test_edge_list_round_trip(tmp_path):
-    g = seed_complete(3)
-    g.add_vertex()  # isolated, only the header preserves it
-    g.add_edge(0, 1)  # parallel edge
+    # a parallel edge 1-0, and vertex 3 isolated: only the header preserves it
+    g = MultiGraph.from_columns(4, [0, 0, 1, 1], [1, 2, 2, 0])
     path = tmp_path / "edges.tsv"
     write_edge_list(g, path, {"rng_seed": 42, "gamma": 0.5})
     back, header = read_edge_list(path)
@@ -199,6 +194,15 @@ def test_edge_list_rejects_bad_vertex_count(tmp_path):
         read_edge_list(path)
 
 
+@pytest.mark.parametrize("raw", ["abc", "-4", "4.0", ""])
+def test_edge_list_names_a_bad_vertex_header(tmp_path, raw):
+    path = tmp_path / "e.tsv"
+    path.write_text(f"# vertices={raw}\n0\t1\n")
+    with pytest.raises(ValueError) as info:
+        read_edge_list(path)
+    assert str(info.value) == f"{path}: header vertices={raw!r} is not a non-negative integer"
+
+
 def test_edge_list_rejects_malformed_row(tmp_path):
     path = tmp_path / "edges.tsv"
     path.write_text("0\t1\t2\n")
@@ -211,13 +215,10 @@ def _chained_pentads(m: int) -> MultiGraph:
     edge, topped up with parallel edges and followed by an isolated vertex."""
     g = seed_complete(5)
     while g.edge_count + 12 <= m:
-        base = g.add_clique(5)
-        g.add_edge(base - 1, base)
-        g.add_edge(base - 1, base)
-    while g.edge_count < m:
-        g.add_edge(0, 1)
-    g.add_vertex()
-    return g
+        g.add_clique(5, [g.n - 1] * 2, [0, 0])
+    extra = m - g.edge_count
+    lo, hi = g.lo + array("i", [0] * extra), g.hi + array("i", [1] * extra)
+    return MultiGraph.from_columns(g.n + 1, lo, hi)  # the last vertex is isolated
 
 
 @pytest.mark.parametrize("m", [10, ROWS_PER_WRITE, 2 * ROWS_PER_WRITE + 7])
@@ -231,8 +232,7 @@ def test_edge_list_bytes_match_oracle(tmp_path, m):
 
 
 def test_edge_list_without_edges_matches_oracle(tmp_path):
-    g = MultiGraph()
-    g.add_vertex()
+    g = MultiGraph.from_columns(1, [], [])
     write_edge_list(g, tmp_path / "edges.tsv")
     assert (tmp_path / "edges.tsv").read_bytes() == edge_list_text(g, {}) == b"# vertices=1\n"
 
@@ -243,7 +243,7 @@ def test_edge_list_round_trip_keeps_columns(tmp_path):
     back, _ = read_edge_list(tmp_path / "edges.tsv")
     assert (back.lo, back.hi, back.degrees) == (g.lo, g.hi, g.degrees)
     # the columns read back still grow
-    back.add_edge(0, back.n - 1)
+    back.add_clique(1, [0], [0])
     assert back.edge_count == g.edge_count + 1
 
 
@@ -385,14 +385,18 @@ def test_graph_keeps_few_bytes_per_edge():
 
 @pytest.mark.parametrize("name", ["ba", "mixed", "pentads", "bundles"])
 def test_grow_adds_each_increment_in_one_graph_call(monkeypatch, name):
-    # add_edge and add_vertex are builders for callers; grow appends an
-    # increment's clique and attachment edges through add_clique alone
-    def refuse(*args):
-        raise AssertionError("grow called a per-edge graph builder")
+    # grow appends an increment's clique and attachment edges in one
+    # add_clique call: a monad as a clique of one vertex, an n-ad of n
+    sizes = []
+    add_clique = MultiGraph.add_clique
+
+    def counted(g, n, *args):
+        sizes.append(n)
+        return add_clique(g, n, *args)
 
     p, f, seed_size, _ = GOLDEN[name]
     g = seed_complete(seed_size)
-    monkeypatch.setattr(MultiGraph, "add_edge", refuse)
-    monkeypatch.setattr(MultiGraph, "add_vertex", refuse)
-    grow(g, p, f, 300, rng_seed=3, check_every=50)
-    g.check_handshake()
+    monkeypatch.setattr(MultiGraph, "add_clique", counted)
+    stats = grow(g, p, f, 300, rng_seed=3, check_every=50)
+    assert Counter(sizes) == Counter({1: stats.monad_steps, p.n: stats.nad_steps})
+    assert sum(g.degrees) == 2 * g.edge_count

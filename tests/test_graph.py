@@ -1,22 +1,37 @@
+from array import array
+
 import pytest
 
 from polyadnet.graph import MultiGraph, empirical_vdd, seed_complete
 
 
-def test_add_vertex_and_edge():
-    g = MultiGraph()
-    a = g.add_vertex()
-    b = g.add_vertex()
-    assert (a, b) == (0, 1)
-    g.add_edge(1, 0)
-    assert g.edges == [(0, 1)]  # stored with u < v
-    assert g.degrees == [1, 1]
+def test_from_columns_orders_each_pair():
+    g = MultiGraph.from_columns(3, [1, 0], [0, 2])
+    assert g.edges == [(0, 1), (0, 2)]  # stored with u < v
+    assert g.degrees == [2, 1, 1]
+
+
+def test_from_columns_takes_int32_columns_without_a_copy():
+    lo, hi = array("i", [2, 0, 3]), array("i", [0, 1, 1])
+    g = MultiGraph.from_columns(5, lo, hi)
+    assert g.lo is lo and g.hi is hi
+    assert (list(lo), list(hi)) == ([0, 0, 1], [2, 1, 3])  # ordered in place
+    assert g.degrees == [2, 2, 1, 1, 0]  # vertex 4 is isolated
+    g.add_clique(1, [4], [0])  # the columns still grow
+    assert g.edges[-1] == (4, 5)
+    # other sequences, and arrays of another type, are copied
+    wide = array("q", [1])
+    h = MultiGraph.from_columns(2, wide, (0,))
+    assert (h.lo.typecode, list(h.lo), list(h.hi), list(wide)) == ("i", [0], [1], [1])
+
+
+def test_from_columns_rejects_unequal_columns():
+    with pytest.raises(ValueError, match=r"^edge columns of unequal length 2 and 1$"):
+        MultiGraph.from_columns(3, [0, 1], [2])
 
 
 def test_edges_live_in_two_columns():
-    g = seed_complete(3)
-    g.add_vertex()
-    g.add_edge(3, 1)
+    g = MultiGraph.from_columns(4, [0, 0, 1, 3], [1, 2, 2, 1])
     assert (list(g.lo), list(g.hi)) == ([0, 0, 1, 1], [1, 2, 2, 3])
     assert g.edge_count == 4
     assert list(g.iter_edges()) == g.edges == [(0, 1), (0, 2), (1, 2), (1, 3)]
@@ -32,35 +47,36 @@ def test_edges_is_a_read_only_copy():
 
 
 def test_parallel_edges_accumulate_degree():
-    g = MultiGraph()
-    g.add_vertex()
-    g.add_vertex()
-    g.add_edge(0, 1)
-    g.add_edge(0, 1)
+    g = MultiGraph.from_columns(2, [0, 1], [1, 0])
     assert g.degrees == [2, 2]
     assert len(g.edges) == 2
 
 
 def test_self_loop_rejected():
-    g = MultiGraph()
-    g.add_vertex()
-    with pytest.raises(ValueError):
-        g.add_edge(0, 0)
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
+        MultiGraph.from_columns(1, [0], [0])
 
 
 def test_unknown_vertex_rejected():
-    g = MultiGraph()
-    g.add_vertex()
-    with pytest.raises(ValueError):
-        g.add_edge(0, 3)
+    with pytest.raises(ValueError, match=r"^edge \(0, 3\) references an unknown vertex$"):
+        MultiGraph.from_columns(1, [3], [0])
 
 
-def test_handshake_check():
-    g = seed_complete(3)
-    g.check_handshake()
-    g.degrees[0] += 1  # corrupt on purpose
-    with pytest.raises(AssertionError):
-        g.check_handshake()
+@pytest.mark.parametrize(
+    "lo, hi, message",
+    [
+        ([0, 4, 2], [1, 1, 2], "edge (1, 4) references an unknown vertex"),  # before the self-loop
+        ([0, 2, -1], [1, 2, 1], "self-loop at vertex 2"),  # before the negative id
+        ([0, -1], [1, 0], "edge (-1, 0) references an unknown vertex"),
+        ([5, 0], [5, 9], "self-loop at vertex 5"),  # a self-loop is named as one, even off the graph
+    ],
+)
+def test_from_columns_names_the_first_bad_edge_and_changes_nothing(lo, hi, message):
+    cols = array("i", lo), array("i", hi)
+    with pytest.raises(ValueError) as info:
+        MultiGraph.from_columns(3, *cols)
+    assert str(info.value) == message
+    assert (list(cols[0]), list(cols[1])) == (lo, hi)
 
 
 @pytest.mark.parametrize("s,edges", [(2, 1), (3, 3), (4, 6), (7, 21)])
@@ -69,6 +85,7 @@ def test_seed_complete_sizes(s, edges):
     assert g.n == s
     assert len(g.edges) == edges
     assert all(d == s - 1 for d in g.degrees)
+    assert sum(g.degrees) == 2 * g.edge_count
 
 
 def test_seed_complete_rejects_small():
@@ -78,8 +95,7 @@ def test_seed_complete_rejects_small():
 
 def test_empirical_vdd():
     g = seed_complete(4)
-    g.add_vertex()
-    g.add_edge(0, 4)
+    g.add_clique(1, [0], [0])
     d = empirical_vdd(g)
     # degrees are now 4,3,3,3,1
     assert d.prob(3) == pytest.approx(0.6)
@@ -88,41 +104,28 @@ def test_empirical_vdd():
 
 
 def test_empirical_vdd_counts_isolated_vertices():
-    g = MultiGraph()
-    g.add_vertex()
-    g.add_vertex()
-    g.add_edge(0, 1)
-    g.add_vertex()
+    g = MultiGraph.from_columns(3, [0], [1])
     d = empirical_vdd(g)
     assert d.prob(0) == pytest.approx(1 / 3)
 
 
-def test_add_clique_matches_pairwise_add_edge():
+def test_add_clique_matches_expected_pairs():
     g = seed_complete(3)
     base = g.add_clique(4)
-    h = seed_complete(3)
-    for _ in range(4):
-        h.add_vertex()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            h.add_edge(3 + i, 3 + j)
     assert base == 3
-    assert g.edges == h.edges
-    assert g.degrees == h.degrees == [2, 2, 2, 3, 3, 3, 3]
+    assert g.edges == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
+    assert g.degrees == [2, 2, 2, 3, 3, 3, 3]
 
 
-def test_add_clique_attachments_match_add_edge():
+def test_add_clique_attachments_match_expected_pairs():
     # a triad whose bundle target 0 takes one edge from each new vertex,
     # then single ends 2 -> new 0 and 0 -> new 2
     g = seed_complete(3)
     base = g.add_clique(3, [0, 0, 0, 2, 0], [0, 1, 2, 0, 2])
-    h = seed_complete(3)
-    for _ in range(3):
-        h.add_vertex()
-    for u, v in [(3, 4), (3, 5), (4, 5), (0, 3), (0, 4), (0, 5), (2, 3), (0, 5)]:
-        h.add_edge(u, v)
+    seed = [(0, 1), (0, 2), (1, 2)]
+    want = seed + [(3, 4), (3, 5), (4, 5), (0, 3), (0, 4), (0, 5), (2, 3), (0, 5)]
     assert base == 3
-    assert (g.lo, g.hi, g.degrees) == (h.lo, h.hi, h.degrees)
+    assert (list(g.lo), list(g.hi)) == ([u for u, _ in want], [v for _, v in want])
     assert g.degrees == [6, 2, 3, 4, 3, 4]
 
 

@@ -8,12 +8,13 @@ from polyadnet.preference import PreferenceFunction
 
 
 def path_graph(n):
-    g = MultiGraph()
-    for _ in range(n):
-        g.add_vertex()
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return MultiGraph.from_columns(n, range(n - 1), range(1, n))
+
+
+def random_graph(rng, n, edges):
+    """``edges`` uniform vertex pairs on ``n`` vertices, self-loops dropped."""
+    pairs = [(int(u), int(v)) for u, v in (rng.integers(0, n, 2) for _ in range(edges)) if u != v]
+    return MultiGraph.from_columns(n, [u for u, _ in pairs], [v for _, v in pairs])
 
 
 def total_weight(idx):
@@ -70,13 +71,7 @@ def test_sampling_matches_enumeration_on_random_graphs():
     )
     for _ in range(5):
         n = int(rng.integers(5, 30))
-        g = MultiGraph()
-        for _ in range(n):
-            g.add_vertex()
-        for _ in range(int(rng.integers(n, 4 * n))):
-            u, v = rng.integers(0, n, 2)
-            if u != v:
-                g.add_edge(int(u), int(v))
+        g = random_graph(rng, n, int(rng.integers(n, 4 * n)))
         idx = LayerIndex.build(g, f)
         probs = exact_probs(g, f)
         draws = idx.sample_many(rng, 20_000)
@@ -89,9 +84,8 @@ def test_insert_and_bump_keep_weights_consistent():
     g = path_graph(4)
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)
-    v = g.add_vertex()
+    v = g.add_clique(1, [0], [0])
     idx.insert(v, 0)
-    g.add_edge(0, v)
     idx.bump(0, 1, 2)
     idx.bump(v, 0, 1)
     idx.verify(g)
@@ -103,7 +97,8 @@ def test_bump_across_many_layers():
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)
     for t in range(5):
-        g.add_edge(0, 1)
+        g.degrees[0] += 1  # a parallel edge 0-1; verify reads degrees only
+        g.degrees[1] += 1
         idx.bump(0, 2 + t, 3 + t)
         idx.bump(1, 2 + t, 3 + t)
     idx.verify(g)
@@ -111,14 +106,13 @@ def test_bump_across_many_layers():
 
 
 def test_capacity_growth():
-    g = MultiGraph()
-    g.add_vertex()
+    g = MultiGraph.from_columns(1, [], [])
     f = PreferenceFunction.linear(g=1)
     idx = LayerIndex.build(g, f)
-    v = g.add_vertex()
+    v = 1
     idx.insert(v, 5000)  # far beyond the initial capacity
     # verify rebuilds from degrees alone; give v the degrees the index holds
-    g.degrees[v] = 5000
+    g.degrees.append(5000)
     idx.verify(g)
     assert layer_weight(idx, 5000) == pytest.approx(5000.0)
     idx.bump(v, 5000, 9001)
@@ -148,7 +142,7 @@ def test_verify_catches_corruption():
     g = path_graph(3)
     idx = LayerIndex.build(g, PreferenceFunction.linear())
     idx.verify(g)
-    g.add_edge(0, 2)  # graph changed behind the index's back
+    g.add_clique(1, [0], [0])  # graph changed behind the index's back
     with pytest.raises(AssertionError):
         idx.verify(g)
 
@@ -170,26 +164,11 @@ def test_sampling_deterministic_per_seed():
     assert a == b
 
 
-def random_graph(rng, n, edges):
-    g = MultiGraph()
-    for _ in range(n):
-        g.add_vertex()
-    for _ in range(edges):
-        u, v = rng.integers(0, n, 2)
-        if u != v:
-            g.add_edge(int(u), int(v))
-    return g
-
-
 def test_saturation_after_bumping_every_vertex_out_of_float_window():
     # float weights leave rounding residue in the tree once every layer is
     # emptied; saturation must come from the vertex count, not the total
     f = PreferenceFunction.from_table({1: 0.1, 2: 0.3, 3: 0.7, 4: 1.1})
-    g = MultiGraph()
-    for _ in range(6):
-        g.add_vertex()
-    for i in range(6):
-        g.add_edge(i, (i + 1) % 6)  # a 6-cycle, every degree 2
+    g = MultiGraph.from_columns(6, range(6), [1, 2, 3, 4, 5, 0])  # a 6-cycle, every degree 2
     idx = LayerIndex.build(g, f)
     rng = np.random.default_rng(5)
     assert set(idx.sample_many(rng, 100)) == set(range(6))
@@ -240,11 +219,7 @@ class ListUniforms:
 def test_descent_on_exact_layer_boundaries():
     # u * total equal to a cumulative weight picks the next layer, as
     # searchsorted(..., side="right") does
-    g = MultiGraph()
-    for _ in range(8):
-        g.add_vertex()
-    for u, v in ((0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (2, 7), (3, 4)):
-        g.add_edge(u, v)
+    g = MultiGraph.from_columns(8, [0, 0, 0, 0, 1, 1, 2, 3], [1, 2, 3, 4, 5, 6, 7, 4])
     # degrees 4, 3, 2, 2, 2, 1, 1, 1: layer weights 3, 6, 3, 4, total 16,
     # so u = c / 16 gives u * total = c exactly
     idx = LayerIndex.build(g, PreferenceFunction.linear())
@@ -270,7 +245,8 @@ def test_verify_allows_float_drift_within_tolerance():
     for _ in range(3000):  # random walk of degrees, rounding piles up
         u, v = (int(x) for x in rng.integers(0, 40, 2))
         if u != v and max(g.degrees[u], g.degrees[v]) < 58:
-            g.add_edge(u, v)
+            g.degrees[u] += 1  # an edge u-v; verify reads degrees only
+            g.degrees[v] += 1
             idx.bump(u, g.degrees[u] - 1, g.degrees[u])
             idx.bump(v, g.degrees[v] - 1, g.degrees[v])
     idx.verify(g)
@@ -281,9 +257,7 @@ def test_verify_allows_float_drift_within_tolerance():
 
 
 def test_capacity_growth_keeps_tree_and_sampling():
-    g = MultiGraph()
-    for _ in range(3):
-        g.add_vertex()
+    g = MultiGraph.from_columns(3, [], [])
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)  # every degree 0, weight 0
     for v, k in ((0, 1), (1, 700), (2, 3000)):

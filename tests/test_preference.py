@@ -108,17 +108,6 @@ def test_table_and_rule_with_the_same_weights_agree(tmp_path):
     write_preference(table, tmp_path / "table.tsv")
     write_preference(rule, tmp_path / "rule.tsv")
     assert (tmp_path / "table.tsv").read_bytes() == (tmp_path / "rule.tsv").read_bytes()
-    assert table == rule and rule == table
-    assert table != rule.scaled(2.0)
-    assert table.scaled(2.0) == rule.scaled(2.0)
-
-
-def test_unbounded_rules_are_equal_only_when_they_are_the_same_rule():
-    square = lambda k: np.asarray(k, float) ** 2  # noqa: E731
-    f = PreferenceFunction.from_rule(square, g=1)
-    assert f == PreferenceFunction.from_rule(square, g=1)
-    assert f != PreferenceFunction.from_rule(lambda k: np.asarray(k, float) ** 2, g=1)
-    assert f != PreferenceFunction.from_rule(square, g=2)
 
 
 def test_weights_property_table():
@@ -133,15 +122,6 @@ def test_weights_property_unbounded_raises():
         f.weights
 
 
-def test_scaled_preserves_window():
-    f = PreferenceFunction.from_table({1: 1.0, 2: 2.0})
-    h = f.scaled(3.0)
-    assert h(2) == 6.0
-    assert (h.g, h.M) == (1, 2)
-    with pytest.raises(ValueError):
-        f.scaled(-1.0)
-
-
 def test_immutability():
     f = PreferenceFunction.linear()
     with pytest.raises(AttributeError):
@@ -151,7 +131,7 @@ def test_immutability():
 def test_equality_on_tables():
     f1 = PreferenceFunction.from_table({1: 1.0, 2: 2.0})
     f2 = PreferenceFunction.from_table({2: 2.0, 1: 1.0})
-    assert f1 == f2
+    assert (f1.g, f1.M, f1.weights) == (f2.g, f2.M, f2.weights)
 
 
 def test_write_read_round_trip(tmp_path):
@@ -159,7 +139,7 @@ def test_write_read_round_trip(tmp_path):
     path = tmp_path / "pref.tsv"
     write_preference(f, path, {"note": "round trip"})
     back = read_preference(path)
-    assert back == f
+    assert back.weights == f.weights
     assert (back.g, back.M) == (2, 4)
 
 

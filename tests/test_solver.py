@@ -161,7 +161,7 @@ class TestOracles:
         assert sol.mean_f == pytest.approx(x_oracle, abs=1e-10)
         assert sol.k_max == 7  # M + n covers every reachable degree
         assert sol.tail_mass_bound == 0.0
-        assert sol.q.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(sol.q.probs.values()) == pytest.approx(1.0, abs=1e-12)
         # parked class: inflow Q_5 per step, dilution x
         assert sol.q.prob(6) == pytest.approx(sol.q.prob(5) / sol.mean_f, rel=1e-10)
 
@@ -257,7 +257,7 @@ class TestSolveBehaviour:
     def test_scale_invariance(self):
         p = ba_params(1)
         s1 = solve_stationary(p, LINEAR, k_max=5000)
-        s2 = solve_stationary(p, LINEAR.scaled(2.0), k_max=5000)
+        s2 = solve_stationary(p, PreferenceFunction.from_rule(lambda k: 2 * k, g=1), k_max=5000)
         assert s2.mean_f == pytest.approx(2.0 * s1.mean_f, rel=1e-9)
         for k in range(1, 100):
             assert s2.q.prob(k) == pytest.approx(s1.q.prob(k), rel=1e-9, abs=1e-15)
@@ -265,7 +265,7 @@ class TestSolveBehaviour:
     def test_truncation_mass_is_accounted_exactly(self):
         sol = solve_stationary(ba_params(2), LINEAR, k_max=500)
         assert sol.tail_mass_bound > 1e-7  # visibly truncated on purpose
-        assert sol.q.total_mass + sol.tail_mass_bound == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(sol.q.probs.values()) + sol.tail_mass_bound == pytest.approx(1.0, abs=1e-12)
 
     def test_balance_residual_is_tiny(self):
         rn = DegreeDistribution.from_probs({1: 0.4, 2: 0.6})
@@ -369,9 +369,21 @@ class TestSolveBehaviour:
         with pytest.raises(ValueError):
             solve_stationary(p, LINEAR, k_max=10)  # arrivals enter at 11
 
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            solve_stationary(ba_params(), LINEAR, tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
+    def test_bad_tol_rejected(self, monkeypatch, tol):
+        # rejected before any sweep: a NaN tol never closed the bracket and
+        # an infinite one took the first sweep's x; the wrapped kernel fails
+        # instead of hanging
+        sweeps = []
+
+        def kernel(*args):
+            sweeps.append(args)
+            raise AssertionError("swept with a bad tol")
+
+        monkeypatch.setattr(solver, "_sweep_kernel", kernel)
+        with pytest.raises(ValueError, match=r"must be finite and > 0$"):
+            solve_stationary(ba_params(), LINEAR, tol=tol)
+        assert sweeps == []
 
     def test_degenerate_no_attachment_rejected(self):
         p = ModelParams(gamma=1.0, n=3, mu=0, r1=point(0), rn=point(0))
