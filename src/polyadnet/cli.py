@@ -236,10 +236,6 @@ def _out_dir(cfg: RunConfig) -> Path:
 def cmd_generate(cfg: RunConfig, base: Path | None, args) -> int:
     p = _build_params(cfg, base)
     f = _build_preference(cfg, base)
-    if cfg.seed_size < 2:
-        raise UsageError(f"seed_size={cfg.seed_size} must be >= 2")
-    if cfg.steps < 0:
-        raise UsageError(f"steps={cfg.steps} must be >= 0")
     out = _out_dir(cfg)
     g = seed_complete(cfg.seed_size)
     saturated = False
@@ -473,6 +469,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    """``cfg`` with the flags applied; an out-of-range seed, seed size or step count is a UsageError."""
     updates = {
         key: getattr(args, flag)
         for flag, (key, _, _) in _OVERRIDES.items()
@@ -481,6 +478,10 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     cfg = replace(cfg, **updates)
     if cfg.rng_seed < 0:
         raise UsageError(f"rng_seed={cfg.rng_seed} must be >= 0")
+    if cfg.seed_size < 2:
+        raise UsageError(f"seed_size={cfg.seed_size} must be >= 2")
+    if cfg.steps < 0:
+        raise UsageError(f"steps={cfg.steps} must be >= 0")
     return cfg
 
 

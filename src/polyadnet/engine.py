@@ -5,7 +5,7 @@ Each step appends an n-clique of new vertices (polyad), or one vertex
 Free edge ends attach to existing vertices drawn by preference weight;
 within one increment every draw is taken against the pre-increment
 weights, then the increment's edges enter the graph in one ``add_clique``
-call and the layer index follows.
+call and the layer index follows in one ``update`` call.
 
 Randomness comes from one numpy PCG64 generator per run, seeded
 explicitly, with a fixed draw order per increment (increment type, then
@@ -103,14 +103,7 @@ def _increment(g: MultiGraph, idx: LayerIndex, rng, n: int, singles: list[int], 
         targets[:mu] = [t for t in targets[:mu] for _ in range(n)]
         ends = [*range(n)] * mu + singles
     base = g.add_clique(n, targets, ends)
-    gains: dict[int, int] = {}
-    for t in targets:
-        gains[t] = gains.get(t, 0) + 1
-    deg = g.degrees
-    for t, h in gains.items():
-        idx.bump(t, deg[t] - h, deg[t])
-    for v in range(base, base + n):
-        idx.insert(v, deg[v])
+    idx.update(g.degrees, targets, base)
 
 
 def apply_monad(g: MultiGraph, idx: LayerIndex, p: ModelParams, rng) -> None:

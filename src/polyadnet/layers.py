@@ -4,9 +4,10 @@ Attachment weight depends on a vertex only through its degree, so vertices
 are grouped into layers (one per degree). Sampling a target is two-stage:
 pick a layer with probability proportional to f(k) * |layer k|, then a
 member uniformly inside it. Layer weights live in a Fenwick tree (Fenwick
-1994) on plain lists: moving a vertex updates O(log K) nodes, and a
-top-down descent finds the first layer whose cumulative weight exceeds
-``u * total`` in O(log K) steps, K being the number of degrees covered.
+1994) on plain lists: an increment updates O(log K) nodes per layer whose
+member count it changes, and a top-down descent finds the first layer
+whose cumulative weight exceeds ``u * total`` in O(log K) steps, K being
+the number of degrees covered.
 With integer weights (f(k) = k, constants) every sum is exact, so a pick
 is the same as a linear search of the cumulative sums would give.
 """
@@ -50,9 +51,10 @@ def _fenwick(values: list[float], size: int) -> list[float]:
 class LayerIndex:
     """Per-degree vertex sets with incrementally maintained weights.
 
-    The index and its graph must be mutated in lockstep; ``grow`` and the
-    ``apply_*`` increment functions do that. ``verify`` rebuilds the index
-    from the graph and checks both agree, for use as a debug invariant.
+    The index follows its graph through one ``update`` call per
+    increment, which ``apply_monad`` and ``apply_nad`` make after adding
+    the increment's edges. ``verify`` rebuilds the index from the graph
+    and checks both agree, for use as a debug invariant.
 
     ``_tree[i]`` holds the weight of layers ``i - lowbit(i) .. i - 1``; its
     size is a power of two, so every update path ends at ``_tree[_size]``,
@@ -64,7 +66,7 @@ class LayerIndex:
         self.f = f
         self._cap = capacity
         self._fw: list[float] = f.weight_array(capacity - 1).tolist()
-        self._members: list[list[int] | None] = [None] * capacity
+        self._members: list[list[int]] = [[] for _ in range(capacity)]
         self._pos: list[int] = []
         self._hi = 1  # one past the highest degree ever seen
         self._top = 1  # smallest power of two >= _hi: descent range
@@ -77,8 +79,7 @@ class LayerIndex:
     @classmethod
     def build(cls, g: MultiGraph, f: PreferenceFunction) -> "LayerIndex":
         idx = cls(f, capacity=max(256, (max(g.degrees, default=0) + 1) * 2))
-        for v, k in enumerate(g.degrees):
-            idx.insert(v, k)
+        idx.update(g.degrees)
         return idx
 
     def _ensure(self, k: int) -> None:
@@ -86,7 +87,7 @@ class LayerIndex:
         new_cap = max(self._cap * 2, k + 1)
         extra = new_cap - self._cap
         self._fw = self.f.weight_array(new_cap - 1).tolist()
-        self._members.extend([None] * extra)
+        self._members.extend([] for _ in range(extra))
         self._cap = new_cap
         # nodes up to the old size keep their ranges; of the new ones only
         # the powers of two cover populated layers, and those hold the total
@@ -98,76 +99,73 @@ class LayerIndex:
             tree[size] = total
         self._size = size
 
-    def _raise_hi(self, k: int) -> None:
-        self._hi = k + 1
-        while self._top < self._hi:
-            self._top *= 2
+    def update(self, degrees: list[int], targets=(), first: int = 0) -> None:
+        """Follow one increment of the graph: move its targets, add its new vertices.
 
-    def insert(self, v: int, k: int) -> None:
-        """Register vertex ``v`` at degree ``k``."""
-        if k >= self._cap:
-            self._ensure(k)
-        lst = self._members[k]
-        if lst is None:
-            lst = self._members[k] = []
-        lst.append(v)
-        pos = self._pos
-        if v >= len(pos):
-            pos.extend([-1] * (v + 1 - len(pos)))
-        pos[v] = len(lst) - 1
-        fw = self._fw[k]
-        if fw > 0.0:
-            self._live += 1
-            tree, size = self._tree, self._size
-            i = k + 1
-            while i <= size:
-                tree[i] += fw
-                i += i & -i
-        if k >= self._hi:
-            self._raise_hi(k)
-
-    def bump(self, v: int, old_k: int, new_k: int) -> None:
-        """Move vertex ``v`` from layer ``old_k`` to layer ``new_k``.
-
-        The removal and the insertion share one pass up the tree: the two
-        update paths are walked separately until they meet, and the common
-        part takes the net change once.
+        ``degrees`` are the graph's degrees after the increment and the
+        vertices from ``first`` on are new. ``targets`` name an existing
+        vertex once for each edge end it gained, so a bundle target or a
+        repeat draw appears more than once. Each target leaves its old
+        layer and joins its new one in the order first drawn, then the
+        new vertices join theirs in id order. Each layer whose size
+        changed adds that change times its weight to the tree, walking up
+        to ``join``: the smallest power of two at or above every touched
+        layer's node, which lies on all their paths. The nodes from
+        ``join`` up to the root take the sum of the changes in one more
+        walk. ``build`` is ``update(g.degrees)``: every vertex is new.
         """
-        if new_k >= self._cap:
-            self._ensure(new_k)
+        gains: dict[int, int] = {}
+        for t in targets:
+            gains[t] = gains.get(t, 0) + 1
+        n = len(degrees)
+        for v in range(first, n):
+            gains[v] = 0  # a new vertex: in no layer yet
         members, pos = self._members, self._pos
-        lst = members[old_k]
-        i = pos[v]
-        last = lst[-1]
-        lst[i] = last
-        pos[last] = i
-        lst.pop()
-        lst = members[new_k]
-        if lst is None:
-            lst = members[new_k] = []
-        lst.append(v)
-        pos[v] = len(lst) - 1
-
-        f_old, f_new = self._fw[old_k], self._fw[new_k]
-        self._live += (f_new > 0.0) - (f_old > 0.0)
-        if new_k >= self._hi:
-            self._raise_hi(new_k)
-
-        tree, size = self._tree, self._size
-        i, j = old_k + 1, new_k + 1
-        d_old = -f_old
-        while i != j:  # paths meet at the latest in the root, _tree[size]
-            if i < j:
-                tree[i] += d_old
-                i += i & -i
-            else:
-                tree[j] += f_new
-                j += j & -j
-        d = f_new - f_old
-        if d != 0.0:
-            while i <= size:
-                tree[i] += d
-                i += i & -i
+        if n > len(pos):
+            pos.extend([-1] * (n - len(pos)))
+        change: dict[int, int] = {}  # touched layer -> net change of its size
+        hi = self._hi
+        kmax = 0  # the highest layer touched
+        for v, h in gains.items():
+            k = degrees[v]
+            if k > kmax:
+                kmax = k
+            if h:  # a target leaves layer k - h: the last member takes its slot
+                lst = members[k - h]
+                i = pos[v]
+                last = lst[-1]
+                lst[i] = last
+                pos[last] = i
+                lst.pop()
+                change[k - h] = change.get(k - h, 0) - 1
+            if k >= hi:
+                hi = k + 1
+                if k >= self._cap:
+                    self._ensure(k)
+            lst = members[k]
+            pos[v] = len(lst)
+            lst.append(v)
+            change[k] = change.get(k, 0) + 1
+        self._hi = hi
+        while self._top < hi:
+            self._top *= 2
+        fw, tree, size = self._fw, self._tree, self._size
+        join = 1 << kmax.bit_length()
+        total, live = 0.0, self._live
+        for k, c in change.items():
+            w = fw[k]
+            if c and w > 0.0:
+                live += c
+                d = w * c
+                total += d
+                i = k + 1
+                while i < join:
+                    tree[i] += d
+                    i += i & -i
+        self._live = live
+        while join <= size:
+            tree[join] += total
+            join += join
 
     def sample_many(self, rng, count: int) -> list[int]:
         """Draw ``count`` targets against the current (frozen) weights.

@@ -175,8 +175,12 @@ def read_preference(path) -> PreferenceFunction:
     """
     table, header = read_degree_table(path)
     pf = PreferenceFunction.from_table(table)
-    g = int(header["g"]) if "g" in header else pf.g
-    M = int(header["M"]) if "M" in header else pf.M
+    for key in ("g", "M"):
+        raw = header.get(key)
+        if raw is not None and not raw.isdecimal():
+            raise ValueError(f"{path}: header {key}={raw!r} is not a non-negative integer")
+    g = int(header.get("g", pf.g))
+    M = int(header.get("M", pf.M))
     if (g, M) != (pf.g, pf.M):
         raise ValueError(
             f"{path}: declared window [{g}, {M}] does not match table keys "

@@ -134,6 +134,10 @@ class TestConfigValues:
             ("generate", "steps", "abc"),
             ("generate", "steps", "true"),
             ("generate", "seed_size", "4.0"),
+            ("generate", "seed_size", "1"),
+            ("roundtrip", "seed_size", "1"),
+            ("generate", "steps", "-5"),
+            ("roundtrip", "steps", "-5"),
             ("generate", "rng_seed", "-1"),
             ("solve", "k_max", "64.5"),
             ("solve", "k_max", "'64'"),

@@ -80,27 +80,23 @@ def test_sampling_matches_enumeration_on_random_graphs():
         assert res.pvalue > 0.001
 
 
-def test_insert_and_bump_keep_weights_consistent():
+def test_update_keeps_weights_consistent():
     g = path_graph(4)
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)
     v = g.add_clique(1, [0], [0])
-    idx.insert(v, 0)
-    idx.bump(0, 1, 2)
-    idx.bump(v, 0, 1)
+    idx.update(g.degrees, [0], v)
     idx.verify(g)
     assert total_weight(idx) == pytest.approx(sum(f(d) for d in g.degrees))
 
 
-def test_bump_across_many_layers():
+def test_update_across_many_layers():
     g = seed_complete(3)
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)
-    for t in range(5):
-        g.degrees[0] += 1  # a parallel edge 0-1; verify reads degrees only
-        g.degrees[1] += 1
-        idx.bump(0, 2 + t, 3 + t)
-        idx.bump(1, 2 + t, 3 + t)
+    g.degrees[0] += 5  # five parallel edges 0-1; verify reads degrees only
+    g.degrees[1] += 5
+    idx.update(g.degrees, [0, 1] * 5, g.n)  # a jump of 5 is 5 repeats
     idx.verify(g)
     assert layer_weight(idx, 7) == pytest.approx(14.0)
 
@@ -110,13 +106,14 @@ def test_capacity_growth():
     f = PreferenceFunction.linear(g=1)
     idx = LayerIndex.build(g, f)
     v = 1
-    idx.insert(v, 5000)  # far beyond the initial capacity
-    # verify rebuilds from degrees alone; give v the degrees the index holds
+    # verify rebuilds from degrees alone; a new vertex far beyond the
+    # initial capacity needs no edges
     g.degrees.append(5000)
+    idx.update(g.degrees, (), v)
     idx.verify(g)
     assert layer_weight(idx, 5000) == pytest.approx(5000.0)
-    idx.bump(v, 5000, 9001)
     g.degrees[v] = 9001
+    idx.update(g.degrees, [v] * 4001, v + 1)
     idx.verify(g)
     assert layer_weight(idx, 9001) == pytest.approx(9001.0)
 
@@ -174,14 +171,15 @@ def test_saturation_after_bumping_every_vertex_out_of_float_window():
     assert set(idx.sample_many(rng, 100)) == set(range(6))
     for step in range(3):  # 2 -> 3 -> 4 -> 5, the last out of the window
         for v in range(6):
-            idx.bump(v, 2 + step, 3 + step)
             g.degrees[v] += 1  # degrees only; verify reads nothing else
+            idx.update(g.degrees, [v], 6)
     assert idx._tree[idx._top] > 0.0  # the residue this test is about
     idx.verify(g)  # residue within tolerance although every weight is 0
     with pytest.raises(SaturationError):
         idx.sample_many(rng, 1)
-    idx.bump(0, 5, 4)  # one vertex back in the window: it is the only pick
-    assert set(idx.sample_many(rng, 50)) == {0}
+    g.degrees.append(4)  # one new vertex in the window: it is the only pick
+    idx.update(g.degrees, (), 6)
+    assert set(idx.sample_many(rng, 50)) == {6}
 
 
 def test_descent_matches_cumulative_sum_search():
@@ -247,8 +245,7 @@ def test_verify_allows_float_drift_within_tolerance():
         if u != v and max(g.degrees[u], g.degrees[v]) < 58:
             g.degrees[u] += 1  # an edge u-v; verify reads degrees only
             g.degrees[v] += 1
-            idx.bump(u, g.degrees[u] - 1, g.degrees[u])
-            idx.bump(v, g.degrees[v] - 1, g.degrees[v])
+            idx.update(g.degrees, [u, v], 40)
     idx.verify(g)
     total = idx._tree[idx._size]
     idx._tree[idx._size] += 10 * TREE_RTOL * total
@@ -261,11 +258,41 @@ def test_capacity_growth_keeps_tree_and_sampling():
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)  # every degree 0, weight 0
     for v, k in ((0, 1), (1, 700), (2, 3000)):
-        idx.bump(v, 0, k)
-        for _ in range(k):
-            g.degrees[v] += 1  # degrees only; verify reads nothing else
+        g.degrees[v] += k  # degrees only; verify reads nothing else
+        idx.update(g.degrees, [v] * k, 3)
     idx.verify(g)
     draws = idx.sample_many(np.random.default_rng(2), 37010)
     counts = np.bincount(draws, minlength=3)
     res = stats.chisquare(counts, np.array([1, 700, 3000]) / 3701 * len(draws))
     assert res.pvalue > 0.001
+
+
+@pytest.mark.parametrize(
+    "f",
+    [PreferenceFunction.linear(), PreferenceFunction.from_rule(lambda k: np.sqrt(k) + 0.5, g=1)],
+    ids=["integer", "float"],
+)
+def test_update_follows_increments(f):
+    # random clique increments with bundles and repeat draws, then one
+    # that has all of them and a new vertex past the initial capacity
+    rng = np.random.default_rng(23)
+    g = seed_complete(4)
+    idx = LayerIndex.build(g, f)
+    cap = idx._cap
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        bundles = rng.integers(0, g.n, int(rng.integers(0, 3))).tolist()
+        ends = rng.integers(0, n, int(rng.integers(0, 6))).tolist()
+        targets = [t for t in bundles for _ in range(n)] + rng.integers(0, g.n, len(ends)).tolist()
+        base = g.add_clique(n, targets, [*range(n)] * len(bundles) + ends)
+        idx.update(g.degrees, targets, base)
+        idx.verify(g)
+    # bundle target 0; vertex 1 drawn twice; new vertex 0 reaches
+    # degree cap, the first one past the initial capacity
+    targets = [0, 0, 1, 1] + rng.integers(2, g.n, cap - 2).tolist()
+    ends = [0, 1, 1, 1] + [0] * (cap - 2)
+    base = g.add_clique(2, targets, ends)
+    assert g.degrees[base] == cap
+    idx.update(g.degrees, targets, base)
+    idx.verify(g)
+    assert idx._cap > cap
