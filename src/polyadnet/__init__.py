@@ -32,12 +32,11 @@ from .engine import (
 )
 from .graph import MultiGraph, empirical_vdd, seed_complete
 from .layers import LayerIndex, SaturationError
-from .params import ModelParams, validate_params
+from .params import ModelParams
 from .preference import PreferenceFunction, read_preference, write_preference
 from .solver import (
     NonConvergenceError,
     StationarySolution,
-    read_q_table,
     solve_stationary,
     write_q_table,
 )
@@ -66,12 +65,10 @@ __all__ = [
     "read_distribution",
     "read_edge_list",
     "read_preference",
-    "read_q_table",
     "read_stats",
     "seed_complete",
     "solve_stationary",
     "triangle_count",
-    "validate_params",
     "write_distribution",
     "write_edge_list",
     "write_preference",

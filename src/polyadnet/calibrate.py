@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distributions import DegreeDistribution
-from .params import ModelParams, validate_params
+from .params import ModelParams
 from .preference import PreferenceFunction
 
 __all__ = ["CalibrationResult", "calibrate"]
@@ -67,7 +67,6 @@ def calibrate(
         ValueError: window degrees without target mass, a window outside
             the target support, or a model that attaches no edge ends.
     """
-    validate_params(p)
     if window is None:
         window = (q_target.support_min, q_target.support_max)
     g, m_top = window

@@ -5,13 +5,14 @@ stationary distribution, calibrate a preference function to a target
 distribution, analyze a written graph, and run the full
 calibrate-solve-generate-compare round trip.
 
-Configuration lives in one YAML file (flat keys, see RunConfig); every
-flag overrides its config key. Paths inside the config resolve relative
-to the config file, paths given on the command line relative to the
-working directory. All randomness flows from the single rng_seed key;
-replication i of a multi-run command uses rng_seed + i. Outputs carry a
-comment header with the tool version and the parameter echo and contain
-no timestamps, so equal config plus seed means byte-identical files.
+Configuration lives in one YAML file (flat keys, see RunConfig), whose
+values load_config checks once; every flag overrides its config key.
+Paths inside the config resolve relative to the config file, paths given
+on the command line relative to the working directory. All randomness
+flows from the single rng_seed key; replication i of a multi-run command
+uses rng_seed + i. Outputs carry a comment header with the tool version
+and the parameter echo and contain no timestamps, so equal config plus
+seed means byte-identical files.
 
 Exit codes: 0 success, 1 model-level failure (saturation, infeasible
 target, non-convergence, missed round-trip tolerance), 2 usage or IO
@@ -36,7 +37,7 @@ from .distributions import DegreeDistribution, read_distribution, write_distribu
 from .engine import grow, read_edge_list, write_edge_list, write_stats
 from .graph import empirical_vdd, seed_complete
 from .layers import SaturationError
-from .params import ModelParams, validate_params
+from .params import ModelParams
 from .preference import PreferenceError, PreferenceFunction, read_preference, write_preference
 from .solver import NonConvergenceError, solve_stationary, write_q_table
 
@@ -53,7 +54,7 @@ class RunConfig:
     preference_path: str | None = None
     preference_rule: dict | None = None
     target_vdd_path: str | None = None
-    calibration_window: list | None = None
+    calibration_window: tuple[int, int] | None = None
     seed_size: int = 4
     steps: int = 1000
     rng_seed: int = 0
@@ -90,12 +91,14 @@ def _number(key: str, val, kind: str):
 def load_config(path) -> RunConfig:
     """Parse a YAML mapping into a RunConfig, rejecting unknown keys.
 
-    Number keys are checked by ``_number``; the ``*_path`` keys and
-    ``output_dir`` must be strings (a ``*_path`` may also be null).
+    Number keys are checked by ``_number`` and two more by ``_CHECKS``; the
+    ``*_path`` keys and ``output_dir`` must be strings (or null for a ``*_path``).
     """
     try:
         raw = yaml.safe_load(Path(path).read_text())
-    except (OSError, yaml.YAMLError) as exc:
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from exc
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if raw is None:
         raw = {}
@@ -110,6 +113,8 @@ def load_config(path) -> RunConfig:
         val = raw[f.name]
         if f.type in ("float", "int", "int | None"):
             raw[f.name] = _number(f.name, val, f.type)
+        elif f.name in _CHECKS and val is not None:
+            raw[f.name] = _CHECKS[f.name](val)
         elif f.type.startswith("str") and not isinstance(val, str) and (val is not None or f.type == "str"):
             raise UsageError(f"config key {f.name} must be a path string, got {val!r}")
     cfg = RunConfig(**raw)
@@ -126,11 +131,11 @@ def _resolve(base: Path | None, path: str) -> Path:
 
 
 def _load_table(read, path: Path, what: str):
-    """Read an input table with ``read``, naming ``what`` on failure."""
+    """Read an input file with ``read``: the one place that names the file in an error."""
     try:
         return read(path)
     except OSError as exc:
-        raise UsageError(f"cannot read {what} from {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} from {path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise UsageError(f"bad {what} table {path}: {exc}") from exc
 
@@ -149,7 +154,7 @@ def _build_params(cfg: RunConfig, base: Path | None) -> ModelParams:
     else:
         raise UsageError("rn_path is required when gamma > 0")
     try:
-        return validate_params(ModelParams(gamma=cfg.gamma, n=cfg.n, mu=cfg.mu, r1=r1, rn=rn))
+        return ModelParams(gamma=cfg.gamma, n=cfg.n, mu=cfg.mu, r1=r1, rn=rn)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -161,43 +166,64 @@ def _degree(what: str, val) -> int:
     raise UsageError(f"{what} must be an integer degree, got {val!r}")
 
 
-def _rule_preference(rule: dict) -> PreferenceFunction:
-    """The preference function of a rule. Integral float bounds are written
-    back into ``rule`` as ints, so ``M: 40.0`` echoes as ``M: 40`` does."""
+# the values of a rule's M that leave its window unbounded
+_UNBOUNDED = (None, math.inf, "inf", ".inf")
+# rule kind -> the keys it takes besides "kind"
+_RULE_KEYS = {"linear": {"g", "M"}, "constant": {"g", "M", "value"}, "power": {"g", "M", "exponent"}}
+
+
+def _rule(rule) -> dict:
+    """``rule`` checked, keeping only the keys given; integral float bounds
+    become ints, so ``M: 40.0`` echoes as ``M: 40`` does."""
     if not isinstance(rule, dict) or "kind" not in rule:
         raise UsageError("preference_rule must be a mapping with a 'kind' key")
-    opts = dict(rule)
-    kind = opts.pop("kind")
-    try:
-        g = _degree("preference_rule key g", opts.pop("g", 1))
-        m_raw = opts.pop("M", None)
-        m_top = math.inf if m_raw in (None, math.inf, "inf", ".inf") else _degree("preference_rule key M", m_raw)
-        if kind == "linear":
-            f = PreferenceFunction.linear(g=g, M=m_top)
-        elif kind == "constant":
-            v = _number("preference_rule.value", opts.pop("value", 1.0), "float")
-            f = PreferenceFunction.constant(v, g=g, M=m_top)
-        elif kind == "power":
-            e = float(_number("preference_rule.exponent", opts.pop("exponent"), "float"))
-            f = PreferenceFunction.from_rule(
-                lambda k: np.asarray(k, dtype=float) ** e,
-                g=g,
-                M=m_top,
-                label=f"k^{e}",
-            )
-        else:
-            raise UsageError(f"unknown preference_rule kind {kind!r}")
-    except KeyError as exc:
-        raise UsageError(f"preference_rule missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad preference_rule: {exc}") from exc
-    if opts:
-        raise UsageError(f"unknown preference_rule keys: {', '.join(sorted(map(str, opts)))}")
+    rule = dict(rule)
     if "g" in rule:
-        rule["g"] = g
-    if m_top != math.inf:
-        rule["M"] = m_top
-    return f
+        rule["g"] = _degree("preference_rule key g", rule["g"])
+    if rule.get("M") not in _UNBOUNDED:
+        rule["M"] = _degree("preference_rule key M", rule["M"])
+    kind = rule["kind"]
+    if not isinstance(kind, str) or kind not in _RULE_KEYS:
+        raise UsageError(f"unknown preference_rule kind {kind!r}")
+    if kind == "power" and "exponent" not in rule:
+        raise UsageError("preference_rule missing key 'exponent'")
+    unknown = set(rule) - {"kind", *_RULE_KEYS[kind]}
+    if unknown:
+        raise UsageError(f"unknown preference_rule keys: {', '.join(sorted(map(str, unknown)))}")
+    for key in set(rule) & {"value", "exponent"}:
+        _number(f"preference_rule.{key}", rule[key], "float")
+    return rule
+
+
+def _degree_pair(win) -> tuple[int, int]:
+    """``win`` as a (low, high) pair of integer degrees."""
+    if not isinstance(win, (list, tuple)) or len(win) != 2:
+        raise UsageError("calibration_window must be a [low, high] pair")
+    return _degree("calibration_window", win[0]), _degree("calibration_window", win[1])
+
+
+# config key -> its check, beyond the number and path keys
+_CHECKS = {"preference_rule": _rule, "calibration_window": _degree_pair}
+
+
+def _rule_preference(rule: dict) -> PreferenceFunction:
+    """The preference function of a rule that ``_rule`` has checked."""
+    g = rule.get("g", 1)
+    m_top = math.inf if rule.get("M") in _UNBOUNDED else rule["M"]
+    try:
+        if rule["kind"] == "linear":
+            return PreferenceFunction.linear(g=g, M=m_top)
+        if rule["kind"] == "constant":
+            return PreferenceFunction.constant(rule.get("value", 1.0), g=g, M=m_top)
+        e = float(rule["exponent"])
+        return PreferenceFunction.from_rule(
+            lambda k: np.asarray(k, dtype=float) ** e,
+            g=g,
+            M=m_top,
+            label=f"k^{e}",
+        )
+    except ValueError as exc:
+        raise UsageError(f"bad preference_rule: {exc}") from exc
 
 
 def _build_preference(cfg: RunConfig, base: Path | None) -> PreferenceFunction:
@@ -229,7 +255,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cannot create output dir {out}: {exc}") from exc
+        raise UsageError(f"cannot create output dir {out}: {exc.strerror}") from exc
     return out
 
 
@@ -283,15 +309,6 @@ def cmd_solve(cfg: RunConfig, base: Path | None, args) -> int:
     return 0
 
 
-def _window(cfg: RunConfig) -> tuple[int, int] | None:
-    if cfg.calibration_window is None:
-        return None
-    win = cfg.calibration_window
-    if not isinstance(win, (list, tuple)) or len(win) != 2:
-        raise UsageError("calibration_window must be a [low, high] pair")
-    return _degree("calibration_window", win[0]), _degree("calibration_window", win[1])
-
-
 def _fail(report: dict, path: Path, message: str) -> int:
     """Write the report of a failed run, say why on stderr; exit code 1."""
     write_stats(report, path)
@@ -299,26 +316,24 @@ def _fail(report: dict, path: Path, message: str) -> int:
     return 1
 
 
-def _calibrate_stage(cfg: RunConfig, base: Path | None, command: str):
+def _calibrate_stage(cfg: RunConfig, base: Path | None, p: ModelParams, command: str):
     """Calibrate f to the target VDD, solve forward from it and compare.
 
-    Returns (params, output dir, calibration result, forward solution,
-    forward report entries); the last two are None for an infeasible
-    target. A feasible run writes preference.tsv and forward_q_table.csv,
-    both only once the forward solve has succeeded. A missing or bad
-    target, window or solver setting raises UsageError;
-    NonConvergenceError from the forward solve propagates.
+    Returns (output dir, calibration result, forward solution, forward
+    report entries); the last two are None for an infeasible target. A
+    feasible run writes preference.tsv and forward_q_table.csv, both only
+    once the forward solve has succeeded. A missing or bad target or
+    solver setting raises UsageError; NonConvergenceError from the forward
+    solve propagates.
     """
-    p = _build_params(cfg, base)
     if cfg.target_vdd_path is None:
         raise UsageError(f"{command} needs target_vdd_path")
     target = _load_table(read_distribution, _resolve(base, cfg.target_vdd_path), "target VDD")
-    window = _window(cfg)
     out = _out_dir(cfg)
     try:
-        result = calibrate(target, p, window=window)
+        result = calibrate(target, p, window=cfg.calibration_window)
         if not result.feasible:
-            return p, out, result, None, None
+            return out, result, None, None
         sol = solve_stationary(p, result.f, tol=cfg.tol, k_max=cfg.k_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -326,11 +341,11 @@ def _calibrate_stage(cfg: RunConfig, base: Path | None, command: str):
     write_q_table(sol, out / "forward_q_table.csv", _echo(cfg))
     tv, limit = compare(target, sol.q).tv_distance, cfg.forward_tv_max
     forward = {"forward_tv": tv, "forward_tv_max": limit, "forward_pass": tv < limit}
-    return p, out, result, sol, forward
+    return out, result, sol, forward
 
 
 def cmd_calibrate(cfg: RunConfig, base: Path | None, args) -> int:
-    _, out, result, _, forward = _calibrate_stage(cfg, base, "calibrate")
+    out, result, _, forward = _calibrate_stage(cfg, base, _build_params(cfg, base), "calibrate")
     report: dict = {"feasible": result.feasible, "a": repr(result.a)}
     path = out / "calibration_report.txt"
     if not result.feasible:
@@ -344,14 +359,15 @@ def cmd_calibrate(cfg: RunConfig, base: Path | None, args) -> int:
     return 0
 
 
+def _graph_and_vdd(path) -> tuple:
+    g, _ = read_edge_list(path)
+    return g, empirical_vdd(g)
+
+
 def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
     if not args.edges:
         raise UsageError("analyze needs --edges PATH")
-    try:
-        g, _ = read_edge_list(args.edges)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read edge list {args.edges}: {exc}") from exc
-    empirical = empirical_vdd(g)
+    g, empirical = _load_table(_graph_and_vdd, Path(args.edges), "edge list")
     out = _out_dir(cfg)
 
     triangles = triangle_count(g)
@@ -384,16 +400,13 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
 
 
 def cmd_roundtrip(cfg: RunConfig, base: Path | None, args) -> int:
-    if cfg.replications < 1:
-        raise UsageError(f"replications={cfg.replications} must be >= 1")
     path = Path(cfg.output_dir) / "roundtrip_report.txt"
+    p = _build_params(cfg, base)
     try:
-        p, out, result, sol, forward = _calibrate_stage(cfg, base, "roundtrip")
+        out, result, sol, forward = _calibrate_stage(cfg, base, p, "roundtrip")
     except NonConvergenceError as exc:
-        # only a feasible calibration reaches the forward solve; its a is
-        # that of the parameters, read again here
-        a = _build_params(cfg, base).a
-        report = {"calibrate_feasible": True, "a": repr(a), "failed_stage": "solve"}
+        # only a feasible calibration reaches the forward solve
+        report = {"calibrate_feasible": True, "a": repr(p.a), "failed_stage": "solve"}
         return _fail(report, path, f"stage solve failed: {exc}")
     report: dict = {"calibrate_feasible": result.feasible, "a": repr(result.a)}
     if not result.feasible:
@@ -469,7 +482,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    """``cfg`` with the flags applied; an out-of-range seed, seed size or step count is a UsageError."""
+    """``cfg`` with the flags applied; an out-of-range seed, seed size, step
+    count or replication count is a UsageError."""
     updates = {
         key: getattr(args, flag)
         for flag, (key, _, _) in _OVERRIDES.items()
@@ -482,6 +496,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         raise UsageError(f"seed_size={cfg.seed_size} must be >= 2")
     if cfg.steps < 0:
         raise UsageError(f"steps={cfg.steps} must be >= 0")
+    if cfg.replications < 1:
+        raise UsageError(f"replications={cfg.replications} must be >= 1")
     return cfg
 
 

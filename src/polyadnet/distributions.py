@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "DegreeDistribution",
+    "header_int",
     "read_degree_table",
     "read_distribution",
     "read_table",
@@ -158,7 +159,7 @@ def read_table(path, row: Callable[[str], None]) -> dict[str, str]:
     Lines starting with ``#`` are comments, and those of the form
     ``# key=value`` are header entries (the first of a repeated key wins).
     Every other non-blank line goes to ``row`` stripped; a ValueError
-    raised there is reported as ``path:lineno: message``.
+    raised there is reported as ``line N: message``; the caller names the file.
     """
     header: dict[str, str] = {}
     with open(path) as fh:
@@ -174,8 +175,16 @@ def read_table(path, row: Callable[[str], None]) -> dict[str, str]:
             try:
                 row(line)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(f"line {lineno}: {exc}") from exc
     return header
+
+
+def header_int(header: Mapping[str, str], key: str, default: int) -> int:
+    """Header entry ``key`` as a non-negative integer; ``default`` when absent."""
+    raw = header.get(key, str(default))
+    if not raw.isdecimal():
+        raise ValueError(f"header {key}={raw!r} is not a non-negative integer")
+    return int(raw)
 
 
 def read_degree_table(path) -> tuple[dict[int, float], dict[str, str]]:
@@ -205,7 +214,7 @@ def read_degree_table(path) -> tuple[dict[int, float], dict[str, str]]:
 
     header = read_table(path, row)
     if not table:
-        raise ValueError(f"{path}: no data lines")
+        raise ValueError("no data lines")
     return table, header
 
 
@@ -220,7 +229,7 @@ def read_distribution(path) -> DegreeDistribution:
     total = math.fsum(table.values())
     if abs(total - 1.0) > TEXT_RENORM_TOL:
         raise ValueError(
-            f"{path}: probabilities sum to {total!r}, beyond the "
+            f"probabilities sum to {total!r}, beyond the "
             f"{TEXT_RENORM_TOL} renormalization limit"
         )
     if total != 1.0:

@@ -24,10 +24,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import read_table, write_table
+from .distributions import header_int, read_table, write_table
 from .graph import MultiGraph
 from .layers import LayerIndex, SaturationError
-from .params import ModelParams, validate_params
+from .params import ModelParams
 from .preference import PreferenceFunction
 
 __all__ = [
@@ -137,13 +137,12 @@ def grow(
 
     Args:
         g: seed graph, mutated in place.
-        p: validated model parameters.
+        p: model parameters.
         f: preference function driving target choice.
         steps: number of increments, >= 0.
         rng_seed: seed for the run's PCG64 stream.
         check_every: optional self-check cadence in increments.
     """
-    validate_params(p)
     if steps < 0:
         raise ValueError(f"steps={steps} must be >= 0")
     idx = LayerIndex.build(g, f)
@@ -214,14 +213,9 @@ def read_edge_list(path) -> tuple[MultiGraph, dict[str, str]]:
 
     header = read_table(path, row)
     max_id = int(max(np.frombuffer(c, dtype=np.int32).max(initial=-1) for c in (lo, hi)))
-    n = max_id + 1
-    if "vertices" in header:
-        raw = header["vertices"]
-        if not raw.isdecimal():
-            raise ValueError(f"{path}: header vertices={raw!r} is not a non-negative integer")
-        n = int(raw)
-        if n <= max_id:
-            raise ValueError(f"{path}: header vertex count {n} below max id {max_id}")
+    n = header_int(header, "vertices", max_id + 1)
+    if n <= max_id:
+        raise ValueError(f"header vertex count {n} below max id {max_id}")
     return MultiGraph.from_columns(n, lo, hi), header
 
 

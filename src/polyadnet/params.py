@@ -25,16 +25,33 @@ from functools import cached_property
 
 from .distributions import DegreeDistribution
 
-__all__ = ["ModelParams", "validate_params"]
+__all__ = ["ModelParams"]
 
 
 @dataclass(frozen=True)
 class ModelParams:
+    """Increment parameters, checked when built; a ValueError names the first bad one."""
+
     gamma: float
     n: int
     mu: int
     r1: DegreeDistribution
     rn: DegreeDistribution
+
+    def __post_init__(self):
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma={self.gamma} outside [0, 1]")
+        if not isinstance(self.n, int) or self.n < 2:
+            raise ValueError(f"polyad size n={self.n!r} must be an integer >= 2")
+        if not isinstance(self.mu, int) or self.mu < 0:
+            raise ValueError(f"bundle count mu={self.mu!r} must be an integer >= 0")
+        if not isinstance(self.r1, DegreeDistribution) or not isinstance(self.rn, DegreeDistribution):
+            raise ValueError("r1 and rn must be DegreeDistribution instances")
+        if self.rn.support_min < self.mu:
+            raise ValueError(
+                f"rn support starts at {self.rn.support_min}, below mu={self.mu}; every "
+                "polyad vertex must own at least mu free ends"
+            )
 
     @cached_property
     def b(self) -> float:
@@ -81,24 +98,3 @@ class ModelParams:
             for j, pr in self.rn.items():
                 arr[j + self.n - 1] += self.gamma * self.n * pr
         return arr
-
-
-def validate_params(p: ModelParams) -> ModelParams:
-    """Check every model constraint; return ``p`` unchanged when valid.
-
-    Raises ValueError describing the first violated constraint.
-    """
-    if not 0.0 <= p.gamma <= 1.0:
-        raise ValueError(f"gamma={p.gamma} outside [0, 1]")
-    if not isinstance(p.n, int) or p.n < 2:
-        raise ValueError(f"polyad size n={p.n!r} must be an integer >= 2")
-    if not isinstance(p.mu, int) or p.mu < 0:
-        raise ValueError(f"bundle count mu={p.mu!r} must be an integer >= 0")
-    if not isinstance(p.r1, DegreeDistribution) or not isinstance(p.rn, DegreeDistribution):
-        raise ValueError("r1 and rn must be DegreeDistribution instances")
-    if p.rn.support_min < p.mu:
-        raise ValueError(
-            f"rn support starts at {p.rn.support_min}, below mu={p.mu}; every "
-            "polyad vertex must own at least mu free ends"
-        )
-    return p

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .distributions import read_degree_table, write_table
+from .distributions import header_int, read_degree_table, write_table
 
 __all__ = ["PreferenceError", "PreferenceFunction", "read_preference", "write_preference"]
 
@@ -175,15 +175,8 @@ def read_preference(path) -> PreferenceFunction:
     """
     table, header = read_degree_table(path)
     pf = PreferenceFunction.from_table(table)
-    for key in ("g", "M"):
-        raw = header.get(key)
-        if raw is not None and not raw.isdecimal():
-            raise ValueError(f"{path}: header {key}={raw!r} is not a non-negative integer")
-    g = int(header.get("g", pf.g))
-    M = int(header.get("M", pf.M))
+    g = header_int(header, "g", pf.g)
+    M = header_int(header, "M", pf.M)
     if (g, M) != (pf.g, pf.M):
-        raise ValueError(
-            f"{path}: declared window [{g}, {M}] does not match table keys "
-            f"[{pf.g}, {pf.M}]"
-        )
+        raise ValueError(f"declared window [{g}, {M}] does not match table keys [{pf.g}, {pf.M}]")
     return pf

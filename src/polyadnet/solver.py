@@ -56,14 +56,13 @@ from itertools import count
 
 import numpy as np
 
-from .distributions import DegreeDistribution, read_degree_table, write_table
-from .params import ModelParams, validate_params
+from .distributions import DegreeDistribution, write_table
+from .params import ModelParams
 from .preference import PreferenceError, PreferenceFunction
 
 __all__ = [
     "NonConvergenceError",
     "StationarySolution",
-    "read_q_table",
     "solve_stationary",
     "write_q_table",
 ]
@@ -238,7 +237,6 @@ def solve_stationary(
     degree of the first table where f is not finite and > 0, or else the
     probed degree.
     """
-    validate_params(p)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol={tol} must be finite and > 0")
     arr_max = p.arrival_max
@@ -383,8 +381,3 @@ def write_q_table(sol: StationarySolution, path, header=None) -> None:
     }
     rows = (f"{k},{val!r}" for k, val in sol.q.items())
     write_table(path, {**(header or {}), **diagnostics}, rows, title="k,Q")
-
-
-def read_q_table(path) -> tuple[dict[int, float], dict[str, str]]:
-    """Read a table written by write_q_table; values are kept verbatim."""
-    return read_degree_table(path)

@@ -21,7 +21,7 @@ from polyadnet.distributions import DegreeDistribution
 from polyadnet.engine import grow
 from polyadnet.graph import MultiGraph, empirical_vdd, seed_complete
 from polyadnet.layers import LayerIndex
-from polyadnet.params import ModelParams, validate_params
+from polyadnet.params import ModelParams
 from polyadnet.preference import PreferenceFunction
 from polyadnet.solver import solve_stationary
 
@@ -35,7 +35,7 @@ def point(j):
 
 
 def params(gamma, n, mu, r1, rn):
-    return validate_params(ModelParams(gamma=gamma, n=n, mu=mu, r1=r1, rn=rn))
+    return ModelParams(gamma=gamma, n=n, mu=mu, r1=r1, rn=rn)
 
 
 def report(capsys, ok, line):

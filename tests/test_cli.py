@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from polyadnet import cli, solver
 from polyadnet.cli import RunConfig, UsageError, load_config, main
 from polyadnet.layers import SaturationError
 from polyadnet.engine import read_edge_list, read_stats
-from polyadnet.solver import NonConvergenceError, read_q_table
+from polyadnet.distributions import read_degree_table
+from polyadnet.solver import NonConvergenceError
 
 
 def write_dist(path, probs):
@@ -142,6 +144,12 @@ class TestConfigValues:
             ("solve", "k_max", "64.5"),
             ("solve", "k_max", "'64'"),
             ("generate", "preference_rule", "{kind: linear, g: abc}"),
+            # the rule and the window are checked at load, also by the
+            # commands that do not build or use them
+            ("calibrate", "preference_rule", "linear"),
+            ("roundtrip", "preference_rule", "-1"),
+            ("solve", "calibration_window", "[1]"),
+            ("generate", "replications", "0"),
             ("generate", "output_dir", "5"),
             ("solve", "output_dir", "null"),
             ("solve", "r1_path", "7"),
@@ -154,6 +162,18 @@ class TestConfigValues:
         assert self._run(mixed_setup, command, key, raw) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["list", "mapping"])
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+    def test_wrong_typed_value_exits_2_from_every_command(self, mixed_setup, capsys, key, value, command):
+        tmp_path, cfg = mixed_setup
+        write_yaml(cfg, **{**yaml.safe_load(cfg.read_text()), key: value})
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        edges = ["--edges", str(tmp_path / "edges.tsv")] if command == "analyze" else []
+        assert main([command, "--config", str(cfg), *edges]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, key", [("generate", "output_dir"), ("solve", "r1_path")])
@@ -262,16 +282,57 @@ class TestConfigValues:
         assert not (tmp_path / "out").exists()
 
 
-def test_preference_table_errors_name_the_table(tmp_path, capsys):
-    # the same wording as every other input table
+PREFERENCE_TABLE = {"preference_rule": None, "preference_path": "p.tsv"}
+# case -> (command and flags, the input file, its text (None: absent),
+# config keys, the message before and after the file's path); a
+# preference table takes the same wording as every other input table
+INPUT_ERRORS = {
+    "bad table row": (["solve"], "r1.tsv", "2\t1.0\nabc\n", {},
+                      "bad r1 table", "line 2: expected 'k<TAB>value', got 'abc'"),
+    "bad preference row": (["solve"], "p.tsv", "1\tabc\n", PREFERENCE_TABLE,
+                           "bad preference table", "line 1: could not convert string to float: 'abc'"),
+    "bad window header": (["solve"], "p.tsv", "# g=abc\n1\t1.0\n", PREFERENCE_TABLE,
+                          "bad preference table", "header g='abc' is not a non-negative integer"),
+    "missing preference table": (["solve"], "p.tsv", None, PREFERENCE_TABLE,
+                                 "cannot read preference from", "No such file or directory"),
+    "negative probability": (["solve"], "r1.tsv", "1\t-0.5\n2\t1.5\n", {},
+                             "bad r1 table", "probability -0.5 at degree 1 is negative"),
+    "missing table": (["solve"], "r1.tsv", None, {}, "cannot read r1 from", "No such file or directory"),
+    "bad vertices header": (["analyze", "--edges", "{path}"], "e.tsv", "# vertices=x\n0\t1\n", {},
+                            "bad edge list table", "header vertices='x' is not a non-negative integer"),
+    "missing edge list": (["analyze", "--edges", "{path}"], "e.tsv", None, {},
+                          "cannot read edge list from", "No such file or directory"),
+    # a traceback with exit 1 when the VDD was taken outside the loader
+    "empty edge list": (["analyze", "--edges", "{path}"], "e.tsv", "", {},
+                        "bad edge list table", "empty graph has no degree distribution"),
+    "missing config": (["solve"], "run.yaml", None, {}, "cannot read config", "No such file or directory"),
+    "config not UTF-8": (["solve"], "run.yaml", b"\xff", {}, "cannot read config",
+                         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "output dir is a file": (["solve"], "out", "", {}, "cannot create output dir", "File exists"),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_every_input_error_names_its_file_once(tmp_path, capsys, case):
+    # the CLI names the file, the readers' own messages leave it out, and
+    # no output dir is made
+    argv, name, text, keys, lead, reason = INPUT_ERRORS[case]
+    path = tmp_path / name
     write_dist(tmp_path / "r1.tsv", {2: 1.0})
-    (tmp_path / "bad.tsv").write_text("1\tabc\n")
-    cases = (("none.tsv", "cannot read preference from"), ("bad.tsv", "bad preference table"))
-    for name, start in cases:
-        cfg = tmp_path / "run.yaml"
-        write_yaml(cfg, r1_path="r1.tsv", preference_path=name, output_dir=str(tmp_path / "out"))
-        assert main(["solve", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {start} {tmp_path / name}: ")
+    cfg = tmp_path / "run.yaml"
+    write_yaml(cfg, **{"r1_path": "r1.tsv", "preference_rule": LINEAR_RULE, "output_dir": "out", **keys})
+    if text is None:
+        path.unlink(missing_ok=True)
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    argv = [argv[0], "--config", str(cfg), *(a.format(path=path) for a in argv[1:])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {lead} {path}: {reason}\n"
+    assert err.count(str(path)) == 1
+    assert not (tmp_path / "out").is_dir()
 
 
 def test_version_flag(capsys):
@@ -364,7 +425,7 @@ class TestSolve:
             output_dir=str(tmp_path / "out"),
         )
         assert main(["solve", "--config", str(cfg), "--kmax", "4096"]) == 0
-        probs, meta = read_q_table(tmp_path / "out" / "q_table.csv")
+        probs, meta = read_degree_table(tmp_path / "out" / "q_table.csv")
         assert meta["tool"].startswith("polyadnet")
         assert max(probs) <= 4096
         assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-6)
@@ -414,7 +475,7 @@ class TestSolve:
             output_dir=str(tmp_path / "out"),
         )
         assert main(["solve", "--config", str(cfg), "--kmax", "64"]) == 0
-        _, meta = read_q_table(tmp_path / "out" / "q_table.csv")
+        _, meta = read_degree_table(tmp_path / "out" / "q_table.csv")
         assert abs(float(meta["mean_f"]) - 2.0) <= 1e-10
 
     def test_kmax_one(self, tmp_path):
@@ -428,7 +489,7 @@ class TestSolve:
             output_dir=str(tmp_path / "out"),
         )
         assert main(["solve", "--config", str(cfg), "--kmax", "1"]) == 0
-        probs, meta = read_q_table(tmp_path / "out" / "q_table.csv")
+        probs, meta = read_degree_table(tmp_path / "out" / "q_table.csv")
         assert meta["k_max"] == "1"
         assert set(probs) <= {0, 1}
 
@@ -471,7 +532,7 @@ class TestCalibrate:
         assert report["feasible"] == "True"
         assert report["forward_pass"] == "True"
         assert float(report["forward_tv"]) < 1e-9
-        weights, _ = read_q_table(out / "forward_q_table.csv")
+        weights, _ = read_degree_table(out / "forward_q_table.csv")
         assert weights[1] == pytest.approx(0.5)
         pref_lines = [
             ln
@@ -499,6 +560,18 @@ class TestCalibrate:
             assert main(["calibrate", "--config", str(cfg)]) == 0
             outputs.append({f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()})
         assert outputs[0] == outputs[1]
+
+    def test_rule_echo_matches_solve(self, tmp_path):
+        # integral float bounds are ints in every command's echo, also
+        # where the rule is not built
+        geometric_target(tmp_path / "target.tsv")
+        rule = {"kind": "linear", "g": 1.0, "M": 20}
+        cfg = self._config(tmp_path, preference_rule=rule, calibration_window=[1, 40])
+        assert main(["calibrate", "--config", str(cfg)]) == 0
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        echo = "{'M': 20, 'g': 1, 'kind': 'linear'}"
+        assert read_degree_table(tmp_path / "out" / "preference.tsv")[1]["preference_rule"] == echo
+        assert read_degree_table(tmp_path / "s" / "q_table.csv")[1]["preference_rule"] == echo
 
     def test_infeasible_target(self, tmp_path):
         # mass below the arrival degree cannot be reached by growth

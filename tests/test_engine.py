@@ -200,7 +200,7 @@ def test_edge_list_names_a_bad_vertex_header(tmp_path, raw):
     path.write_text(f"# vertices={raw}\n0\t1\n")
     with pytest.raises(ValueError) as info:
         read_edge_list(path)
-    assert str(info.value) == f"{path}: header vertices={raw!r} is not a non-negative integer"
+    assert str(info.value) == f"header vertices={raw!r} is not a non-negative integer"
 
 
 def test_edge_list_rejects_malformed_row(tmp_path):
@@ -264,7 +264,7 @@ def test_write_edge_list_streams_its_rows(tmp_path):
 def test_edge_list_rejects_out_of_range_id(tmp_path):
     path = tmp_path / "edges.tsv"
     path.write_text("0\t1\n1\t4294967296\n")
-    with pytest.raises(ValueError, match=r":2: vertex id out of range in '1\\t4294967296'$"):
+    with pytest.raises(ValueError, match=r"^line 2: vertex id out of range in '1\\t4294967296'$"):
         read_edge_list(path)
 
 

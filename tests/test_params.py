@@ -3,7 +3,7 @@ import math
 import pytest
 
 from polyadnet.distributions import DegreeDistribution
-from polyadnet.params import ModelParams, validate_params
+from polyadnet.params import ModelParams
 
 POINT = DegreeDistribution.from_probs({0: 1.0})
 TWO = DegreeDistribution.from_probs({2: 1.0})
@@ -18,29 +18,33 @@ def make(gamma=0.0, n=2, mu=0, r1=TWO, rn=POINT):
 
 
 def test_pure_monad_configuration_is_valid():
-    p = validate_params(make())
+    p = make()
     assert p.gamma == 0.0
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, message",
     [
-        {"gamma": -0.1},
-        {"gamma": 1.5},
-        {"n": 1},
-        {"n": 2.5},
-        {"mu": -1},
-        {"mu": 1},  # rn={0:1} cannot supply one bundle end per vertex
+        ({"gamma": -0.1}, r"gamma=-0.1 outside \[0, 1\]"),
+        ({"gamma": 1.5}, r"gamma=1.5 outside \[0, 1\]"),
+        ({"n": 1}, "polyad size n=1 must be an integer >= 2"),
+        ({"n": 2.5}, "polyad size n=2.5 must be an integer >= 2"),
+        ({"mu": -1}, "bundle count mu=-1 must be an integer >= 0"),
+        # rn={0:1} cannot supply one bundle end per vertex
+        ({"mu": 1}, "rn support starts at 0, below mu=1; every polyad vertex"),
+        ({"r1": {2: 1.0}}, "r1 and rn must be DegreeDistribution instances"),
+        # the first violated constraint is named
+        ({"gamma": 2.0, "n": 1}, "gamma=2.0 outside"),
     ],
 )
-def test_validate_rejects(kwargs):
-    with pytest.raises(ValueError):
-        validate_params(make(**kwargs))
+def test_invalid_params_are_rejected_when_built(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make(**kwargs)
 
 
 def test_mu_within_rn_support_is_fine():
     rn = DegreeDistribution.from_probs({2: 0.5, 3: 0.5})
-    validate_params(make(gamma=0.5, n=3, mu=2, rn=rn))
+    assert make(gamma=0.5, n=3, mu=2, rn=rn).mu == 2
 
 
 def test_vertices_per_step():

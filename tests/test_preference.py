@@ -156,10 +156,10 @@ def test_read_window_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["# g=abc", "# M=2.0", "# g=-1"])
-def test_read_bad_window_header_names_file_and_key(tmp_path, line):
+def test_read_bad_window_header_names_its_key(tmp_path, line):
     path = tmp_path / "pref.tsv"
     path.write_text(f"{line}\n1\t1.0\n2\t2.0\n")
     key, raw = line[2:].split("=")
     with pytest.raises(ValueError) as err:
         read_preference(path)
-    assert str(err.value) == f"{path}: header {key}={raw!r} is not a non-negative integer"
+    assert str(err.value) == f"header {key}={raw!r} is not a non-negative integer"

@@ -6,13 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyadnet.distributions import DegreeDistribution, read_distribution
+from polyadnet.distributions import DegreeDistribution, read_degree_table, read_distribution
 from polyadnet.params import ModelParams
 from polyadnet import solver
 from polyadnet.preference import PreferenceFunction
 from polyadnet.solver import (
     NonConvergenceError,
-    read_q_table,
     solve_stationary,
     write_q_table,
 )
@@ -399,7 +398,7 @@ def test_q_table_round_trip(tmp_path):
     sol = solve_stationary(ba_params(1), LINEAR, k_max=2000)
     path = tmp_path / "q.csv"
     write_q_table(sol, path, {"tool": "test"})
-    probs, meta = read_q_table(path)
+    probs, meta = read_degree_table(path)
     assert meta["tool"] == "test"
     assert float(meta["mean_f"]) == sol.mean_f
     assert probs == dict(sol.q.items())
@@ -409,7 +408,7 @@ def test_q_table_rejects_duplicates(tmp_path):
     path = tmp_path / "q.csv"
     path.write_text("k,Q\n1,0.5\n1,0.5\n")
     with pytest.raises(ValueError):
-        read_q_table(path)
+        read_degree_table(path)
 
 
 @pytest.mark.parametrize(
@@ -418,12 +417,13 @@ def test_q_table_rejects_duplicates(tmp_path):
     ids=["csv", "tab"],
 )
 def test_table_rejects_bad_row_with_its_location(tmp_path, name, text):
-    # the k,Q and the tab format both name the file and line of a bad row
+    # the k,Q and the tab format both name the line of a bad row; the
+    # caller that opened the file names it
     path = tmp_path / name
     path.write_text(text)
-    want = rf"^{re.escape(str(path))}:4: invalid literal for int\(\) with base 10: 'x'$"
+    want = r"^line 4: invalid literal for int\(\) with base 10: 'x'$"
     with pytest.raises(ValueError, match=want):
-        read_q_table(path)
+        read_degree_table(path)
     with pytest.raises(ValueError, match=want):
         read_distribution(path)
 
