@@ -483,7 +483,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     """``cfg`` with the flags applied; an out-of-range seed, seed size, step
-    count or replication count is a UsageError."""
+    count, replication count or TV threshold is a UsageError."""
     updates = {
         key: getattr(args, flag)
         for flag, (key, _, _) in _OVERRIDES.items()
@@ -498,6 +498,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         raise UsageError(f"steps={cfg.steps} must be >= 0")
     if cfg.replications < 1:
         raise UsageError(f"replications={cfg.replications} must be >= 1")
+    for key in ("forward_tv_max", "empirical_tv_max"):
+        if not getattr(cfg, key) > 0:  # NaN fails too
+            raise UsageError(f"{key}={getattr(cfg, key)} must be > 0")
     return cfg
 
 

@@ -122,14 +122,11 @@ def grow(
     f: PreferenceFunction,
     steps: int,
     rng_seed: int,
-    check_every: int | None = None,
 ) -> GrowthStats:
     """Run ``steps`` increments on ``g`` in place.
 
     Each step is a polyad with probability gamma, otherwise a monad (the
-    type uniform is skipped when gamma is exactly 0 or 1). With
-    ``check_every`` set, the layer index is rebuilt every that many
-    increments and compared with the maintained one (1024 suits debugging).
+    type uniform is skipped when gamma is exactly 0 or 1).
 
     Returns realized step and edge counts. If sampling saturates mid-run
     the error carries partial stats in ``.stats`` and the graph keeps all
@@ -141,7 +138,6 @@ def grow(
         f: preference function driving target choice.
         steps: number of increments, >= 0.
         rng_seed: seed for the run's PCG64 stream.
-        check_every: optional self-check cadence in increments.
     """
     if steps < 0:
         raise ValueError(f"steps={steps} must be >= 0")
@@ -152,7 +148,7 @@ def grow(
     monads = nads = 0
     saturated = None
     try:
-        for step in range(1, steps + 1):
+        for _ in range(steps):
             nad = gamma == 1.0 if gamma in (0.0, 1.0) else rng.random() < gamma
             if nad:
                 apply_nad(g, idx, p, rng)
@@ -160,8 +156,6 @@ def grow(
             else:
                 apply_monad(g, idx, p, rng)
                 monads += 1
-            if check_every and step % check_every == 0:
-                idx.verify(g)
     except SaturationError as exc:
         saturated = exc
     stats = GrowthStats(

@@ -231,11 +231,12 @@ def solve_stationary(
     (up to K_CAP entries). iterations counts the last phase's sweeps and
     method is "bisection" if any of them bisected (see _solve_at).
     NonConvergenceError means f is superlinear, no arrival degree lies in
-    the window, or the mean ran away, lost its mass or has no fixed
-    point; ValueError flags a tol that is not finite and > 0, or a k_max
-    below the largest arrival degree. PreferenceError names the first
-    degree of the first table where f is not finite and > 0, or else the
-    probed degree.
+    the window, the mean ran away, lost its mass or has no fixed point,
+    or, without k_max, the tail bound is not below max(tol, 1e-12) at
+    K_CAP entries; ValueError flags a tol that is not finite and > 0, or
+    a k_max below the largest arrival degree. PreferenceError names the
+    first degree of the first table where f is not finite and > 0, or
+    else the probed degree.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol={tol} must be finite and > 0")
@@ -284,6 +285,11 @@ def solve_stationary(
             tail = _tail_mass(t, p, x)
             if k_max is None and tail >= tail_tol:
                 size = min(K_CAP, 2 * K)
+        if k_max is None and tail >= tail_tol:
+            raise NonConvergenceError(
+                f"tail mass bound {tail!r} at k_max={K} (K_CAP={K_CAP}) "
+                f"is not below max(tol, 1e-12)={tail_tol!r}"
+            )
 
     if not q.min() >= 0.0:
         raise RuntimeError("negative or NaN probability mass in stationary sweep")

@@ -4,10 +4,15 @@ q_from_recurrence runs the solver's own sweep once at a given mean; the
 monads-only and dyads-only reductions are written out separately by
 hand, so comparing them with it checks the general recurrence term by
 term. edge_list_text is the edge-list file written the plain way, one
-f-string per line joined in memory.
+f-string per line joined in memory. check_index rebuilds a layer index
+from the degrees and compares it with the maintained one;
+checking_updates runs that check every so many updates of a run.
 """
 
+from contextlib import contextmanager
+
 from polyadnet.distributions import DegreeDistribution
+from polyadnet.layers import LayerIndex
 from polyadnet.params import ModelParams
 from polyadnet.preference import PreferenceFunction
 from polyadnet.solver import _sweep_kernel
@@ -87,3 +92,80 @@ def edge_list_text(g, header: dict) -> bytes:
     lines = [f"# {k}={v}\n" for k, v in {"vertices": g.n, **header}.items()]
     lines += [f"{u}\t{v}\n" for u, v in g.edges]
     return "".join(lines).encode()
+
+
+# check_index: allowed drift of a tree node for non-integer weights,
+# relative to the total weight; incremental float updates round
+# differently from a fresh build
+TREE_RTOL = 1e-9
+
+
+def _fenwick(values: list[float], size: int) -> list[float]:
+    """Fenwick tree (1-based, ``size`` a power of two) over ``values``."""
+    tree = [0.0] * (size + 1)
+    tree[1 : len(values) + 1] = values
+    for i in range(1, size):
+        j = i + (i & -i)
+        if j <= size:
+            tree[j] += tree[i]
+    return tree
+
+
+def check_index(idx: LayerIndex, degrees: list[int]) -> None:
+    """Rebuild ``idx`` from ``degrees`` and compare; raises on any drift.
+
+    Membership and the live count must match exactly, and so must every
+    Fenwick node when all weights up to the highest degree are integers.
+    Degrees never fall, so that degree is the highest the index has seen.
+    With non-integer weights a node may differ from a fresh build by
+    ``TREE_RTOL`` times the total weight, or times the largest f(k) seen
+    when that is larger (a tree emptied of its weight keeps a residue).
+    """
+    fresh = LayerIndex(idx.f)
+    fresh.update(degrees)
+
+    def layers(index):
+        return {k: sorted(lst) for k, lst in enumerate(index._members) if lst}
+
+    if layers(idx) != layers(fresh):
+        raise AssertionError("layer membership drifted from the graph")
+    if idx._live != fresh._live:
+        raise AssertionError("live vertex count drifted from the graph")
+    size = len(idx._tree) - 1
+    ref = _fenwick(
+        [w * len(lst) if lst and w > 0.0 else 0.0 for w, lst in zip(idx._fw, idx._members)],
+        size,
+    )
+    # weights that were ever added, not only the current ones: an
+    # emptied layer of weight 0.3 can leave rounding residue behind
+    seen = idx._fw[: max(degrees, default=0) + 1]
+    if all(x.is_integer() for x in seen):
+        if idx._tree != ref:
+            raise AssertionError("Fenwick tree differs from a rebuilt one")
+    else:
+        tol = TREE_RTOL * max(ref[size], max(seen))
+        worst = max(abs(x - y) for x, y in zip(idx._tree, ref))
+        if worst > tol:
+            raise AssertionError(
+                f"Fenwick tree drifted by {worst!r}, above {TREE_RTOL} of the total"
+            )
+
+
+@contextmanager
+def checking_updates(every: int):
+    """Within the block, follow every ``every``-th ``LayerIndex.update`` with check_index."""
+    update = LayerIndex.update
+    calls = 0
+
+    def checked(idx, degrees, targets=(), first=0):
+        nonlocal calls
+        update(idx, degrees, targets, first)
+        calls += 1
+        if calls % every == 0:
+            check_index(idx, degrees)
+
+    LayerIndex.update = checked
+    try:
+        yield
+    finally:
+        LayerIndex.update = update

@@ -25,7 +25,7 @@ from polyadnet.params import ModelParams
 from polyadnet.preference import PreferenceFunction
 from polyadnet.solver import solve_stationary
 
-from oracles import q_dyad, q_from_recurrence, q_gamma0
+from oracles import checking_updates, q_dyad, q_from_recurrence, q_gamma0
 
 LINEAR = PreferenceFunction.linear()
 
@@ -135,7 +135,8 @@ def test_criterion_3_theory_vs_simulation(capsys):
     tvs = []
     for seed in range(10):
         g = seed_complete(4)
-        grow(g, p, LINEAR, 50_000, rng_seed=seed, check_every=25_000)
+        with checking_updates(25_000):
+            grow(g, p, LINEAR, 50_000, rng_seed=seed)
         tvs.append(compare(empirical_vdd(g), sol.q).tv_distance)
     elapsed = time.perf_counter() - t0
     mean_tv = sum(tvs) / len(tvs)
@@ -162,7 +163,8 @@ def test_criterion_4_calibration_round_trip(capsys):
         math.fsum(result.f(k) * sol.q.prob(k) for k in range(1, 301)) - a
     )
     g = seed_complete(4)
-    grow(g, p, result.f, 100_000, rng_seed=4, check_every=50_000)
+    with checking_updates(50_000):
+        grow(g, p, result.f, 100_000, rng_seed=4)
     tv = compare(empirical_vdd(g), sol.q).tv_distance
     elapsed = time.perf_counter() - t0
     ok = prop_err < 1e-6 and mean_constraint < 1e-8 and tv < 0.03 and elapsed < 90.0

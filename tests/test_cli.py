@@ -150,6 +150,14 @@ class TestConfigValues:
             ("roundtrip", "preference_rule", "-1"),
             ("solve", "calibration_window", "[1]"),
             ("generate", "replications", "0"),
+            # a threshold no TV distance can pass is the config's fault,
+            # also under the commands that compare nothing
+            ("roundtrip", "forward_tv_max", ".nan"),
+            ("generate", "forward_tv_max", "0"),
+            ("solve", "forward_tv_max", "-1"),
+            ("roundtrip", "empirical_tv_max", ".nan"),
+            ("generate", "empirical_tv_max", "0"),
+            ("solve", "empirical_tv_max", "-1"),
             ("generate", "output_dir", "5"),
             ("solve", "output_dir", "null"),
             ("solve", "r1_path", "7"),
@@ -461,6 +469,24 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: no arrival degree lies in the preference window [2, 10]")
         assert "degrees 1..1" in err
+        assert not (tmp_path / "out" / "q_table.csv").exists()
+
+    def test_tail_that_never_closes_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        # the default schedule stops at K_CAP entries; a tail bound still
+        # above tol there is a failure, not a table
+        monkeypatch.setattr(solver, "K_CAP", 8192)
+        write_dist(tmp_path / "r1.tsv", {2: 1.0})
+        cfg = tmp_path / "run.yaml"
+        write_yaml(
+            cfg,
+            r1_path="r1.tsv",
+            preference_rule={"kind": "linear", "g": 1},
+            output_dir=str(tmp_path / "out"),
+        )
+        assert main(["solve", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tail mass bound ")
+        assert err.endswith("at k_max=8192 (K_CAP=8192) is not below max(tol, 1e-12)=1e-10\n")
         assert not (tmp_path / "out" / "q_table.csv").exists()
 
     def test_small_kmax_linear_kernel(self, tmp_path):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import edge_list_text
+from oracles import checking_updates, edge_list_text
 
 from polyadnet import engine
 from polyadnet.distributions import ROWS_PER_WRITE, DegreeDistribution
@@ -151,7 +151,8 @@ def test_periodic_self_check_passes():
     rn = DegreeDistribution.from_probs({1: 0.6, 3: 0.4})
     p = ModelParams(gamma=0.4, n=3, mu=1, r1=point(2), rn=rn)
     g = seed_complete(4)
-    grow(g, p, LINEAR, 400, rng_seed=11, check_every=50)
+    with checking_updates(50):
+        grow(g, p, LINEAR, 400, rng_seed=11)
     assert sum(g.degrees) == 2 * g.edge_count
 
 
@@ -397,6 +398,7 @@ def test_grow_adds_each_increment_in_one_graph_call(monkeypatch, name):
     p, f, seed_size, _ = GOLDEN[name]
     g = seed_complete(seed_size)
     monkeypatch.setattr(MultiGraph, "add_clique", counted)
-    stats = grow(g, p, f, 300, rng_seed=3, check_every=50)
+    with checking_updates(50):
+        stats = grow(g, p, f, 300, rng_seed=3)
     assert Counter(sizes) == Counter({1: stats.monad_steps, p.n: stats.nad_steps})
     assert sum(g.degrees) == 2 * g.edge_count

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from oracles import TREE_RTOL, check_index
 from scipy import stats
 
 from polyadnet.graph import MultiGraph, seed_complete
-from polyadnet.layers import TREE_RTOL, LayerIndex, SaturationError
+from polyadnet.layers import LayerIndex, SaturationError
 from polyadnet.preference import PreferenceFunction
 
 
@@ -19,7 +20,7 @@ def random_graph(rng, n, edges):
 
 def total_weight(idx):
     """The Fenwick root: the sum of every layer weight."""
-    return idx._tree[idx._size]
+    return idx._tree[-1]
 
 
 def layer_weight(idx, k):
@@ -45,8 +46,8 @@ def test_build_layer_weights():
     g = seed_complete(4)  # all degree 3
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)
-    idx.verify(g)
-    assert {k: layer_weight(idx, k) for k in range(idx._hi) if layer_weight(idx, k)} == {3: 12.0}
+    check_index(idx, g.degrees)
+    assert {k: layer_weight(idx, k) for k in range(len(idx._fw)) if layer_weight(idx, k)} == {3: 12.0}
     assert sorted(idx._members[3]) == [0, 1, 2, 3]
     assert total_weight(idx) == pytest.approx(12.0)
 
@@ -86,7 +87,7 @@ def test_update_keeps_weights_consistent():
     idx = LayerIndex.build(g, f)
     v = g.add_clique(1, [0], [0])
     idx.update(g.degrees, [0], v)
-    idx.verify(g)
+    check_index(idx, g.degrees)
     assert total_weight(idx) == pytest.approx(sum(f(d) for d in g.degrees))
 
 
@@ -94,10 +95,10 @@ def test_update_across_many_layers():
     g = seed_complete(3)
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)
-    g.degrees[0] += 5  # five parallel edges 0-1; verify reads degrees only
+    g.degrees[0] += 5  # five parallel edges 0-1; check_index reads degrees only
     g.degrees[1] += 5
     idx.update(g.degrees, [0, 1] * 5, g.n)  # a jump of 5 is 5 repeats
-    idx.verify(g)
+    check_index(idx, g.degrees)
     assert layer_weight(idx, 7) == pytest.approx(14.0)
 
 
@@ -106,15 +107,15 @@ def test_capacity_growth():
     f = PreferenceFunction.linear(g=1)
     idx = LayerIndex.build(g, f)
     v = 1
-    # verify rebuilds from degrees alone; a new vertex far beyond the
+    # check_index rebuilds from degrees alone; a new vertex far beyond the
     # initial capacity needs no edges
     g.degrees.append(5000)
     idx.update(g.degrees, (), v)
-    idx.verify(g)
+    check_index(idx, g.degrees)
     assert layer_weight(idx, 5000) == pytest.approx(5000.0)
     g.degrees[v] = 9001
     idx.update(g.degrees, [v] * 4001, v + 1)
-    idx.verify(g)
+    check_index(idx, g.degrees)
     assert layer_weight(idx, 9001) == pytest.approx(9001.0)
 
 
@@ -138,10 +139,10 @@ def test_out_of_window_vertices_never_sampled():
 def test_verify_catches_corruption():
     g = path_graph(3)
     idx = LayerIndex.build(g, PreferenceFunction.linear())
-    idx.verify(g)
+    check_index(idx, g.degrees)
     g.add_clique(1, [0], [0])  # graph changed behind the index's back
     with pytest.raises(AssertionError):
-        idx.verify(g)
+        check_index(idx, g.degrees)
 
 
 def test_sample_target_single():
@@ -171,10 +172,10 @@ def test_saturation_after_bumping_every_vertex_out_of_float_window():
     assert set(idx.sample_many(rng, 100)) == set(range(6))
     for step in range(3):  # 2 -> 3 -> 4 -> 5, the last out of the window
         for v in range(6):
-            g.degrees[v] += 1  # degrees only; verify reads nothing else
+            g.degrees[v] += 1  # degrees only; check_index reads nothing else
             idx.update(g.degrees, [v], 6)
-    assert idx._tree[idx._top] > 0.0  # the residue this test is about
-    idx.verify(g)  # residue within tolerance although every weight is 0
+    assert total_weight(idx) > 0.0  # the residue this test is about
+    check_index(idx, g.degrees)  # residue within tolerance although every weight is 0
     with pytest.raises(SaturationError):
         idx.sample_many(rng, 1)
     g.degrees.append(4)  # one new vertex in the window: it is the only pick
@@ -226,13 +227,22 @@ def test_descent_on_exact_layer_boundaries():
     assert [g.degrees[v] for v in picks] == [1, 2, 3, 4]
 
 
+def test_largest_uniform_picks_the_highest_live_layer():
+    # the largest double below 1 puts u * total just under the total:
+    # the descent ends on the last layer of positive weight
+    g = MultiGraph.from_columns(8, [0, 0, 0, 0, 1, 1, 2, 3], [1, 2, 3, 4, 5, 6, 7, 4])
+    idx = LayerIndex.build(g, PreferenceFunction.linear())
+    picks = idx.sample_many(ListUniforms([np.nextafter(1.0, 0.0), 0.0]), 1)
+    assert picks == [0] and g.degrees[0] == 4
+
+
 def test_verify_checks_the_tree_exactly_for_integer_weights():
     g = seed_complete(5)
     idx = LayerIndex.build(g, PreferenceFunction.linear())
-    idx.verify(g)
+    check_index(idx, g.degrees)
     idx._tree[4] += 1e-12
     with pytest.raises(AssertionError, match="Fenwick"):
-        idx.verify(g)
+        check_index(idx, g.degrees)
 
 
 def test_verify_allows_float_drift_within_tolerance():
@@ -243,14 +253,13 @@ def test_verify_allows_float_drift_within_tolerance():
     for _ in range(3000):  # random walk of degrees, rounding piles up
         u, v = (int(x) for x in rng.integers(0, 40, 2))
         if u != v and max(g.degrees[u], g.degrees[v]) < 58:
-            g.degrees[u] += 1  # an edge u-v; verify reads degrees only
+            g.degrees[u] += 1  # an edge u-v; check_index reads degrees only
             g.degrees[v] += 1
             idx.update(g.degrees, [u, v], 40)
-    idx.verify(g)
-    total = idx._tree[idx._size]
-    idx._tree[idx._size] += 10 * TREE_RTOL * total
+    check_index(idx, g.degrees)
+    idx._tree[-1] += 10 * TREE_RTOL * total_weight(idx)
     with pytest.raises(AssertionError, match="Fenwick"):
-        idx.verify(g)
+        check_index(idx, g.degrees)
 
 
 def test_capacity_growth_keeps_tree_and_sampling():
@@ -258,9 +267,9 @@ def test_capacity_growth_keeps_tree_and_sampling():
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)  # every degree 0, weight 0
     for v, k in ((0, 1), (1, 700), (2, 3000)):
-        g.degrees[v] += k  # degrees only; verify reads nothing else
+        g.degrees[v] += k  # degrees only; check_index reads nothing else
         idx.update(g.degrees, [v] * k, 3)
-    idx.verify(g)
+    check_index(idx, g.degrees)
     draws = idx.sample_many(np.random.default_rng(2), 37010)
     counts = np.bincount(draws, minlength=3)
     res = stats.chisquare(counts, np.array([1, 700, 3000]) / 3701 * len(draws))
@@ -274,11 +283,10 @@ def test_capacity_growth_keeps_tree_and_sampling():
 )
 def test_update_follows_increments(f):
     # random clique increments with bundles and repeat draws, then one
-    # that has all of them and a new vertex past the initial capacity
+    # that has all of them and a new vertex past the covered degrees
     rng = np.random.default_rng(23)
     g = seed_complete(4)
     idx = LayerIndex.build(g, f)
-    cap = idx._cap
     for _ in range(30):
         n = int(rng.integers(1, 4))
         bundles = rng.integers(0, g.n, int(rng.integers(0, 3))).tolist()
@@ -286,13 +294,14 @@ def test_update_follows_increments(f):
         targets = [t for t in bundles for _ in range(n)] + rng.integers(0, g.n, len(ends)).tolist()
         base = g.add_clique(n, targets, [*range(n)] * len(bundles) + ends)
         idx.update(g.degrees, targets, base)
-        idx.verify(g)
+        check_index(idx, g.degrees)
     # bundle target 0; vertex 1 drawn twice; new vertex 0 reaches
-    # degree cap, the first one past the initial capacity
+    # degree cap, the first one past the covered degrees
+    cap = len(idx._fw)
     targets = [0, 0, 1, 1] + rng.integers(2, g.n, cap - 2).tolist()
     ends = [0, 1, 1, 1] + [0] * (cap - 2)
     base = g.add_clique(2, targets, ends)
     assert g.degrees[base] == cap
     idx.update(g.degrees, targets, base)
-    idx.verify(g)
-    assert idx._cap > cap
+    check_index(idx, g.degrees)
+    assert len(idx._fw) > cap

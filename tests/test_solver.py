@@ -325,6 +325,16 @@ class TestSolveBehaviour:
         # sweeps any table
         _assert_probe_rejects(monkeypatch, power, k_max=None)
 
+    def test_tail_that_never_closes_fails(self, monkeypatch):
+        # BA's tail bound falls like K^-2: capped at 8192 entries it stays
+        # near 1e-7, and the schedule must not return it as converged
+        monkeypatch.setattr(solver, "K_CAP", 8192)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_stationary(ba_params(), LINEAR)
+        bound = float(re.match(r"tail mass bound (\S+) ", str(exc.value)).group(1))
+        assert bound > 1e-10
+        assert str(exc.value).endswith("at k_max=8192 (K_CAP=8192) is not below max(tol, 1e-12)=1e-10")
+
     @pytest.mark.parametrize("offset", [5.0, -0.5])
     def test_affine_preference_is_linear(self, offset):
         # f = k + offset probes at p = 1 -/+ O(1/K) and counts as linear;
