@@ -51,12 +51,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from itertools import count
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, count
 
 import numpy as np
 
-from .distributions import DegreeDistribution, write_table
+from .distributions import ROWS_PER_WRITE, DegreeDistribution, write_table
 from .params import ModelParams
 from .preference import PreferenceError, PreferenceFunction
 
@@ -84,10 +85,12 @@ class NonConvergenceError(RuntimeError):
 def _sweep_kernel(arr, fa, p: ModelParams, x):
     """One forward sweep of the recurrence at mean x for parameters p.
 
-    arr and fa (arrival mass and f over 0..K) are plain lists: indexing
-    Python floats is several times faster than scalar indexing of numpy
-    arrays. q and t = f q are filled as array('d') and returned as numpy
-    views of it, which keeps a table at 8 bytes per entry.
+    arr (arrival mass over 0..K, a list) and fa (f over 0..K, an
+    array('d') at 8 bytes per entry, not a list of boxed floats) are
+    read one Python float at a time, several times faster than scalar
+    indexing of numpy arrays. q and t = f q are filled as array('d') and
+    returned as numpy views of it, which keeps a table at 8 bytes per
+    entry.
     """
     size = len(arr)
     q = array("d", [0.0]) * size
@@ -169,6 +172,12 @@ def _check_reachable(p: ModelParams, f: PreferenceFunction) -> None:
 class StationarySolution:
     """Converged stationary table plus its quality diagnostics.
 
+    table holds Q_k for k = 0..k_max as the sweep left it: a read-only
+    float64 array, 8 bytes per entry, zeros included. q is the same table
+    as a DegreeDistribution over the positive entries; it is built from
+    table when first read and then kept, so a caller that only writes or
+    indexes the table never pays for its boxed entries. table takes no
+    part in == (the scalar fields do).
     mean_f is the fixed-point mean preference (tail-closed, so it can be
     slightly more accurate than summing f against the truncated table).
     balance_residual is the largest per-degree gain-loss imbalance when
@@ -176,13 +185,25 @@ class StationarySolution:
     tail_mass_bound is the exact probability mass beyond k_max.
     """
 
-    q: DegreeDistribution
+    table: np.ndarray = field(repr=False, compare=False)
     mean_f: float
     k_max: int
     iterations: int
     balance_residual: float
     tail_mass_bound: float
     method: str = "iteration"
+
+    @cached_property
+    def q(self) -> DegreeDistribution:
+        # the table is in degree order and was checked >= 0 when solved, so
+        # this skips DegreeDistribution.from_probs' per-entry validation
+        probs = {k: v for k, v in enumerate(self.table.tolist()) if v > 0.0}
+        return DegreeDistribution(probs, min(probs), max(probs))
+
+
+def _blocks(a: np.ndarray):
+    """(start, slice) pairs covering a, ROWS_PER_WRITE entries each."""
+    return ((lo, a[lo : lo + ROWS_PER_WRITE]) for lo in range(0, a.shape[0], ROWS_PER_WRITE))
 
 
 def _flux_residual(q, t, p: ModelParams, x: float) -> float:
@@ -192,25 +213,36 @@ def _flux_residual(q, t, p: ModelParams, x: float) -> float:
     k-1 -> k at rate b, bundles promote k-n -> k at rate gamma mu, and the
     vertex pool dilutes by 1 + gamma (n-1). This regroups the recurrence
     by flux rather than by Q, so a transcription slip in either form shows
-    up as a nonzero residual.
+    up as a nonzero residual. It is evaluated block by block, so its
+    temporaries stay a few blocks long whatever the table size.
     """
-    K = q.shape[0] - 1
     m1 = p.r1.mean_degree
     mn = p.rn.mean_degree
     gamma, n, mu = p.gamma, p.n, p.mu
-    prob = t / x
-    r1v = np.zeros(K + 1)
-    for k, pr in p.r1.items():
-        r1v[k] = pr
-    rnv = np.zeros(K + 1)
-    for j, pr in p.rn.items():
-        rnv[j + n - 1] = pr
-    p1 = np.concatenate(([0.0], prob[:-1]))
-    pn = np.concatenate((np.zeros(n), prob[:-n])) if n <= K else np.zeros(K + 1)
-    gain = (1.0 - gamma) * (r1v + m1 * (p1 - prob))
-    gain += gamma * (n * rnv + mu * (pn - prob) + n * (mn - mu) * (p1 - prob))
-    res = q * (1.0 + gamma * (n - 1.0)) - gain
-    return float(np.abs(res).max())
+    rn = {j + n - 1: pr for j, pr in p.rn.items()}
+    worst = []
+    for lo, qb in _blocks(q):
+        hi = lo + qb.shape[0]
+        # prob_k = t_k / x for k = lo - n .. hi - 1, zero below degree 0
+        ext = np.zeros(hi - lo + n)
+        ext[max(0, n - lo) :] = t[max(0, lo - n) : hi] / x
+        prob, p1, pn = ext[n:], ext[n - 1 : -1], ext[:-n]
+        r1v = _dense(p.r1.items(), lo, hi)
+        rnv = _dense(rn.items(), lo, hi)
+        gain = (1.0 - gamma) * (r1v + m1 * (p1 - prob))
+        gain += gamma * (n * rnv + mu * (pn - prob) + n * (mn - mu) * (p1 - prob))
+        res = qb * (1.0 + gamma * (n - 1.0)) - gain
+        worst.append(np.abs(res).max())
+    return float(np.max(worst))
+
+
+def _dense(items, lo: int, hi: int) -> np.ndarray:
+    """The (k, value) items with lo <= k < hi as a dense array over lo..hi-1."""
+    v = np.zeros(hi - lo)
+    for k, val in items:
+        if lo <= k < hi:
+            v[k - lo] = val
+    return v
 
 
 def solve_stationary(
@@ -233,7 +265,8 @@ def solve_stationary(
     NonConvergenceError means f is superlinear, no arrival degree lies in
     the window, the mean ran away, lost its mass or has no fixed point,
     or, without k_max, the tail bound is not below max(tol, 1e-12) at
-    K_CAP entries; ValueError flags a tol that is not finite and > 0, or
+    K_CAP entries (the message names tau and the table size tol would
+    need); ValueError flags a tol that is not finite and > 0, or
     a k_max below the largest arrival degree. PreferenceError names the
     first degree of the first table where f is not finite and > 0, or
     else the probed degree.
@@ -286,23 +319,27 @@ def solve_stationary(
             if k_max is None and tail >= tail_tol:
                 size = min(K_CAP, 2 * K)
         if k_max is None and tail >= tail_tol:
+            # the mass beyond K falls like K^(1 - tau), tau = s + 1
+            drift = alpha * (p.b + p.n * p.gamma * p.mu)
+            tau = 1.0 + p.c * x / drift if drift > 0.0 else math.inf
+            need = K * (tail / tail_tol) ** (1.0 / (tau - 1.0))
             raise NonConvergenceError(
                 f"tail mass bound {tail!r} at k_max={K} (K_CAP={K_CAP}) "
-                f"is not below max(tol, 1e-12)={tail_tol!r}"
+                f"is not below max(tol, 1e-12)={tail_tol!r}: Q_k falls like "
+                f"k^-tau with tau={tau:.6g}, so the bound falls like "
+                f"k_max^(1-tau) and needs about {need:.3g} entries"
             )
 
     if not q.min() >= 0.0:
         raise RuntimeError("negative or NaN probability mass in stationary sweep")
     residual = _flux_residual(q, t, p, x)
-    # q.tolist() is already in degree order and checked above, so the
-    # table skips DegreeDistribution.from_probs' per-entry validation
-    probs = {k: v for k, v in enumerate(q.tolist()) if v > 0.0}
-    mass = math.fsum(probs.values())
+    mass = math.fsum(chain.from_iterable(block.tolist() for _, block in _blocks(q)))
     norm_tol = max(1e-9, 10.0 * tail + 1e-12)
     if abs(mass - 1.0) > norm_tol:
         raise ValueError(f"probabilities sum to {mass!r}, off by more than {norm_tol}")
+    q.flags.writeable = False
     return StationarySolution(
-        q=DegreeDistribution(probs, min(probs), max(probs)),
+        table=q,
         mean_f=x,
         k_max=K,
         iterations=iters,
@@ -327,7 +364,7 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
     (q, t)).
     """
     arr = p.arrival(K)
-    fa = f.weight_array(K).tolist()
+    fa = array("d", f.weight_array(K).tobytes())
     a = p.a
     x = x0
     lo, hi = 0.0, math.inf
@@ -375,7 +412,9 @@ def write_q_table(sol: StationarySolution, path, header=None) -> None:
     """CSV export: header comments with diagnostics, then k,Q rows.
 
     Extra header entries (tool version, parameter echo) go in front of the
-    solver diagnostics, all as "# key=value" comment lines.
+    solver diagnostics, all as "# key=value" comment lines. The rows are
+    the positive entries of sol.table, read ROWS_PER_WRITE at a time, so
+    the export never builds sol.q.
     """
     diagnostics = {
         "mean_f": repr(sol.mean_f),
@@ -385,5 +424,10 @@ def write_q_table(sol: StationarySolution, path, header=None) -> None:
         "iterations": sol.iterations,
         "method": sol.method,
     }
-    rows = (f"{k},{val!r}" for k, val in sol.q.items())
+    rows = (
+        f"{k},{val!r}"
+        for lo, block in _blocks(sol.table)
+        for k, val in enumerate(block.tolist(), lo)
+        if val > 0.0
+    )
     write_table(path, {**(header or {}), **diagnostics}, rows, title="k,Q")

@@ -3,13 +3,19 @@
 q_from_recurrence runs the solver's own sweep once at a given mean; the
 monads-only and dyads-only reductions are written out separately by
 hand, so comparing them with it checks the general recurrence term by
-term. edge_list_text is the edge-list file written the plain way, one
+term. flux_residual_whole is the solver's flux residual evaluated on
+whole-table arrays, the reference for its block-wise form. gamma_ratio_q
+is the closed form of Barabasi-Albert with an
+additive offset. edge_list_text is the edge-list file written the plain way, one
 f-string per line joined in memory. check_index rebuilds a layer index
 from the degrees and compares it with the maintained one;
 checking_updates runs that check every so many updates of a run.
 """
 
+import math
 from contextlib import contextmanager
+
+import numpy as np
 
 from polyadnet.distributions import DegreeDistribution
 from polyadnet.layers import LayerIndex
@@ -85,6 +91,38 @@ def q_dyad(
         q[k] = val
         p2, p1 = p1, val
     return q
+
+
+def flux_residual_whole(q, t, p: ModelParams, x: float) -> float:
+    """Max gain-loss imbalance over the table, in one pass over whole arrays."""
+    K = q.shape[0] - 1
+    m1 = p.r1.mean_degree
+    mn = p.rn.mean_degree
+    gamma, n, mu = p.gamma, p.n, p.mu
+    prob = t / x
+    r1v = np.zeros(K + 1)
+    for k, pr in p.r1.items():
+        r1v[k] = pr
+    rnv = np.zeros(K + 1)
+    for j, pr in p.rn.items():
+        rnv[j + n - 1] = pr
+    p1 = np.concatenate(([0.0], prob[:-1]))
+    pn = np.concatenate((np.zeros(n), prob[:-n])) if n <= K else np.zeros(K + 1)
+    gain = (1.0 - gamma) * (r1v + m1 * (p1 - prob))
+    gain += gamma * (n * rnv + mu * (pn - prob) + n * (mn - mu) * (p1 - prob))
+    res = q * (1.0 + gamma * (n - 1.0)) - gain
+    return float(np.abs(res).max())
+
+
+def gamma_ratio_q(beta: float, m: int, ks) -> list[float]:
+    """Unnormalized Q_k = Gamma(k + beta) / Gamma(k + beta + tau) at each k.
+
+    The stationary law of monads of m edges attaching by f(k) = k + beta
+    (Dorogovtsev, Mendes and Samukhin, PRL 85, 4633, 2000), tau = 3 +
+    beta / m, for degrees above the entry degree m. Needs k + beta > 0.
+    """
+    tau = 3.0 + beta / m
+    return [math.exp(math.lgamma(k + beta) - math.lgamma(k + beta + tau)) for k in ks]
 
 
 def edge_list_text(g, header: dict) -> bytes:

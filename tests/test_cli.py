@@ -486,7 +486,11 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: tail mass bound ")
-        assert err.endswith("at k_max=8192 (K_CAP=8192) is not below max(tol, 1e-12)=1e-10\n")
+        assert err.endswith(
+            "at k_max=8192 (K_CAP=8192) is not below max(tol, 1e-12)=1e-10: Q_k falls like "
+            "k^-tau with tau=3, so the bound falls like k_max^(1-tau) and needs about "
+            "2.45e+05 entries\n"
+        )
         assert not (tmp_path / "out" / "q_table.csv").exists()
 
     def test_small_kmax_linear_kernel(self, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from polyadnet.solver import (
     write_q_table,
 )
 
-from oracles import q_dyad, q_from_recurrence, q_gamma0
+from oracles import flux_residual_whole, gamma_ratio_q, q_dyad, q_from_recurrence, q_gamma0
 
 UNIT = PreferenceFunction.constant(1.0, g=0)
 LINEAR = PreferenceFunction.linear()
@@ -246,6 +247,21 @@ class TestReductions:
             assert q.tobytes() == q_ref.tobytes()
             assert t.tobytes() == t_ref.tobytes()
 
+    @pytest.mark.parametrize(
+        "model, K", [("crit3", 20_000), ("mixed", 16_389), ("pentads", 9_000), ("n4", 3)]
+    )
+    def test_block_residual_matches_the_whole_table_form(self, model, K):
+        # the residual is evaluated ROWS_PER_WRITE entries at a time; across
+        # block boundaries, and on a table shorter than the bundle size n,
+        # it must give the whole-array value bit for bit
+        if model == "n4":
+            p = ModelParams(gamma=0.5, n=4, mu=0, r1=point(1), rn=point(0))
+        else:
+            p = PENTADS if model == "pentads" else _model(model)
+        x = 2.5
+        q, t = solver._sweep_kernel(p.arrival(K), LINEAR.weight_array(K).tolist(), p, x)
+        assert solver._flux_residual(q, t, p, x) == flux_residual_whole(q, t, p, x)
+
     def test_recurrence_includes_zero_entries(self):
         q = q_from_recurrence(ba_params(2), LINEAR, 4.0, 10)
         assert set(q) == set(range(11))
@@ -327,13 +343,22 @@ class TestSolveBehaviour:
 
     def test_tail_that_never_closes_fails(self, monkeypatch):
         # BA's tail bound falls like K^-2: capped at 8192 entries it stays
-        # near 1e-7, and the schedule must not return it as converged
+        # near 1e-7, and the schedule must not return it as converged; the
+        # message names tau = 3 and the size K (bound / tol)^(1/2) that
+        # tol would need
         monkeypatch.setattr(solver, "K_CAP", 8192)
         with pytest.raises(NonConvergenceError) as exc:
             solve_stationary(ba_params(), LINEAR)
         bound = float(re.match(r"tail mass bound (\S+) ", str(exc.value)).group(1))
         assert bound > 1e-10
-        assert str(exc.value).endswith("at k_max=8192 (K_CAP=8192) is not below max(tol, 1e-12)=1e-10")
+        need = re.search(
+            r"at k_max=8192 \(K_CAP=8192\) is not below max\(tol, 1e-12\)=1e-10: "
+            r"Q_k falls like k\^-tau with tau=3, so the bound falls like "
+            r"k_max\^\(1-tau\) and needs about (\S+) entries$",
+            str(exc.value),
+        )
+        assert need is not None
+        assert float(need.group(1)) == pytest.approx(8192 * (bound / 1e-10) ** 0.5, rel=5e-3)
 
     @pytest.mark.parametrize("offset", [5.0, -0.5])
     def test_affine_preference_is_linear(self, offset):
@@ -346,6 +371,35 @@ class TestSolveBehaviour:
         sol = solve_stationary(p, f, tol=1e-13, k_max=4096)
         assert sol.mean_f == pytest.approx(4.0 + offset, abs=1e-12)
         assert solve_stationary(p, f).tail_mass_bound < 1e-10
+
+    @pytest.mark.parametrize("beta", [6.0, 2.0, 0.0, -0.5])
+    def test_offset_preference_gives_the_gamma_ratio(self, beta):
+        # BA (m = 2) with f = k + beta: Q_k is proportional to
+        # Gamma(k + beta) / Gamma(k + beta + tau), tau = 3 + beta / m, and
+        # mean_f = 2m + beta; read through the dense table, since sol.q
+        # would box 948709 entries for beta = -0.5
+        f = PreferenceFunction.from_rule(lambda k: np.asarray(k, float) + beta, g=2)
+        sol = solve_stationary(ba_params(2), f)
+        ks = range(3, 2000)
+        ratio = sol.table[3:2000] / np.array(gamma_ratio_q(beta, 2, ks))
+        assert ratio.max() / ratio.min() - 1.0 <= 1e-8
+        assert sol.mean_f == pytest.approx(4.0 + beta, rel=1e-9)
+
+    @pytest.mark.parametrize("beta, tau, need", [(-1.0, 2.5, 5.6e6), (-1.5, 2.25, 5.9e7)])
+    def test_heavy_tail_failure_names_tau_and_the_size_tol_needs(self, beta, tau, need):
+        # the tail closes, but its mass falls like K^(1 - tau): at K_CAP
+        # the bound is still above tol, and tol would take about
+        # K_CAP (bound / tol)^(1 / (tau - 1)) entries
+        f = PreferenceFunction.from_rule(lambda k: np.asarray(k, float) + beta, g=2)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_stationary(ba_params(2), f)
+        msg = str(exc.value)
+        bound = float(re.match(r"tail mass bound (\S+) at k_max=1000000 ", msg).group(1))
+        quoted = re.search(r"tau=(\S+), .* needs about (\S+) entries$", msg)
+        assert float(quoted.group(1)) == pytest.approx(tau, rel=1e-6)
+        size = float(quoted.group(2))
+        assert size == pytest.approx(solver.K_CAP * (bound / 1e-10) ** (1.0 / (tau - 1.0)), rel=5e-3)
+        assert size == pytest.approx(need, rel=0.05)
 
     @pytest.mark.parametrize("model", ["m1", "m2", "crit3", "mixed", "pentads"])
     def test_tail_closed_mean_is_exact_on_small_tables(self, model):
@@ -412,6 +466,36 @@ def test_q_table_round_trip(tmp_path):
     assert meta["tool"] == "test"
     assert float(meta["mean_f"]) == sol.mean_f
     assert probs == dict(sol.q.items())
+
+
+def test_q_table_skips_interior_zeros(tmp_path):
+    # bundles only (gamma = 1, n = 3, mu = 1, rn = {1: 1}): vertices enter
+    # at degree 3 and every attachment adds 3, so Q is positive only at
+    # multiples of 3, 1365 of the 4097 entries
+    p = ModelParams(gamma=1.0, n=3, mu=1, r1=point(0), rn=point(1))
+    sol = solve_stationary(p, LINEAR)
+    assert sol.table.shape == (4097,)
+    path = tmp_path / "q.csv"
+    write_q_table(sol, path)
+    rows = [line for line in path.read_text().splitlines() if line[0].isdigit()]
+    assert rows == [f"{k},{v!r}" for k, v in sol.q.items()]
+    assert len(rows) == 1365
+    assert all(float(row.split(",")[1]) > 0.0 for row in rows)
+
+
+def test_solve_and_write_stay_within_64_bytes_per_entry(tmp_path):
+    # the solution keeps one dense float64 table and the writer streams
+    # it: traced memory peaks at most 64 bytes per table entry, where a
+    # dict of boxed entries took about 150, and writing never builds q
+    tracemalloc.start()
+    try:
+        sol = solve_stationary(ba_params(2), LINEAR, k_max=100_000)
+        write_q_table(sol, tmp_path / "q.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "q" not in vars(sol)
+    assert peak <= 64 * (sol.k_max + 1)
 
 
 def test_q_table_rejects_duplicates(tmp_path):
