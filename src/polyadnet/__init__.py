@@ -17,7 +17,6 @@ from .analysis import (
     ComparisonReport,
     compare,
     global_clustering,
-    loglog_slope,
     triangle_count,
 )
 from .calibrate import CalibrationResult, calibrate
@@ -61,7 +60,6 @@ __all__ = [
     "empirical_vdd",
     "global_clustering",
     "grow",
-    "loglog_slope",
     "read_distribution",
     "read_edge_list",
     "read_preference",

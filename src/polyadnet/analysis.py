@@ -1,9 +1,8 @@
 """Comparing distributions and probing graph structure.
 
 Kept deliberately small: distance measures for validating predicted
-against observed degree distributions, exact triangle and clustering
-counts for clique-dominated graphs, and a log-log slope fit for eyeballing
-power-law tails.
+against observed degree distributions, and exact triangle and clustering
+counts for clique-dominated graphs.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "ComparisonReport",
     "compare",
     "global_clustering",
-    "loglog_slope",
     "triangle_count",
     "write_report",
 ]
@@ -105,44 +103,14 @@ def triangle_count(g: MultiGraph) -> int:
     return total
 
 
-def global_clustering(g: MultiGraph, triangles: int | None = None) -> float:
-    """Transitivity 3T / (number of wedges) on the simple projection.
-
-    Pass ``triangles`` when ``triangle_count(g)`` is already known, so the
-    triangles are not counted a second time.
-    """
+def global_clustering(g: MultiGraph, triangles: int) -> float:
+    """Transitivity 3T / (number of wedges) on the simple projection, where
+    ``triangles`` is ``triangle_count(g)``."""
     deg = _simple_degrees(g, *_simple_edges(g))
     wedges = int((deg * (deg - 1) // 2).sum())
     if wedges == 0:
         raise ValueError("graph has no wedges; clustering undefined")
-    if triangles is None:
-        triangles = triangle_count(g)
     return 3.0 * triangles / wedges
-
-
-def loglog_slope(
-    d: DegreeDistribution,
-    k_lo: int | None = None,
-    k_hi: int | None = None,
-) -> float:
-    """Least-squares slope of log Q against log k on [k_lo, k_hi].
-
-    Only strictly positive degrees and probabilities enter the fit; at
-    least three such points are required.
-    """
-    lo = d.support_min if k_lo is None else k_lo
-    hi = d.support_max if k_hi is None else k_hi
-    xs = []
-    ys = []
-    for k, pr in d.items():
-        if lo <= k <= hi and k > 0 and pr > 0.0:
-            xs.append(np.log(float(k)))
-            ys.append(np.log(pr))
-    if len(xs) < 3:
-        raise ValueError(
-            f"need at least 3 positive points in [{lo}, {hi}], found {len(xs)}"
-        )
-    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def write_report(

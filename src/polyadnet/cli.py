@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .analysis import compare, global_clustering, loglog_slope, triangle_count, write_report
+from .analysis import compare, global_clustering, triangle_count, write_report
 from .calibrate import calibrate
 from .distributions import DegreeDistribution, read_distribution, write_distribution, write_table
 from .engine import grow, read_edge_list, write_edge_list, write_stats
@@ -377,10 +377,6 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
         summary["clustering"] = repr(global_clustering(g, triangles))
     except ValueError:
         summary["clustering"] = "undefined"
-    try:
-        summary["loglog_slope"] = repr(loglog_slope(empirical, args.slope_lo, args.slope_hi))
-    except ValueError:
-        summary["loglog_slope"] = "undefined"
 
     theory_path = args.theory or (cfg.target_vdd_path and _resolve(base, cfg.target_vdd_path))
     report_path = out / "analysis_report.csv"
@@ -476,8 +472,6 @@ def _parser() -> argparse.ArgumentParser:
         if name == "analyze":
             sp.add_argument("--edges", metavar="PATH", help="edge list to analyze")
             sp.add_argument("--theory", metavar="PATH", help="theoretical VDD table")
-            sp.add_argument("--slope-lo", type=int, dest="slope_lo", help="slope fit lower degree")
-            sp.add_argument("--slope-hi", type=int, dest="slope_hi", help="slope fit upper degree")
     return ap
 
 

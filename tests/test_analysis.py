@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from polyadnet.analysis import (
     compare,
     global_clustering,
-    loglog_slope,
     triangle_count,
     write_report,
 )
@@ -109,17 +108,18 @@ class TestTriangles:
 
 class TestClustering:
     def test_complete_graph_is_one(self):
-        assert global_clustering(seed_complete(4)) == pytest.approx(1.0)
+        g = seed_complete(4)
+        assert global_clustering(g, triangle_count(g)) == pytest.approx(1.0)
 
     def test_k4_with_pendant(self):
         g = seed_complete(4)
         g.add_clique(1, [0], [0])
         # 4 triangles, wedges: C(4,2) at the hub plus 3*C(3,2) = 15
-        assert global_clustering(g) == pytest.approx(12 / 15)
+        assert global_clustering(g, triangle_count(g)) == pytest.approx(12 / 15)
 
     def test_no_wedges_raises(self):
         with pytest.raises(ValueError):
-            global_clustering(MultiGraph.from_columns(2, [0], [1]))
+            global_clustering(MultiGraph.from_columns(2, [0], [1]), 0)
 
     def test_brute_wedge_comparison(self):
         rng = np.random.default_rng(32)
@@ -133,26 +133,7 @@ class TestClustering:
             if wedges == 0:
                 continue
             expected = 3 * brute_triangles(g) / wedges
-            assert global_clustering(g) == pytest.approx(expected)
-
-
-class TestSlope:
-    def test_exact_power_law(self):
-        raw = {k: k**-3.0 for k in range(1, 101)}
-        total = sum(raw.values())
-        d = dist({k: v / total for k, v in raw.items()})
-        assert loglog_slope(d) == pytest.approx(-3.0, abs=1e-10)
-
-    def test_range_restriction(self):
-        probs = {k: k**-2.0 for k in range(1, 50)}
-        probs[50] = 0.5  # outlier outside the fit range
-        total = sum(probs.values())
-        d = dist({k: v / total for k, v in probs.items()})
-        assert loglog_slope(d, 1, 49) == pytest.approx(-2.0, abs=1e-10)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            loglog_slope(dist({1: 0.5, 2: 0.5}))
+            assert global_clustering(g, triangle_count(g)) == pytest.approx(expected)
 
 
 def test_write_report(tmp_path):

@@ -664,6 +664,36 @@ class TestAnalyze:
         assert "# clustering=" in text
         assert "k,empirical" in text
 
+    def test_slope_flags_are_gone(self, mixed_setup, capsys, tmp_path):
+        _, cfg = mixed_setup
+        main(["generate", "--config", str(cfg)])
+        out = tmp_path / "out"
+        argv = ["analyze", "--config", str(cfg), "--edges", str(out / "edges.tsv"), "--slope-lo", "2"]
+        assert main(argv) == 2
+        assert "unrecognized arguments: --slope-lo 2" in capsys.readouterr().err
+        assert not (out / "analysis_report.csv").exists()
+
+    def test_theory_defaults_to_target_vdd_path(self, mixed_setup, monkeypatch, tmp_path):
+        # target_vdd_path resolves against the config's directory, not the
+        # working directory, and gives the same report as --theory
+        _, cfg = mixed_setup
+        main(["generate", "--config", str(cfg)])
+        main(["solve", "--config", str(cfg), "--kmax", "2048"])
+        out = tmp_path / "out"
+        (tmp_path / "theory.csv").write_bytes((out / "q_table.csv").read_bytes())
+        keys = yaml.safe_load(cfg.read_text())
+        write_yaml(cfg, **keys, target_vdd_path="theory.csv")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        run = ["analyze", "--config", str(cfg), "--edges", str(out / "edges.tsv")]
+        assert main([*run, "--out", str(tmp_path / "default")]) == 0
+        explicit = ["--theory", str(tmp_path / "theory.csv"), "--out", str(tmp_path / "explicit")]
+        assert main([*run, *explicit]) == 0
+        report = (tmp_path / "default" / "analysis_report.csv").read_bytes()
+        assert b"# tv_distance=" in report
+        assert report == (tmp_path / "explicit" / "analysis_report.csv").read_bytes()
+
     def test_missing_edges_flag(self, mixed_setup):
         _, cfg = mixed_setup
         assert main(["analyze", "--config", str(cfg)]) == 2
@@ -812,6 +842,9 @@ def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, command, flag):
 # again when the calibrator's a changed, and the unbounded solves of
 # "solve_ba" and "analyze" (with the --theory report that reads the
 # latter) when the exact tail closure replaced the power-law fit. The
+# "analyze" run's two reports, p/analysis_report.csv and
+# t/analysis_report.csv, were recorded again when their "# loglog_slope="
+# line was dropped; every other byte of them is unchanged. The
 # failure runs (exit code 1) and every command's stdout and stderr were
 # recorded before the subcommands were put behind one command table. Each
 # run works in its own directory: inputs from GOLDEN_TABLES, one config,
@@ -926,9 +959,9 @@ GOLDEN = {
             "g/edges.tsv": "155a805a1f427f7f9bd31c34d3bc3a3dd06a7e6c17fce7d3f8bff17956d0bb63",
             "g/empirical_vdd.tsv": "82359cd8dc338e6fcc09199a637870e47be8ad4f091296bc34a9a41ffbc19331",
             "g/stats.txt": "4b8a16829d8b5f28b6383e18b9c50df911eb162e9897d7c776245f483f88f513",
-            "p/analysis_report.csv": "f0907253076979120104e337f22ef32d61cb018cb4ec2f57ebba1faf99435417",
+            "p/analysis_report.csv": "7c2695e057ab8ba6fa304c9a9b10cff7416f1d47783850a477230ba52d62d4ab",
             "s/q_table.csv": "6b2bbbfc96de9dea04824c75c4b5ffef875d4b6043b6f18c22474fb25e6423c4",
-            "t/analysis_report.csv": "2a7603afa9a1f0d0a4d0ac438bfe599a6b03b8f11690540f4af1321e2c1cd527",
+            "t/analysis_report.csv": "1a71faef48c65a322aec0dcba50627ca5fc931739a7ac0ca77b4369c53acfb71",
         },
     ),
     "diverging": (

@@ -385,6 +385,37 @@ class TestSolveBehaviour:
         assert ratio.max() / ratio.min() - 1.0 <= 1e-8
         assert sol.mean_f == pytest.approx(4.0 + beta, rel=1e-9)
 
+    @pytest.mark.parametrize("model", ["crit3", "mixed"])
+    def test_bundle_model_local_exponent_approaches_tau_from_below(self, model):
+        # f = k: Q_k ~ k^-tau with tau = 1 + c mean_f / (b + n gamma mu);
+        # the local exponent log2(Q_k / Q_2k) stays below tau and falls
+        # short by O(1/k), so k times the shortfall is flat in k (measured
+        # 2.553-2.563 for crit3, 7.49-7.56 for mixed)
+        p = _model(model)
+        sol = solve_stationary(p, LINEAR)
+        tau = 1.0 + p.c * sol.mean_f / (p.b + p.n * p.gamma * p.mu)
+        ks = np.array([256, 512, 1024, 2048, 4096])
+        local = np.log2(sol.table[ks] / sol.table[2 * ks])
+        assert (local < tau).all(), (tau, local)
+        scaled = ks * (tau - local)
+        assert scaled.max() / scaled.min() - 1.0 <= 0.02, scaled
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_sublinear_preference_gives_a_stretched_exponential(self, m):
+        # monads with f = k^0.5: Q_{k+1} / Q_k = f(k) / (mu + f(k+1)) with
+        # mu = mean_f / m for k > m, which decays like exp(-2 mu sqrt(k))
+        # (Krapivsky, Redner and Leyvraz); the first table already closes
+        f = PreferenceFunction.from_rule(lambda k: np.sqrt(np.asarray(k, float)), g=1)
+        sol = solve_stationary(ba_params(m), f)
+        assert sol.k_max == solver.K_START
+        assert sol.tail_mass_bound < 1e-40
+        assert sol.method == "iteration"
+        mu = sol.mean_f / m
+        k = np.arange(m + 1, 1025, dtype=float)
+        got = np.log(sol.table[m + 1 : 1025] / sol.table[m + 2 : 1026])
+        want = np.log1p(mu / np.sqrt(k + 1.0)) + 0.5 * np.log1p(1.0 / k)
+        assert np.abs(got / want - 1.0).max() <= 1e-12
+
     @pytest.mark.parametrize("beta, tau, need", [(-1.0, 2.5, 5.6e6), (-1.5, 2.25, 5.9e7)])
     def test_heavy_tail_failure_names_tau_and_the_size_tol_needs(self, beta, tau, need):
         # the tail closes, but its mass falls like K^(1 - tau): at K_CAP
