@@ -7,12 +7,16 @@ member uniformly inside it. Layer weights live in a Fenwick tree (Fenwick
 1994) on plain lists: an increment updates O(log K) nodes per layer whose
 member count it changes, and a top-down descent finds the first layer
 whose cumulative weight exceeds ``u * total`` in O(log K) steps, K being
-the number of degrees covered.
+the number of degrees covered. Layer members and each vertex's slot in
+its layer are int32 arrays (``array('i')``), the id range of the graph's
+edge columns: 4 B per stored id instead of a pointer to a boxed int.
 With integer weights (f(k) = k, constants) every sum is exact, so a pick
 is the same as a linear search of the cumulative sums would give.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .graph import MultiGraph
 from .preference import PreferenceFunction
@@ -47,6 +51,10 @@ class LayerIndex:
     so every update path ends at ``_tree[size]``, the total. ``_live``
     counts vertices of positive weight; saturation is decided from it,
     never from the float total.
+
+    ``_members[k]`` is an ``array('i')`` of the vertices of degree ``k``
+    and ``_pos`` one ``array('i')`` that gives each vertex's slot in its
+    layer, so ``_members[degrees[v]][_pos[v]] == v``.
     """
 
     __slots__ = ("f", "_fw", "_members", "_pos", "_tree", "_live")
@@ -54,8 +62,8 @@ class LayerIndex:
     def __init__(self, f: PreferenceFunction):
         self.f = f
         self._fw: list[float] = f.weight_array(_START - 1).tolist()
-        self._members: list[list[int]] = [[] for _ in range(_START)]
-        self._pos: list[int] = []
+        self._members: list[array] = [array("i") for _ in range(_START)]
+        self._pos = array("i")
         self._tree = [0.0] * (_START + 1)
         self._live = 0
 
@@ -66,7 +74,7 @@ class LayerIndex:
         return idx
 
     def _ensure(self, k: int) -> None:
-        """Double every per-degree list until it covers degree ``k``.
+        """Double the tree, weights and layers until they cover degree ``k``.
 
         Nodes up to the old size keep their ranges; of the new ones only
         the powers of two cover populated layers, and those hold the total.
@@ -79,7 +87,7 @@ class LayerIndex:
             size *= 2
             tree[size] = total
         self._fw = self.f.weight_array(size - 1).tolist()
-        self._members.extend([] for _ in range(size - len(self._members)))
+        self._members.extend(array("i") for _ in range(size - len(self._members)))
 
     def update(self, degrees: list[int], targets=(), first: int = 0) -> None:
         """Follow one increment of the graph: move its targets, add its new vertices.
@@ -104,8 +112,8 @@ class LayerIndex:
         for v in range(first, n):
             gains[v] = 0  # a new vertex: in no layer yet
         members, pos = self._members, self._pos
-        if n > len(pos):
-            pos.extend([-1] * (n - len(pos)))
+        if n > len(pos):  # zeroed slots, each set below before it is read
+            pos.frombytes(bytes(pos.itemsize * (n - len(pos))))
         change: dict[int, int] = {}  # touched layer -> net change of its size
         size = len(self._tree) - 1  # the layers covered
         kmax = 0  # the highest layer touched
@@ -122,7 +130,7 @@ class LayerIndex:
                 last = lst[-1]
                 lst[i] = last
                 pos[last] = i
-                lst.pop()
+                del lst[-1]
                 change[k - h] = change.get(k - h, 0) - 1
             lst = members[k]
             pos[v] = len(lst)

@@ -152,8 +152,9 @@ def _fenwick(values: list[float], size: int) -> list[float]:
 def check_index(idx: LayerIndex, degrees: list[int]) -> None:
     """Rebuild ``idx`` from ``degrees`` and compare; raises on any drift.
 
-    Membership and the live count must match exactly, and so must every
-    Fenwick node when all weights up to the highest degree are integers.
+    Membership and the live count must match exactly, every vertex must
+    sit at its slot (``_members[degrees[v]][_pos[v]] == v``), and so must
+    every Fenwick node when all weights up to the highest degree are integers.
     Degrees never fall, so that degree is the highest the index has seen.
     With non-integer weights a node may differ from a fresh build by
     ``TREE_RTOL`` times the total weight, or times the largest f(k) seen
@@ -169,6 +170,13 @@ def check_index(idx: LayerIndex, degrees: list[int]) -> None:
         raise AssertionError("layer membership drifted from the graph")
     if idx._live != fresh._live:
         raise AssertionError("live vertex count drifted from the graph")
+    members, pos = idx._members, idx._pos
+    if len(pos) != len(degrees):
+        raise AssertionError(f"{len(pos)} slots for {len(degrees)} vertices")
+    for v, k in enumerate(degrees):
+        i = pos[v]
+        if not 0 <= i < len(members[k]) or members[k][i] != v:
+            raise AssertionError(f"vertex {v} is not at its slot {i} of layer {k}")
     size = len(idx._tree) - 1
     ref = _fenwick(
         [w * len(lst) if lst and w > 0.0 else 0.0 for w, lst in zip(idx._fw, idx._members)],

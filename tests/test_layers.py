@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import TREE_RTOL, check_index
 from scipy import stats
 
+from polyadnet.distributions import DegreeDistribution
+from polyadnet.engine import grow
 from polyadnet.graph import MultiGraph, seed_complete
 from polyadnet.layers import LayerIndex, SaturationError
+from polyadnet.params import ModelParams
 from polyadnet.preference import PreferenceFunction
 
 
@@ -142,6 +147,10 @@ def test_verify_catches_corruption():
     check_index(idx, g.degrees)
     g.add_clique(1, [0], [0])  # graph changed behind the index's back
     with pytest.raises(AssertionError):
+        check_index(idx, g.degrees)
+    idx = LayerIndex.build(g, PreferenceFunction.linear())  # layer 1 holds 2 and 3
+    idx._pos[2], idx._pos[3] = idx._pos[3], idx._pos[2]  # right layers, wrong slots
+    with pytest.raises(AssertionError, match="slot"):
         check_index(idx, g.degrees)
 
 
@@ -305,3 +314,48 @@ def test_update_follows_increments(f):
     idx.update(g.degrees, targets, base)
     check_index(idx, g.degrees)
     assert len(idx._fw) > cap
+
+
+def point(j):
+    return DegreeDistribution.from_probs({j: 1.0})
+
+
+# the models of the benchmark's grow workload and their seed graph sizes
+GROWN = {
+    "ba": (ModelParams(gamma=0.0, n=2, mu=0, r1=point(2), rn=point(0)), 4),
+    "mixed": (
+        ModelParams(
+            gamma=0.3, n=3, mu=1, r1=point(1), rn=DegreeDistribution.from_probs({1: 0.5, 2: 0.5})
+        ),
+        4,
+    ),
+    "pentads": (ModelParams(gamma=1.0, n=5, mu=0, r1=point(0), rn=point(1)), 5),
+}
+
+
+@pytest.mark.parametrize("name", GROWN)
+def test_grown_index_keeps_at_most_16_bytes_per_vertex(monkeypatch, name):
+    # members and slots are int32 arrays: after 20k steps the index takes
+    # about 8-12 B per vertex, tree and weights included, where lists of
+    # boxed ints took about 75. The whole run is traced, so each array is
+    # counted as the run's appends and removals left it.
+    grown = []
+    build = LayerIndex.build
+
+    def kept(g, f):
+        grown.append(build(g, f))
+        return grown[-1]
+
+    monkeypatch.setattr(LayerIndex, "build", kept)
+    p, seed_size = GROWN[name]
+    f = PreferenceFunction.linear()
+    tracemalloc.start()
+    try:
+        g = seed_complete(seed_size)
+        grow(g, p, f, 20_000, rng_seed=7)
+        held = tracemalloc.get_traced_memory()[0]
+        grown.clear()
+        freed = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (held - freed) / g.n <= 16
