@@ -128,23 +128,23 @@ class PreferenceFunction:
             raise PreferenceError(f"preference rule gives {val} at degree {k} inside the window")
         return val
 
-    def weight_array(self, upto: int) -> np.ndarray:
-        """Dense weights for degrees ``0..upto`` (zeros outside the window).
+    def weight_array(self, upto: int, start: int = 0) -> np.ndarray:
+        """Dense weights for degrees ``start..upto`` (zeros outside the window).
 
         Raises PreferenceError naming the first degree in the covered part of
         the window where the rule is not finite and > 0.
         """
-        out = np.zeros(upto + 1)
-        hi = min(self.M, upto)
-        if hi < self.g:
+        out = np.zeros(upto - start + 1)
+        lo, hi = max(self.g, start), min(self.M, upto)
+        if hi < lo:
             return out
-        ks = np.arange(self.g, hi + 1)
+        ks = np.arange(lo, hi + 1)
         vals = self._at(ks)
         ok = (vals > 0.0) & np.isfinite(vals)
         if not ok.all():
             i = int(np.argmin(ok))
             raise PreferenceError(f"preference rule gives {vals[i]} at degree {ks[i]}, not a finite weight > 0")
-        out[self.g : hi + 1] = vals
+        out[lo - start : hi - start + 1] = vals
         return out
 
     @property

@@ -53,7 +53,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -82,34 +82,36 @@ class NonConvergenceError(RuntimeError):
     """No finite mean-preference fixed point was found."""
 
 
-def _sweep_kernel(arr, fa, p: ModelParams, x):
+def _sweep_kernel(q, t, arr, f: PreferenceFunction, p: ModelParams, x):
     """One forward sweep of the recurrence at mean x for parameters p.
 
-    arr (arrival mass over 0..K, a list) and fa (f over 0..K, an
-    array('d') at 8 bytes per entry, not a list of boxed floats) are
-    read one Python float at a time, several times faster than scalar
-    indexing of numpy arrays. q and t = f q are filled as array('d') and
-    returned as numpy views of it, which keeps a table at 8 bytes per
-    entry.
+    Fills the array('d') tables q and t = f q, 8 bytes per entry each,
+    in place, and returns f at the last degree as the sweep evaluated it.
+    arr is the arrival mass over 0..arrival_max, a list; it is zero
+    beyond. f is evaluated ROWS_PER_WRITE degrees at a time, so the sweep
+    holds q, t and one block of f and no full f table. arr (a list) and
+    each block (through a memoryview, which boxes one float at a time
+    rather than the whole block) are read as Python floats, several times
+    faster than scalar indexing of numpy arrays.
     """
-    size = len(arr)
-    q = array("d", [0.0]) * size
-    t = array("d", [0.0]) * size
+    size = len(q)
     n, a, b = p.n, p.a, p.b
     denom0 = x * p.c
     gmu = p.gamma * p.mu
-    tk = 0.0
-    for k in range(size):
-        num = arr[k] * x
-        if k >= 1:
-            num += b * tk
-        if k >= n:
-            num += gmu * t[k - n]
-        fk = fa[k]
-        qk = num / (denom0 + fk * a)
-        q[k] = qk
-        t[k] = tk = fk * qk
-    return np.frombuffer(q), np.frombuffer(t)
+    tk = fk = 0.0
+    for lo in range(0, size, ROWS_PER_WRITE):
+        hi = min(lo + ROWS_PER_WRITE, size)
+        fb = memoryview(f.weight_array(hi - 1, lo))
+        for k, fk, ak in zip(range(lo, hi), fb, chain(arr[lo:hi], repeat(0.0))):
+            num = ak * x
+            if k >= 1:
+                num += b * tk
+            if k >= n:
+                num += gmu * t[k - n]
+            qk = num / (denom0 + fk * a)
+            q[k] = qk
+            t[k] = tk = fk * qk
+    return fk
 
 
 def _tail_mass(t: np.ndarray, p: ModelParams, x: float) -> float:
@@ -360,22 +362,26 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
     be monotone, so only these signs set it. A step that would leave the
     bracket, and every step after MAX_ITER sweeps, bisects it instead
     (8x while hi is unbounded). The loop stops at |g(x) - x| <= tol x, a
-    relative test at every scale of x. Returns (x, iterations, method,
-    (q, t)).
+    relative test at every scale of x. Every sweep refills the same pair
+    of array('d') tables, 16 bytes per entry in all, the only arrays of
+    table length. Returns (x, iterations, method, (q, t)), numpy views of
+    the last sweep's tables.
     """
-    arr = p.arrival(K)
-    fa = array("d", f.weight_array(K).tobytes())
+    arr = p.arrival(p.arrival_max)
+    qa = array("d", [0.0]) * (K + 1)
+    ta = array("d", [0.0]) * (K + 1)
+    q, t = np.frombuffer(qa), np.frombuffer(ta)
     a = p.a
     x = x0
     lo, hi = 0.0, math.inf
     method = "iteration"
     for it in count(1):
-        q, t = _sweep_kernel(arr, fa, p, x)
+        f_end = _sweep_kernel(qa, ta, arr, f, p, x)
         total = float(q.sum())
         s = float(t.sum())
         if alpha is not None:
             total += _tail_mass(t, p, x)
-            s += _tail_closure(t, p, x, alpha, fa[K])
+            s += _tail_closure(t, p, x, alpha, f_end)
         if total <= 0.0:
             raise NonConvergenceError("stationary sweep lost all probability mass")
         if math.isinf(s):

@@ -1,6 +1,7 @@
 """Reference computations for the test suite.
 
-q_from_recurrence runs the solver's own sweep once at a given mean; the
+sweep runs the solver's own sweep once at a given mean and returns its
+tables; q_from_recurrence gives that sweep's Q as a dict. The
 monads-only and dyads-only reductions are written out separately by
 hand, so comparing them with it checks the general recurrence term by
 term. flux_residual_whole is the solver's flux residual evaluated on
@@ -13,6 +14,7 @@ checking_updates runs that check every so many updates of a run.
 """
 
 import math
+from array import array
 from contextlib import contextmanager
 
 import numpy as np
@@ -22,6 +24,15 @@ from polyadnet.layers import LayerIndex
 from polyadnet.params import ModelParams
 from polyadnet.preference import PreferenceFunction
 from polyadnet.solver import _sweep_kernel
+
+
+def sweep(p: ModelParams, f: PreferenceFunction, mean_f: float, k_max: int):
+    """The solver's sweep at mean_f over 0..k_max: numpy arrays q and t,
+    and f(k_max) as the sweep evaluated it."""
+    q = array("d", [0.0]) * (k_max + 1)
+    t = array("d", [0.0]) * (k_max + 1)
+    f_end = _sweep_kernel(q, t, p.arrival(p.arrival_max), f, p, mean_f)
+    return np.frombuffer(q), np.frombuffer(t), f_end
 
 
 def q_from_recurrence(
@@ -42,8 +53,7 @@ def q_from_recurrence(
         raise ValueError(
             f"k_max={k_max} is below the largest arrival degree {p.arrival_max}"
         )
-    fa = f.weight_array(k_max).tolist()
-    q, _ = _sweep_kernel(p.arrival(k_max), fa, p, mean_f)
+    q, _, _ = sweep(p, f, mean_f, k_max)
     return dict(enumerate(q.tolist()))
 
 

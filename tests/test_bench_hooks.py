@@ -4,8 +4,9 @@
 keeps notes for the span names in ``NOTES``; ``perfbench/run.py`` reads
 per-layer metrics from span names such as ``engine.apply_monad``. A span
 name whose function is gone records nothing and its metric reads 0, so
-this checks the names directly. Neither file is run or changed here:
-``spans`` is imported from its path, and ``run.py`` is only parsed.
+this checks the names directly, and checks that the sweep's note still
+reads the table size. Neither file is run or changed here: ``spans`` is
+imported from its path, and ``run.py`` is only parsed.
 """
 
 import ast
@@ -13,6 +14,11 @@ import importlib
 import importlib.util
 import re
 from pathlib import Path
+
+from polyadnet import solver
+from polyadnet.distributions import DegreeDistribution
+from polyadnet.params import ModelParams
+from polyadnet.preference import PreferenceFunction
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,3 +81,24 @@ def test_benchmark_hooks_resolve():
     assert "engine.apply_monad" in names and "solver.write_q_table" in names
     missing = {name for name in names if not _resolves(spans.PACKAGE, name)}
     assert missing == DEAD
+
+
+def test_sweep_note_reads_each_table_size(monkeypatch):
+    # solver.sweep_elements sums this note over the sweeps of a traced pass
+    note = _spans().NOTES["solver._sweep_kernel"]
+    kernel = solver._sweep_kernel
+    sizes = []
+
+    def noted(*args, **kwargs):
+        result = kernel(*args, **kwargs)
+        sizes.append(note(args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(solver, "_sweep_kernel", noted)
+    r1, rn = DegreeDistribution.from_probs({2: 1.0}), DegreeDistribution.from_probs({0: 1.0})
+    ba = ModelParams(gamma=0.0, n=2, mu=0, r1=r1, rn=rn)
+    sol = solver.solve_stationary(ba, PreferenceFunction.linear())
+    assert sol.k_max + 1 == 245_391
+    # default schedule: phase one on 4097 entries, then one warm sweep
+    assert sizes == [4097] * (len(sizes) - 1) + [245_391]
+    assert len(sizes) > 1

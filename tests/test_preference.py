@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polyadnet.distributions import ROWS_PER_WRITE
 from polyadnet.preference import PreferenceError, PreferenceFunction, read_preference, write_preference
 
 
@@ -83,6 +84,43 @@ def test_weight_array_matches_call():
     w = f.weight_array(9)
     assert w.shape == (10,)
     assert [f(k) for k in range(10)] == list(w)
+
+
+def _blocks(f, upto):
+    step = ROWS_PER_WRITE
+    return [f.weight_array(min(lo + step, upto + 1) - 1, lo) for lo in range(0, upto + 1, step)]
+
+
+_TABLE = dict(enumerate(np.random.default_rng(5).uniform(0.1, 3.0, 12_000).tolist(), 3))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        PreferenceFunction.linear(),
+        PreferenceFunction.constant(2.5, g=0),
+        PreferenceFunction.from_rule(lambda k: np.asarray(k, float) ** 0.93, g=1),
+        PreferenceFunction.from_table(_TABLE),
+    ],
+    ids=["linear", "constant", "power0.93", "table"],
+)
+def test_weight_array_blocks_concatenate_to_the_whole_array(f):
+    # the solver's sweep evaluates f one block at a time; the blocks must
+    # give the whole array's weights bit for bit, here over three blocks
+    # (the table's window ends inside the second)
+    blocks = _blocks(f, 20_000)
+    assert [b.shape[0] for b in blocks] == [ROWS_PER_WRITE] * 2 + [20_001 - 2 * ROWS_PER_WRITE]
+    assert np.concatenate(blocks).tobytes() == f.weight_array(20_000).tobytes()
+
+
+def test_weight_array_names_the_same_bad_degree_whole_or_in_blocks():
+    f = PreferenceFunction.from_rule(lambda k: np.where(k < 9000, k * 1.0, np.nan), g=1)
+    message = r"^preference rule gives nan at degree 9000, not a finite weight > 0$"
+    with pytest.raises(PreferenceError, match=message):
+        f.weight_array(20_000)
+    f.weight_array(ROWS_PER_WRITE - 1, 0)  # the first block lies below 9000
+    with pytest.raises(PreferenceError, match=message):
+        _blocks(f, 20_000)
 
 
 @pytest.mark.parametrize("rule", [lambda k: float(k) + 0.5, lambda k: 2.0, lambda k: np.ones(3)])

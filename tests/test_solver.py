@@ -7,7 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyadnet.distributions import DegreeDistribution, read_degree_table, read_distribution
+from polyadnet.distributions import (
+    ROWS_PER_WRITE,
+    DegreeDistribution,
+    read_degree_table,
+    read_distribution,
+)
 from polyadnet.params import ModelParams
 from polyadnet import solver
 from polyadnet.preference import PreferenceFunction
@@ -17,7 +22,7 @@ from polyadnet.solver import (
     write_q_table,
 )
 
-from oracles import flux_residual_whole, gamma_ratio_q, q_dyad, q_from_recurrence, q_gamma0
+from oracles import flux_residual_whole, gamma_ratio_q, q_dyad, q_from_recurrence, q_gamma0, sweep
 
 UNIT = PreferenceFunction.constant(1.0, g=0)
 LINEAR = PreferenceFunction.linear()
@@ -232,18 +237,23 @@ class TestReductions:
                 t[k] = fa[k] * q[k]
             return q, t
 
+        # the kernel evaluates f ROWS_PER_WRITE degrees at a time; the last
+        # table (K = 20,000) spans three such blocks
+        assert 2 * ROWS_PER_WRITE < 20_000 + 1 <= 3 * ROWS_PER_WRITE
         rng = np.random.default_rng(23)
-        for gamma, n, mu in ((0.0, 2, 0), (0.3, 3, 1), (1.0, 2, 1), (0.6, 5, 2)):
+        for gamma, n, mu, K in (
+            (0.0, 2, 0, 300), (0.3, 3, 1, 300), (1.0, 2, 1, 300), (0.6, 5, 2, 300), (0.3, 3, 1, 20_000)
+        ):
             p = ModelParams(
                 gamma=gamma, n=n, mu=mu, r1=_random_dist(rng, lo=1, hi=6),
                 rn=_random_dist(rng, lo=mu, hi=mu + 4),
             )
             f = _random_pref(rng)
             x = float(rng.uniform(0.3, 5.0))
-            arr = p.arrival(300)
-            fa = f.weight_array(300)
-            q, t = solver._sweep_kernel(arr, fa.tolist(), p, x)
-            q_ref, t_ref = array_sweep(np.array(arr), fa, gamma, n, mu, p.b, p.a, x)
+            q, t, f_end = sweep(p, f, x, K)
+            fa = f.weight_array(K)
+            q_ref, t_ref = array_sweep(np.array(p.arrival(K)), fa, gamma, n, mu, p.b, p.a, x)
+            assert f_end == fa[K]
             assert q.tobytes() == q_ref.tobytes()
             assert t.tobytes() == t_ref.tobytes()
 
@@ -259,7 +269,7 @@ class TestReductions:
         else:
             p = PENTADS if model == "pentads" else _model(model)
         x = 2.5
-        q, t = solver._sweep_kernel(p.arrival(K), LINEAR.weight_array(K).tolist(), p, x)
+        q, t, _ = sweep(p, LINEAR, x, K)
         assert solver._flux_residual(q, t, p, x) == flux_residual_whole(q, t, p, x)
 
     def test_recurrence_includes_zero_entries(self):
@@ -527,6 +537,20 @@ def test_solve_and_write_stay_within_64_bytes_per_entry(tmp_path):
         tracemalloc.stop()
     assert "q" not in vars(sol)
     assert peak <= 64 * (sol.k_max + 1)
+
+
+def test_default_solve_peaks_at_24_bytes_per_entry():
+    # the sweep refills one pair of float64 tables, q and t, and evaluates
+    # f one block at a time: a default BA solve traces at most 24 bytes per
+    # entry (measured 18.2), where a whole f array took 35
+    tracemalloc.start()
+    try:
+        sol = solve_stationary(ba_params(2), LINEAR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.table.shape == (245_391,)
+    assert peak <= 24 * sol.table.shape[0]
 
 
 def test_q_table_rejects_duplicates(tmp_path):
