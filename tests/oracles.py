@@ -11,10 +11,14 @@ additive offset. edge_list_text is the edge-list file written the plain way, one
 f-string per line joined in memory. check_index rebuilds a layer index
 from the degrees and compares it with the maintained one;
 checking_updates runs that check every so many updates of a run.
+compare_probs and sample_probs are compare and DegreeDistribution.sample
+as they were written while a degree table was a dict, the reference that
+the dense-array forms must match bit for bit.
 """
 
 import math
 from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 
 import numpy as np
@@ -133,6 +137,33 @@ def gamma_ratio_q(beta: float, m: int, ks) -> list[float]:
     """
     tau = 3.0 + beta / m
     return [math.exp(math.lgamma(k + beta) - math.lgamma(k + beta + tau)) for k in ks]
+
+
+def compare_probs(probs1: dict[int, float], probs2: dict[int, float]):
+    """(tv_distance, ks_statistic, per_k_abs_error) of two degree -> probability
+    dicts with positive values, over the sorted union of their keys."""
+    ks = sorted(set(probs1) | set(probs2))
+    p = np.array([probs1.get(k, 0.0) for k in ks])
+    q = np.array([probs2.get(k, 0.0) for k in ks])
+    diff = p - q
+    tv = 0.5 * float(np.abs(diff).sum())
+    ks_stat = float(np.abs(np.cumsum(diff)).max()) if ks else 0.0
+    return tv, ks_stat, {k: abs(float(d)) for k, d in zip(ks, diff)}
+
+
+def sample_probs(probs: dict[int, float], rng) -> int:
+    """One draw from a degree -> probability dict with positive values:
+    cumulative sums in degree order, then a bisection of one uniform."""
+    vals = sorted(probs)
+    cum: list[float] = []
+    acc = 0.0
+    for k in vals:
+        acc += probs[k]
+        cum.append(acc)
+    if len(vals) == 1:
+        return vals[0]
+    i = bisect_right(cum, rng.random() * cum[-1])
+    return vals[min(i, len(vals) - 1)]
 
 
 def edge_list_text(g, header: dict) -> bytes:

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import compare_probs, sample_probs
 
+from polyadnet.analysis import compare
 from polyadnet.distributions import (
     DegreeDistribution,
     read_distribution,
@@ -115,3 +118,29 @@ def test_read_rejects_duplicate_degree(tmp_path):
     path.write_text("1\t0.5\n1\t0.5\n")
     with pytest.raises(ValueError):
         read_distribution(path)
+
+
+COUNTS = st.dictionaries(st.integers(0, 40), st.integers(1, 100), min_size=1, max_size=8)
+
+
+@given(COUNTS, COUNTS, st.integers(0, 60), st.integers(0, 2**32 - 1))
+@example({3: 1}, {3: 1}, 0, 0)  # one entry, the same on both sides
+@example({1: 1}, {5: 1}, 0, 1)  # disjoint single entries
+@example({1: 2, 4: 1, 9: 1}, {2: 1, 6: 3}, 0, 2)  # interior gaps, interleaved
+@example({0: 1, 2: 1}, {0: 1, 2: 1}, 50, 3)  # gapped and disjoint
+@settings(max_examples=150, deadline=None)
+def test_dense_tables_match_dict_oracles(c1, c2, shift, seed):
+    # compare and sample on the dense tables give the bits and picks of the
+    # dict-based forms, over gaps, disjoint supports and single entries
+    c2 = {k + shift: c for k, c in c2.items()}
+    probs1 = {k: c / sum(c1.values()) for k, c in sorted(c1.items())}
+    probs2 = {k: c / sum(c2.values()) for k, c in sorted(c2.items())}
+    d1, d2 = DegreeDistribution.from_counts(c1), DegreeDistribution.from_counts(c2)
+    assert list(d1.items()) == list(probs1.items())
+    rep = compare(d1, d2)
+    tv, ks, errs = compare_probs(probs1, probs2)
+    assert (repr(rep.tv_distance), repr(rep.ks_statistic)) == (repr(tv), repr(ks))
+    assert list(rep.per_k_abs_error.items()) == list(errs.items())
+    for d, probs in ((d1, probs1), (d2, probs2)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert [d.sample(rng) for _ in range(200)] == [sample_probs(probs, ref) for _ in range(200)]

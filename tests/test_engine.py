@@ -306,8 +306,9 @@ def test_edge_list_reports_row_and_count_errors_before_bad_edges(tmp_path):
 # sha256 of the edge list ("u<TAB>v" lines) after 2000 steps from the seed
 # graph, recorded before the engine drew its uniforms in blocks and kept
 # its layer weights in a Fenwick tree (the bundles stream before monads
-# and polyads shared one increment body); engine changes must keep every
-# graph byte for byte.
+# and polyads shared one increment body, the gapped stream while degree
+# tables were still dicts); engine changes must keep every graph byte for
+# byte.
 
 MIXED = ModelParams(
     gamma=0.3, n=3, mu=1, r1=point(1), rn=DegreeDistribution.from_probs({1: 0.5, 2: 0.5})
@@ -317,6 +318,14 @@ PENTADS = ModelParams(gamma=1.0, n=5, mu=0, r1=point(0), rn=point(1))
 # two bundles per tetrad: one polyad of the stream draws the same target for both
 BUNDLES = ModelParams(
     gamma=0.5, n=4, mu=2, r1=point(2), rn=DegreeDistribution.from_probs({2: 0.5, 3: 0.5})
+)
+# r1 and rn with an interior gap: sample's picks skip a zero-mass degree
+GAPPED = ModelParams(
+    gamma=0.3,
+    n=3,
+    mu=1,
+    r1=DegreeDistribution.from_probs({1: 0.5, 3: 0.5}),
+    rn=DegreeDistribution.from_probs({1: 0.5, 3: 0.5}),
 )
 FLOAT_TABLE = PreferenceFunction.from_table({k: 0.5 + k**0.8 for k in range(1, 401)})
 POWER_1_5 = PreferenceFunction.from_rule(lambda k: np.asarray(k, dtype=float) ** 1.5, g=1)
@@ -328,6 +337,7 @@ GOLDEN = {
     "float_table": (MIXED, FLOAT_TABLE, 4, "dc2b19ad86445775247108178c86b519859cff5a60544f1b50e7c974f0dbd060"),
     "power_1_5": (BA, POWER_1_5, 4, "f393b4a6d81d3aa098511217704ab4d77a899ba803b5376844b85248e806cd9c"),
     "bundles": (BUNDLES, LINEAR, 4, "9bd8fc0461694e255f7906f8d5cfa33f2e6ba9b5f0d6f459866ed7847a330010"),
+    "gapped": (GAPPED, LINEAR, 4, "65779cd5f2535e19eb61f01c0a3e06f7672736204a506b38ac5b58d4fe06b9a6"),
 }
 
 
