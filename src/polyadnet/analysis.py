@@ -37,28 +37,24 @@ def compare(d1: DegreeDistribution, d2: DegreeDistribution) -> ComparisonReport:
     """Total variation and KS distance over the union of supports.
 
     TV is half the L1 difference; KS is the largest gap between the two
-    cumulative distributions evaluated at every supported degree.
+    cumulative distributions evaluated at every supported degree. The sums
+    run in degree order over the degrees where either carries mass.
     """
-    ks = sorted(set(d1.probs) | set(d2.probs))
-    p = np.array([d1.prob(k) for k in ks])
-    q = np.array([d2.prob(k) for k in ks])
-    diff = p - q
-    tv = 0.5 * float(np.abs(diff).sum())
-    ks_stat = float(np.abs(np.cumsum(diff)).max()) if ks else 0.0
-    lo = max(d1.support_min, d2.support_min)
-    hi = min(d1.support_max, d2.support_max)
-    common = (lo, hi) if lo <= hi else None
-    errs = {k: abs(float(d)) for k, d in zip(ks, diff)}
+    lo, hi = min(d1.support_min, d2.support_min), max(d1.support_max, d2.support_max) + 1
+    p, q = d1.array(lo, hi), d2.array(lo, hi)
+    ks = np.flatnonzero((p > 0.0) | (q > 0.0))
+    diff = p[ks] - q[ks]
+    first, last = max(d1.support_min, d2.support_min), min(d1.support_max, d2.support_max)
     return ComparisonReport(
-        tv_distance=tv,
-        ks_statistic=ks_stat,
-        common_support=common,
-        per_k_abs_error=errs,
+        tv_distance=0.5 * float(np.abs(diff).sum()),
+        ks_statistic=float(np.abs(np.cumsum(diff)).max()),
+        common_support=(first, last) if first <= last else None,
+        per_k_abs_error=dict(zip((ks + lo).tolist(), np.abs(diff).tolist())),
     )
 
 
 def _simple_edges(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct edges of ``g`` as id arrays (u, v), u < v, sorted by (u, v)."""
+    """Distinct edges of ``g`` as int32 id arrays (u, v), u < v, sorted by (u, v)."""
     n = max(g.n, 1)
     keys = np.frombuffer(g.lo, dtype=np.int32).astype(np.int64)
     keys *= n
@@ -68,7 +64,8 @@ def _simple_edges(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
     distinct = np.empty(len(keys), dtype=bool)
     distinct[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    return np.divmod(keys[distinct], n)
+    keys = keys[distinct]
+    return (keys // n).astype(np.int32), (keys % n).astype(np.int32)
 
 
 def _simple_degrees(g: MultiGraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -80,22 +77,24 @@ def triangle_count(g: MultiGraph) -> int:
 
     Forward-neighbour intersection in degree order, O(m^{3/2}) on the
     simple projection, exact. Each edge points from the lower to the
-    higher (simple degree, id) rank; the forward lists sit in one flat
-    ``array('i')``, and only the current vertex's list becomes a set.
+    higher (simple degree, id) rank; the forward lists and their offsets
+    sit in flat ``array('i')``s, and only the current vertex's list becomes
+    a set.
     """
     u, v = _simple_edges(g)
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[np.argsort(_simple_degrees(g, u, v), kind="stable")] = np.arange(g.n)
+    rank = np.empty(g.n, dtype=np.int32)
+    rank[np.argsort(_simple_degrees(g, u, v), kind="stable")] = np.arange(g.n, dtype=np.int32)
     flip = rank[u] > rank[v]
     src = np.where(flip, v, u)
     dst = np.where(flip, u, v)
-    del u, v, flip, rank  # the int64 temporaries go before the flat lists are built
-    fwd = array("i", dst[np.argsort(src)].astype(np.int32).tobytes())
+    del u, v, flip, rank  # the temporaries go before the flat lists are built
+    fwd = array("i", dst[np.argsort(src)].tobytes())
     out_deg = np.bincount(src, minlength=g.n)
     del src, dst
-    start = np.concatenate(([0], np.cumsum(out_deg))).tolist()
+    start = array("i", np.concatenate(([0], np.cumsum(out_deg))).astype(np.int32).tobytes())
+    busy = array("i", np.flatnonzero(out_deg > 1).astype(np.int32).tobytes())
     total = 0
-    for w in np.flatnonzero(out_deg > 1).tolist():
+    for w in busy:
         nbrs = fwd[start[w] : start[w + 1]]
         later = set(nbrs)
         for x in nbrs:

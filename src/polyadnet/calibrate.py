@@ -85,13 +85,7 @@ def calibrate(
     gmu = p.gamma * p.mu
     arrival = p.arrival(m_top)
     weights: dict[int, float] = {}
-    t: dict[int, float] = {}
-
-    def t_at(j: int) -> float:
-        if j < g:
-            return 0.0
-        return t.get(j, 0.0)
-
+    t = [0.0] * n  # t_j = f(j) Q_j from j = g - n on; zero below the window
     feasible = True
     first_bad = None
     for k in range(g, m_top + 1):
@@ -102,10 +96,10 @@ def calibrate(
                 "calibration needs positive probability on every window degree"
             )
         num = arrival[k] * a - c * a * qk
-        num += b * t_at(k - 1) + gmu * t_at(k - n)
+        num += b * t[-1] + gmu * t[-n]
         fk = num / (a * qk)
         weights[k] = fk
-        t[k] = fk * qk
+        t.append(fk * qk)
         if feasible and fk <= 0.0:
             feasible = False
             first_bad = k

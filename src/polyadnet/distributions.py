@@ -1,21 +1,26 @@
-"""Sparse probability distributions over integer degrees.
+"""Probability distributions over integer degrees.
 
 Increment-size tables and vertex degree distributions (VDDs) share one
-representation: a map from a non-negative integer degree to a probability.
-Gaps inside the support are allowed and read as zero.
+representation: the smallest degree that carries mass and one read-only
+float64 array of probabilities over every degree from there to the
+largest. Gaps inside the support are stored as zero.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "DegreeDistribution",
+    "degree_key",
     "header_int",
     "read_degree_table",
     "read_distribution",
@@ -35,35 +40,38 @@ TEXT_RENORM_TOL = 1e-6
 ROWS_PER_WRITE = 8192
 
 
-@dataclass(frozen=True)
+def degree_key(k) -> int:
+    """``k`` as a Python int: any integer but a bool, numpy integers included."""
+    if isinstance(k, bool) or not hasattr(k, "__index__"):
+        raise ValueError(f"degree {k!r} is not an integer")
+    return operator.index(k)
+
+
+@dataclass(frozen=True, eq=False)
 class DegreeDistribution:
     """Probability table over integer degrees.
 
-    ``probs`` maps degree to probability. Entries that are exactly zero are
-    dropped at construction, so ``support_min`` and ``support_max`` are the
-    smallest and largest degree that carry mass. Instances are immutable;
-    build them through :meth:`from_probs` or :meth:`from_counts`.
+    ``table[i]`` is the probability of degree ``support_min + i``: a
+    read-only float64 array whose first and last entries are positive, so
+    ``support_min`` and ``support_max`` are the smallest and largest
+    degree that carry mass. Instances are immutable; build them through
+    :meth:`from_probs`, :meth:`from_counts` or :meth:`from_array`.
     """
 
-    probs: dict[int, float]
     support_min: int
-    support_max: int
+    table: np.ndarray
 
     @classmethod
     def from_probs(cls, probs: Mapping[int, float]) -> "DegreeDistribution":
         """Validate a degree -> probability mapping and build a distribution.
 
-        Args:
-            probs: mapping from non-negative integer degree to probability.
-
-        Raises:
-            ValueError: on negative degrees, negative probabilities, an empty
-                table, or total mass off by more than ``NORMALIZATION_TOL``.
+        Degrees are non-negative integers, numpy integers included. Other
+        degrees, negative or NaN probabilities, an empty table and a total
+        mass off by more than ``NORMALIZATION_TOL`` raise ValueError.
         """
         clean: dict[int, float] = {}
         for k, p in probs.items():
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise ValueError(f"degree {k!r} is not an integer")
+            k = degree_key(k)
             if k < 0:
                 raise ValueError(f"degree {k} is negative")
             p = float(p)
@@ -80,54 +88,75 @@ class DegreeDistribution:
             raise ValueError(
                 f"probabilities sum to {total!r}, off by more than {NORMALIZATION_TOL}"
             )
-        return cls(
-            probs=dict(sorted(clean.items())),
-            support_min=min(clean),
-            support_max=max(clean),
-        )
+        lo = min(clean)
+        table = np.zeros(max(clean) - lo + 1)
+        table[[k - lo for k in clean]] = list(clean.values())
+        return cls.from_array(table, lo)
 
     @classmethod
     def from_counts(cls, counts: Mapping[int, int]) -> "DegreeDistribution":
-        """Build the empirical distribution of integer counts.
-
-        Args:
-            counts: mapping from degree to a non-negative occurrence count.
-        """
+        """The empirical distribution of non-negative integer counts by degree."""
+        for k, c in counts.items():
+            if c < 0:
+                raise ValueError(f"count {c} at degree {k} is negative")
         total = sum(counts.values())
         if total <= 0:
             raise ValueError("counts are empty")
         return cls.from_probs({k: c / total for k, c in counts.items() if c})
 
+    @classmethod
+    def from_array(cls, table: np.ndarray, start: int = 0) -> "DegreeDistribution":
+        """The distribution with probability ``table[i]`` at degree ``start + i``:
+        a read-only view of ``table`` trimmed to its positive range. ``table``
+        is trusted to be float64, non-negative and normalized."""
+        pos = table > 0.0
+        lo, hi = int(pos.argmax()), pos.shape[0] - int(pos[::-1].argmax())
+        view = table[lo:hi]
+        view.flags.writeable = False
+        return cls(start + lo, view)
+
+    @property
+    def support_max(self) -> int:
+        return self.support_min + self.table.shape[0] - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, DegreeDistribution):
+            return NotImplemented
+        return self.support_min == other.support_min and np.array_equal(self.table, other.table)
+
     def prob(self, k: int) -> float:
         """Probability at degree ``k`` (zero off the table)."""
-        return self.probs.get(k, 0.0)
+        i = k - self.support_min
+        return float(self.table[i]) if 0 <= i < self.table.shape[0] else 0.0
+
+    def array(self, lo: int, hi: int) -> np.ndarray:
+        """Probabilities at degrees ``lo..hi-1`` as a new array, zero off the table."""
+        out = np.zeros(hi - lo)
+        a, b = max(lo, self.support_min), min(hi, self.support_max + 1)
+        if a < b:
+            out[a - lo : b - lo] = self.table[a - self.support_min : b - self.support_min]
+        return out
+
+    def items(self) -> list[tuple[int, float]]:
+        """(degree, probability) pairs of the positive entries, in degree order."""
+        return [(k, p) for k, p in enumerate(self.table.tolist(), self.support_min) if p > 0.0]
 
     @cached_property
     def mean_degree(self) -> float:
-        return math.fsum(k * p for k, p in self.probs.items())
+        return math.fsum(k * p for k, p in self.items())
 
     @cached_property
-    def _sampling_table(self) -> tuple[list[int], list[float]]:
-        """Sorted support values and their cumulative probabilities."""
-        vals = sorted(self.probs)
-        cum: list[float] = []
-        acc = 0.0
-        for k in vals:
-            acc += self.probs[k]
-            cum.append(acc)
-        return vals, cum
+    def _cumulative(self) -> list[float]:
+        """Running sums of the table; a gap repeats the sum before it, so no pick lands on it."""
+        return list(accumulate(self.table.tolist()))
 
     def sample(self, rng) -> int:
-        """Draw one value; ``rng`` is a numpy Generator (or anything with
-        ``random()``)."""
-        vals, cum = self._sampling_table
-        if len(vals) == 1:
-            return vals[0]
+        """Draw one value; ``rng`` is a numpy Generator or anything with ``random()``."""
+        cum = self._cumulative
+        if len(cum) == 1:
+            return self.support_min
         i = bisect_right(cum, rng.random() * cum[-1])
-        return vals[min(i, len(vals) - 1)]
-
-    def items(self):
-        return self.probs.items()
+        return self.support_min + min(i, len(cum) - 1)
 
 
 def write_distribution(d: DegreeDistribution, path, header: Mapping | None = None) -> None:
@@ -135,7 +164,7 @@ def write_distribution(d: DegreeDistribution, path, header: Mapping | None = Non
 
     Header entries become leading ``# key=value`` comment lines.
     """
-    write_table(path, header or {}, (f"{k}\t{d.probs[k]!r}" for k in sorted(d.probs)))
+    write_table(path, header or {}, (f"{k}\t{p!r}" for k, p in d.items()))
 
 
 def write_table(path, header: Mapping, rows: Iterable[str], title: str | None = None) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from functools import cache
 from itertools import combinations
 from typing import Sequence
@@ -136,4 +135,4 @@ def empirical_vdd(g: MultiGraph) -> DegreeDistribution:
     """Observed degree distribution: share of vertices at each degree."""
     if g.n == 0:
         raise ValueError("empty graph has no degree distribution")
-    return DegreeDistribution.from_counts(Counter(g.degrees))
+    return DegreeDistribution.from_array(np.bincount(g.degrees) / g.n)

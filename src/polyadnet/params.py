@@ -90,11 +90,6 @@ class ModelParams:
 
     def arrival(self, k_max: int) -> list[float]:
         """Arrival mass arr_k over degrees 0..max(k_max, arrival_max)."""
-        arr = [0.0] * (max(k_max, self.arrival_max) + 1)
-        if self.gamma < 1.0:
-            for k, pr in self.r1.items():
-                arr[k] += (1.0 - self.gamma) * pr
-        if self.gamma > 0.0:
-            for j, pr in self.rn.items():
-                arr[j + self.n - 1] += self.gamma * self.n * pr
-        return arr
+        size = max(k_max, self.arrival_max) + 1
+        r1, rn = self.r1.array(0, size), self.rn.array(1 - self.n, size + 1 - self.n)
+        return ((1.0 - self.gamma) * r1 + self.gamma * self.n * rn).tolist()

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .distributions import header_int, read_degree_table, write_table
+from .distributions import degree_key, header_int, read_degree_table, write_table
 
 __all__ = ["PreferenceError", "PreferenceFunction", "read_preference", "write_preference"]
 
@@ -60,11 +60,7 @@ class PreferenceFunction:
         """
         if not weights:
             raise ValueError("empty preference table")
-        clean = {}
-        for k, w in weights.items():
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise ValueError(f"degree {k!r} is not an integer")
-            clean[k] = float(w)
+        clean = {degree_key(k): float(w) for k, w in weights.items()}
         g, M = min(clean), max(clean)
         for k in range(g, M + 1):
             w = clean.get(k)

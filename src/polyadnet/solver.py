@@ -176,10 +176,8 @@ class StationarySolution:
 
     table holds Q_k for k = 0..k_max as the sweep left it: a read-only
     float64 array, 8 bytes per entry, zeros included. q is the same table
-    as a DegreeDistribution over the positive entries; it is built from
-    table when first read and then kept, so a caller that only writes or
-    indexes the table never pays for its boxed entries. table takes no
-    part in == (the scalar fields do).
+    as a DegreeDistribution: a view of table trimmed to its positive
+    range, no copy. table takes no part in == (the scalar fields do).
     mean_f is the fixed-point mean preference (tail-closed, so it can be
     slightly more accurate than summing f against the truncated table).
     balance_residual is the largest per-degree gain-loss imbalance when
@@ -197,10 +195,8 @@ class StationarySolution:
 
     @cached_property
     def q(self) -> DegreeDistribution:
-        # the table is in degree order and was checked >= 0 when solved, so
-        # this skips DegreeDistribution.from_probs' per-entry validation
-        probs = {k: v for k, v in enumerate(self.table.tolist()) if v > 0.0}
-        return DegreeDistribution(probs, min(probs), max(probs))
+        # checked >= 0 and normalized when solved
+        return DegreeDistribution.from_array(self.table)
 
 
 def _blocks(a: np.ndarray):
@@ -221,7 +217,6 @@ def _flux_residual(q, t, p: ModelParams, x: float) -> float:
     m1 = p.r1.mean_degree
     mn = p.rn.mean_degree
     gamma, n, mu = p.gamma, p.n, p.mu
-    rn = {j + n - 1: pr for j, pr in p.rn.items()}
     worst = []
     for lo, qb in _blocks(q):
         hi = lo + qb.shape[0]
@@ -229,22 +224,13 @@ def _flux_residual(q, t, p: ModelParams, x: float) -> float:
         ext = np.zeros(hi - lo + n)
         ext[max(0, n - lo) :] = t[max(0, lo - n) : hi] / x
         prob, p1, pn = ext[n:], ext[n - 1 : -1], ext[:-n]
-        r1v = _dense(p.r1.items(), lo, hi)
-        rnv = _dense(rn.items(), lo, hi)
+        r1v = p.r1.array(lo, hi)
+        rnv = p.rn.array(lo - n + 1, hi - n + 1)
         gain = (1.0 - gamma) * (r1v + m1 * (p1 - prob))
         gain += gamma * (n * rnv + mu * (pn - prob) + n * (mn - mu) * (p1 - prob))
         res = qb * (1.0 + gamma * (n - 1.0)) - gain
         worst.append(np.abs(res).max())
     return float(np.max(worst))
-
-
-def _dense(items, lo: int, hi: int) -> np.ndarray:
-    """The (k, value) items with lo <= k < hi as a dense array over lo..hi-1."""
-    v = np.zeros(hi - lo)
-    for k, val in items:
-        if lo <= k < hi:
-            v[k - lo] = val
-    return v
 
 
 def solve_stationary(

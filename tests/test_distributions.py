@@ -24,7 +24,7 @@ def test_from_probs_basic():
 
 def test_from_probs_drops_zero_entries():
     d = DegreeDistribution.from_probs({1: 1.0, 7: 0.0})
-    assert 7 not in d.probs
+    assert d.items() == [(1, 1.0)]
     assert d.support_max == 1
 
 
@@ -44,6 +44,23 @@ def test_from_probs_drops_zero_entries():
 def test_from_probs_rejects_bad_input(probs):
     with pytest.raises(ValueError):
         DegreeDistribution.from_probs(probs)
+
+
+def test_from_probs_takes_numpy_integer_degrees_as_ints():
+    d = DegreeDistribution.from_probs({np.int64(2): 0.5, np.int32(4): 0.5})
+    assert d.items() == [(2, 0.5), (4, 0.5)]
+    assert type(d.support_min) is int and type(d.support_max) is int
+
+
+@pytest.mark.parametrize("k", [True, np.bool_(True), 1.0, np.float64(1.0), "1"])
+def test_from_probs_rejects_a_degree_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match="is not an integer"):
+        DegreeDistribution.from_probs({k: 1.0})
+
+
+def test_from_counts_names_a_negative_count():
+    with pytest.raises(ValueError, match=r"^count -1 at degree 3 is negative$"):
+        DegreeDistribution.from_counts({3: -1, 4: 2})
 
 
 def test_from_counts():
@@ -87,7 +104,7 @@ def test_sample_is_deterministic_per_seed():
 )
 def test_from_counts_normalizes(counts):
     d = DegreeDistribution.from_counts(counts)
-    assert math.isclose(math.fsum(d.probs.values()), 1.0, abs_tol=1e-12)
+    assert math.isclose(math.fsum(p for _, p in d.items()), 1.0, abs_tol=1e-12)
     assert d.support_min >= 0
 
 
@@ -96,7 +113,7 @@ def test_write_read_round_trip(tmp_path):
     path = tmp_path / "r1.tsv"
     write_distribution(d, path, {"tool": "test"})
     back = read_distribution(path)
-    assert back.probs == d.probs
+    assert back == d
 
 
 def test_read_rejects_unnormalized(tmp_path):
@@ -110,7 +127,7 @@ def test_read_renormalizes_within_tolerance(tmp_path):
     path = tmp_path / "close.tsv"
     path.write_text(f"1\t{0.5 + 2e-7!r}\n2\t0.5\n")
     d = read_distribution(path)
-    assert math.fsum(d.probs.values()) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(p for _, p in d.items()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_read_rejects_duplicate_degree(tmp_path):

@@ -20,6 +20,18 @@ def test_table_gap_rejected():
         PreferenceFunction.from_table({1: 1.0, 3: 2.0})
 
 
+def test_table_takes_numpy_integer_degrees_as_ints():
+    f = PreferenceFunction.from_table({np.int64(1): 1.0, np.uint8(2): 4.0})
+    assert (f.g, f.M) == (1, 2) and type(f.g) is int and type(f.M) is int
+    assert f(2) == 4.0
+
+
+@pytest.mark.parametrize("k", [True, np.bool_(True), 1.0, np.float64(1.0), "1"])
+def test_table_rejects_a_degree_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match="is not an integer"):
+        PreferenceFunction.from_table({k: 1.0})
+
+
 @pytest.mark.parametrize("bad", [{}, {2: 0.0}, {2: -1.0}, {2: float("inf")}])
 def test_table_bad_values_rejected(bad):
     with pytest.raises(ValueError):
