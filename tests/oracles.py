@@ -12,8 +12,9 @@ f-string per line joined in memory. check_index rebuilds a layer index
 from the degrees and compares it with the maintained one;
 checking_updates runs that check every so many updates of a run.
 compare_probs and sample_probs are compare and DegreeDistribution.sample
-as they were written while a degree table was a dict, the reference that
-the dense-array forms must match bit for bit.
+as they were written while a degree table was a dict, and arrival_loop is
+ModelParams.arrival as a loop over the table entries: references that the
+dense-array forms must match bit for bit.
 """
 
 import math
@@ -164,6 +165,18 @@ def sample_probs(probs: dict[int, float], rng) -> int:
         return vals[0]
     i = bisect_right(cum, rng.random() * cum[-1])
     return vals[min(i, len(vals) - 1)]
+
+
+def arrival_loop(p: ModelParams, k_max: int) -> list[float]:
+    """Arrival mass over 0..max(k_max, arrival_max), one table entry at a time."""
+    arr = [0.0] * (max(k_max, p.arrival_max) + 1)
+    if p.gamma < 1.0:
+        for k, pr in p.r1.items():
+            arr[k] += (1.0 - p.gamma) * pr
+    if p.gamma > 0.0:
+        for j, pr in p.rn.items():
+            arr[j + p.n - 1] += p.gamma * p.n * pr
+    return arr
 
 
 def edge_list_text(g, header: dict) -> bytes:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import arrival_loop
 
 from polyadnet.distributions import DegreeDistribution
 from polyadnet.params import ModelParams
@@ -85,6 +87,18 @@ def test_pentad_run_constants():
     assert expected == pytest.approx(2.19348737, abs=1e-9)
     assert p.edges_per_step == pytest.approx(expected, abs=1e-15)
     assert p.c == pytest.approx(1.04)
+
+
+COUNTS = st.dictionaries(st.integers(0, 12), st.integers(1, 9), min_size=1, max_size=5)
+
+
+@given(st.sampled_from([0.0, 0.3, 1.0]), st.integers(2, 5), COUNTS, COUNTS, st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_arrival_matches_the_loop_over_table_entries(gamma, n, c1, cn, k_max):
+    # gapped tables included; the vectorized sum keeps the loop's bits
+    r1, rn = DegreeDistribution.from_counts(c1), DegreeDistribution.from_counts(cn)
+    p = make(gamma=gamma, n=n, r1=r1, rn=rn)
+    assert [x.hex() for x in p.arrival(k_max)] == [x.hex() for x in arrival_loop(p, k_max)]
 
 
 def test_params_are_frozen():
