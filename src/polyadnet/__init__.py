@@ -25,7 +25,6 @@ from .engine import (
     GrowthStats,
     grow,
     read_edge_list,
-    read_stats,
     write_edge_list,
     write_stats,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "read_distribution",
     "read_edge_list",
     "read_preference",
-    "read_stats",
     "seed_complete",
     "solve_stationary",
     "triangle_count",

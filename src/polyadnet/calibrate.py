@@ -1,17 +1,17 @@
 """Recover the preference function from a target degree distribution.
 
 Solving the stationary recurrence for f instead of Q turns the forward
-sweep around: with the scale convention <f> = a (the mean number of edge
-ends landing on old vertices per step), each window degree gets
+sweep around: with the scale convention <f> = a (the mean number of
+attachments per step, a bundle counting once), each window degree gets
 
     f(k) = arr_k / Q_k - c
            + [b f(k-1) Q_{k-1} + gamma mu f(k-n) Q_{k-n}] / (a Q_k)
 
-where arr_k is the arrival mass at degree k, b = a - gamma mu the
-single-end rate and c = 1 + gamma (n-1) the dilution; params.py defines
-all of them once for this sweep and the solver's. Degrees below the
-window contribute nothing because f vanishes there, so the sweep is
-explicit.
+where arr_k is the arrival mass at degree k, b the single-end rate,
+gamma mu the bundle rate, a = b + gamma mu and c = 1 + gamma (n-1) the
+dilution; params.py defines all of them once for this sweep and the
+solver's. Degrees below the window contribute nothing because f
+vanishes there, so the sweep is explicit.
 
 Any positive rescaling of f leaves the model unchanged, so the <f> = a
 convention is just a normalization pick. Not every distribution is
@@ -82,7 +82,7 @@ def calibrate(
             "the preference function is unidentifiable"
         )
     b, c, n = p.b, p.c, p.n
-    gmu = p.gamma * p.mu
+    gmu = p.bundle_rate
     arrival = p.arrival(m_top)
     weights: dict[int, float] = {}
     t = [0.0] * n  # t_j = f(j) Q_j from j = g - n on; zero below the window

@@ -55,7 +55,7 @@ class DegreeDistribution:
     read-only float64 array whose first and last entries are positive, so
     ``support_min`` and ``support_max`` are the smallest and largest
     degree that carry mass. Instances are immutable; build them through
-    :meth:`from_probs`, :meth:`from_counts` or :meth:`from_array`.
+    :meth:`from_probs` or :meth:`from_array`.
     """
 
     support_min: int
@@ -92,17 +92,6 @@ class DegreeDistribution:
         table = np.zeros(max(clean) - lo + 1)
         table[[k - lo for k in clean]] = list(clean.values())
         return cls.from_array(table, lo)
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, int]) -> "DegreeDistribution":
-        """The empirical distribution of non-negative integer counts by degree."""
-        for k, c in counts.items():
-            if c < 0:
-                raise ValueError(f"count {c} at degree {k} is negative")
-        total = sum(counts.values())
-        if total <= 0:
-            raise ValueError("counts are empty")
-        return cls.from_probs({k: c / total for k, c in counts.items() if c})
 
     @classmethod
     def from_array(cls, table: np.ndarray, start: int = 0) -> "DegreeDistribution":

@@ -36,7 +36,6 @@ __all__ = [
     "apply_nad",
     "grow",
     "read_edge_list",
-    "read_stats",
     "write_edge_list",
     "write_stats",
 ]
@@ -216,15 +215,3 @@ def read_edge_list(path) -> tuple[MultiGraph, dict[str, str]]:
 def write_stats(entries: Mapping, path) -> None:
     """Flat ``key=value`` text, one entry per line, without a header."""
     write_table(path, {}, (f"{k}={v}" for k, v in entries.items()))
-
-
-def read_stats(path) -> dict[str, str]:
-    """Read a file written by :func:`write_stats`; the last of a repeated key wins."""
-    out: dict[str, str] = {}
-
-    def row(line: str) -> None:
-        key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
-
-    read_table(path, row)
-    return out

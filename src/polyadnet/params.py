@@ -10,10 +10,12 @@ sampled target.
 The rates of the stationary recurrence are properties of the parameters,
 written here once for the solver, the calibrator and the CLI:
 
-    b   = (1-gamma) m1 + gamma n (mn - mu)    single ends per step
-    a   = b + gamma mu                         attaching ends per step
-    c   = 1 + gamma (n-1)                      vertices per step (dilution)
-    arr_k = (1-gamma) r1_k + gamma n rn_{k-n+1}  arrival mass at degree k
+    b           = (1-gamma) m1 + gamma n (mn - mu)  single ends per step
+    bundle_rate = gamma mu                          bundles per step
+    a           = b + gamma mu                      attachments per step
+    drift       = b + n gamma mu                    ends on old vertices per step
+    c           = 1 + gamma (n-1)                   vertices per step (dilution)
+    arr_k       = (1-gamma) r1_k + gamma n rn_{k-n+1}  arrival mass at degree k
 
 with m1 and mn the means of r1 and rn.
 """
@@ -61,9 +63,22 @@ class ModelParams:
         )
 
     @cached_property
+    def bundle_rate(self) -> float:
+        """Bundle rate: conjugate bundles per step, gamma mu."""
+        return self.gamma * self.mu
+
+    @cached_property
     def a(self) -> float:
         """Total end rate: attachments per step, a bundle counting once."""
-        return self.b + self.gamma * self.mu
+        return self.b + self.bundle_rate
+
+    @cached_property
+    def drift(self) -> float:
+        """Degree drift: edge ends landing on old vertices per step, b + n gamma mu.
+
+        A bundle counts n times, once per edge it brings.
+        """
+        return self.b + self.n * self.gamma * self.mu
 
     @cached_property
     def c(self) -> float:

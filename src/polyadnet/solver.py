@@ -8,9 +8,10 @@ so for fixed x the whole table follows in one forward sweep:
     Q_k = [arr_k x + b f(k-1) Q_{k-1} + gamma mu f(k-n) Q_{k-n}]
           / [x (1 + gamma (n-1)) + f(k) a]
 
-with the arrival mass arr_k, the single-end rate b and the total end rate
-a = b + gamma mu as ModelParams defines them in params.py, where the
-dilution c = 1 + gamma (n-1) is written too. The sweep starts at k = 0;
+with the arrival mass arr_k, the single-end rate b, the bundle rate
+gamma mu and the total end rate a = b + gamma mu as ModelParams defines
+them in params.py, where the dilution c = 1 + gamma (n-1) and the degree
+drift b + n gamma mu are written too. The sweep starts at k = 0;
 entries below the preference window are arrival-fed only, matching the
 boundary convention where Q vanishes for negative index.
 
@@ -97,7 +98,7 @@ def _sweep_kernel(q, t, arr, f: PreferenceFunction, p: ModelParams, x):
     size = len(q)
     n, a, b = p.n, p.a, p.b
     denom0 = x * p.c
-    gmu = p.gamma * p.mu
+    gmu = p.bundle_rate
     tk = fk = 0.0
     for lo in range(0, size, ROWS_PER_WRITE):
         hi = min(lo + ROWS_PER_WRITE, size)
@@ -117,7 +118,7 @@ def _sweep_kernel(q, t, arr, f: PreferenceFunction, p: ModelParams, x):
 def _tail_mass(t: np.ndarray, p: ModelParams, x: float) -> float:
     """Exact mass the recurrence would place beyond the table end."""
     K = t.shape[0] - 1
-    bundle = p.gamma * p.mu * float(t[max(0, K - p.n + 1) : K + 1].sum())
+    bundle = p.bundle_rate * float(t[max(0, K - p.n + 1) : K + 1].sum())
     return (p.b * float(t[K]) + bundle) / (x * p.c)
 
 
@@ -130,7 +131,7 @@ def _tail_closure(t: np.ndarray, p: ModelParams, x: float, alpha: float, f_end: 
     x c - alpha (b + n gamma mu) = x c (1 - 1/s). Returns inf for s <= 1.
     """
     K = t.shape[0] - 1
-    loss = x * p.c - alpha * (p.b + p.n * p.gamma * p.mu)
+    loss = x * p.c - alpha * p.drift
     if loss <= 0.0:
         return math.inf
     lo = max(0, K - p.n + 1)
@@ -138,7 +139,7 @@ def _tail_closure(t: np.ndarray, p: ModelParams, x: float, alpha: float, f_end: 
     bundle = sum(
         (f_end + alpha * (i + p.n - K)) * ti for i, ti in enumerate(t[lo:].tolist(), lo)
     )
-    return (p.b * (f_end + alpha) * float(t[K]) + p.gamma * p.mu * bundle) / loss
+    return (p.b * (f_end + alpha) * float(t[K]) + p.bundle_rate * bundle) / loss
 
 
 def _linear_rate(f: PreferenceFunction) -> float:
@@ -308,7 +309,7 @@ def solve_stationary(
                 size = min(K_CAP, 2 * K)
         if k_max is None and tail >= tail_tol:
             # the mass beyond K falls like K^(1 - tau), tau = s + 1
-            drift = alpha * (p.b + p.n * p.gamma * p.mu)
+            drift = alpha * p.drift
             tau = 1.0 + p.c * x / drift if drift > 0.0 else math.inf
             need = K * (tail / tail_tol) ** (1.0 / (tau - 1.0))
             raise NonConvergenceError(
@@ -348,16 +349,18 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
     be monotone, so only these signs set it. A step that would leave the
     bracket, and every step after MAX_ITER sweeps, bisects it instead
     (8x while hi is unbounded). The loop stops at |g(x) - x| <= tol x, a
-    relative test at every scale of x. Every sweep refills the same pair
-    of array('d') tables, 16 bytes per entry in all, the only arrays of
-    table length. Returns (x, iterations, method, (q, t)), numpy views of
+    relative test at every scale of x, or when the bracket is narrower
+    than tol relative to lo, or, while lo is 0, to the first sweep's
+    table-only mean of f: x has the units of f, so no stop depends on
+    how f is scaled. Only an x whose next step could overflow counts as
+    diverging. Every sweep refills the same pair of array('d') tables,
+    16 bytes per entry in all, the only arrays of table length. Returns (x, iterations, method, (q, t)), numpy views of
     the last sweep's tables.
     """
     arr = p.arrival(p.arrival_max)
     qa = array("d", [0.0]) * (K + 1)
     ta = array("d", [0.0]) * (K + 1)
     q, t = np.frombuffer(qa), np.frombuffer(ta)
-    a = p.a
     x = x0
     lo, hi = 0.0, math.inf
     method = "iteration"
@@ -365,6 +368,8 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
         f_end = _sweep_kernel(qa, ta, arr, f, p, x)
         total = float(q.sum())
         s = float(t.sum())
+        if it == 1:
+            scale = s / total
         if alpha is not None:
             total += _tail_mass(t, p, x)
             s += _tail_closure(t, p, x, alpha, f_end)
@@ -374,19 +379,18 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
             x_new = 8.0 * x
         else:
             x_new = min(max(s / total, 0.125 * x), 8.0 * x)
-        if x_new > 1e14 * a:
-            raise NonConvergenceError(
-                "mean preference diverges; no stationary distribution "
-                f"(x exceeded {1e14 * a:.3g})"
-            )
         if math.isfinite(s) and abs(s / total - x) <= tol * x:
             return x, it, method, (q, t)
+        if math.isinf(8.0 * x):  # the next step could overflow
+            raise NonConvergenceError(
+                f"mean preference diverges; no stationary distribution (x reached {x!r})"
+            )
         if math.isinf(s) or s / total > x:
             lo = x
         else:
             hi = x
         # 4 eps: no narrower bracket exists in double precision
-        if hi - lo <= max(tol, 4.0 * math.ulp(1.0)) * max(1.0, lo):
+        if hi - lo <= max(tol, 4.0 * math.ulp(1.0)) * (lo or scale):
             if lo == 0.0:
                 raise NonConvergenceError(
                     "no mean-preference fixed point: g(x) - x never turned "

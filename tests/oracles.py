@@ -13,8 +13,11 @@ from the degrees and compares it with the maintained one;
 checking_updates runs that check every so many updates of a run.
 compare_probs and sample_probs are compare and DegreeDistribution.sample
 as they were written while a degree table was a dict, and arrival_loop is
-ModelParams.arrival as a loop over the table entries: references that the
-dense-array forms must match bit for bit.
+ModelParams.arrival as a loop over the table entries; cumulative_probs
+is the running sums sample_probs bisects, laid over every degree:
+references that the dense-array forms must match bit for bit.
+from_counts builds a distribution from counts by degree, and read_stats
+reads a key=value file as write_stats writes it.
 """
 
 import math
@@ -167,6 +170,18 @@ def sample_probs(probs: dict[int, float], rng) -> int:
     return vals[min(i, len(vals) - 1)]
 
 
+def cumulative_probs(probs: dict[int, float]) -> list[float]:
+    """The running sums sample_probs adds up, at every degree from the
+    smallest key to the largest; a degree without a key repeats the sum."""
+    cum: list[float] = []
+    acc = 0.0
+    for k in range(min(probs), max(probs) + 1):
+        if k in probs:
+            acc += probs[k]
+        cum.append(acc)
+    return cum
+
+
 def arrival_loop(p: ModelParams, k_max: int) -> list[float]:
     """Arrival mass over 0..max(k_max, arrival_max), one table entry at a time."""
     arr = [0.0] * (max(k_max, p.arrival_max) + 1)
@@ -177,6 +192,24 @@ def arrival_loop(p: ModelParams, k_max: int) -> list[float]:
         for j, pr in p.rn.items():
             arr[j + p.n - 1] += p.gamma * p.n * pr
     return arr
+
+
+def from_counts(counts: dict[int, int]) -> DegreeDistribution:
+    """The distribution of positive integer counts by degree."""
+    total = sum(counts.values())
+    return DegreeDistribution.from_probs({k: c / total for k, c in counts.items()})
+
+
+def read_stats(path) -> dict[str, str]:
+    """A ``key=value`` file as write_stats writes it; the last of a repeated key wins."""
+    out: dict[str, str] = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line and line[0] != "#":
+                key, _, val = line.partition("=")
+                out[key.strip()] = val.strip()
+    return out
 
 
 def edge_list_text(g, header: dict) -> bytes:

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 import yaml
+from oracles import read_stats
 
 from polyadnet import cli, solver
 from polyadnet.cli import RunConfig, UsageError, load_config, main
 from polyadnet.layers import SaturationError
-from polyadnet.engine import read_edge_list, read_stats
+from polyadnet.engine import read_edge_list
 from polyadnet.distributions import read_degree_table
 from polyadnet.solver import NonConvergenceError
 
@@ -190,6 +191,22 @@ class TestConfigValues:
         assert self._run(mixed_setup, command, key, "5") == 2
         assert capsys.readouterr().err == f"error: config key {key} must be a path string, got 5\n"
 
+    @pytest.mark.parametrize(
+        "command, key, raw, message",
+        [
+            ("generate", "rn_path", "null", "rn_path is required when gamma > 0"),
+            # load_config checks only that gamma is a number; ModelParams
+            # checks its range, and its ValueError is a usage error too
+            ("solve", "gamma", "1.5", "gamma=1.5 outside [0, 1]"),
+            ("solve", "preference_path", "pref.tsv", "give preference_path or preference_rule, not both"),
+        ],
+    )
+    def test_model_input_error_exits_2(self, mixed_setup, capsys, command, key, raw, message):
+        tmp_path, _ = mixed_setup
+        assert self._run(mixed_setup, command, key, raw) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_null_input_path_is_unset(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text("target_vdd_path: null\n")
@@ -242,6 +259,8 @@ class TestConfigValues:
              "config key preference_rule.exponent must be a number, got 'abc'"),
             ("generate", "{kind: constant, value: true}",
              "config key preference_rule.value must be a number, got True"),
+            ("solve", "{kind: cubic}", "unknown preference_rule kind 'cubic'"),
+            ("generate", "{kind: power, g: 1}", "preference_rule missing key 'exponent'"),
         ],
     )
     def test_bad_rule_is_a_usage_error_naming_its_cause(self, mixed_setup, capsys, command, rule, message):
@@ -693,6 +712,16 @@ class TestAnalyze:
         report = (tmp_path / "default" / "analysis_report.csv").read_bytes()
         assert b"# tv_distance=" in report
         assert report == (tmp_path / "explicit" / "analysis_report.csv").read_bytes()
+
+    def test_wedge_free_graph_without_a_config(self, tmp_path, monkeypatch):
+        # no --config: the defaults apply and the report lands in the
+        # working directory; one edge has no wedge, so no clustering
+        (tmp_path / "edges.tsv").write_text("# vertices=2\n0\t1\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["analyze", "--edges", "edges.tsv"]) == 0
+        probs, header = read_degree_table(tmp_path / "analysis_report.csv")
+        assert header["clustering"] == "undefined"
+        assert (header["triangles"], probs) == ("0", {1: 1.0})
 
     def test_missing_edges_flag(self, mixed_setup):
         _, cfg = mixed_setup

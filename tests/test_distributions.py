@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import compare_probs, sample_probs
+from oracles import compare_probs, cumulative_probs, from_counts, sample_probs
 
 from polyadnet.analysis import compare
 from polyadnet.distributions import (
@@ -58,17 +58,6 @@ def test_from_probs_rejects_a_degree_that_is_not_an_integer(k):
         DegreeDistribution.from_probs({k: 1.0})
 
 
-def test_from_counts_names_a_negative_count():
-    with pytest.raises(ValueError, match=r"^count -1 at degree 3 is negative$"):
-        DegreeDistribution.from_counts({3: -1, 4: 2})
-
-
-def test_from_counts():
-    d = DegreeDistribution.from_counts({3: 30, 4: 10})
-    assert d.prob(3) == pytest.approx(0.75)
-    assert d.prob(4) == pytest.approx(0.25)
-
-
 def test_mean_degree_of_matches_property():
     d = DegreeDistribution.from_probs({0: 0.25, 4: 0.75})
     assert d.mean_degree == 0.25 * 0 + 0.75 * 4 == pytest.approx(3.0)
@@ -94,20 +83,6 @@ def test_sample_is_deterministic_per_seed():
     assert a == b
 
 
-@given(
-    st.dictionaries(
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=1, max_value=100),
-        min_size=1,
-        max_size=8,
-    )
-)
-def test_from_counts_normalizes(counts):
-    d = DegreeDistribution.from_counts(counts)
-    assert math.isclose(math.fsum(p for _, p in d.items()), 1.0, abs_tol=1e-12)
-    assert d.support_min >= 0
-
-
 def test_write_read_round_trip(tmp_path):
     d = DegreeDistribution.from_probs({1: 0.049737, 2: 0.950263})
     path = tmp_path / "r1.tsv"
@@ -130,6 +105,13 @@ def test_read_renormalizes_within_tolerance(tmp_path):
     assert math.fsum(p for _, p in d.items()) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_read_rejects_a_table_without_data_lines(tmp_path):
+    path = tmp_path / "empty.tsv"
+    path.write_text("# tool=test\n\n")
+    with pytest.raises(ValueError, match="^no data lines$"):
+        read_distribution(path)
+
+
 def test_read_rejects_duplicate_degree(tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("1\t0.5\n1\t0.5\n")
@@ -147,17 +129,20 @@ COUNTS = st.dictionaries(st.integers(0, 40), st.integers(1, 100), min_size=1, ma
 @example({0: 1, 2: 1}, {0: 1, 2: 1}, 50, 3)  # gapped and disjoint
 @settings(max_examples=150, deadline=None)
 def test_dense_tables_match_dict_oracles(c1, c2, shift, seed):
-    # compare and sample on the dense tables give the bits and picks of the
-    # dict-based forms, over gaps, disjoint supports and single entries
+    # compare and sample on the dense tables give the bits, running sums and
+    # picks of the dict-based forms, over gaps, disjoint supports and single
+    # entries
     c2 = {k + shift: c for k, c in c2.items()}
     probs1 = {k: c / sum(c1.values()) for k, c in sorted(c1.items())}
     probs2 = {k: c / sum(c2.values()) for k, c in sorted(c2.items())}
-    d1, d2 = DegreeDistribution.from_counts(c1), DegreeDistribution.from_counts(c2)
+    d1, d2 = from_counts(c1), from_counts(c2)
     assert list(d1.items()) == list(probs1.items())
     rep = compare(d1, d2)
     tv, ks, errs = compare_probs(probs1, probs2)
     assert (repr(rep.tv_distance), repr(rep.ks_statistic)) == (repr(tv), repr(ks))
     assert list(rep.per_k_abs_error.items()) == list(errs.items())
     for d, probs in ((d1, probs1), (d2, probs2)):
+        # the running sums themselves, not only the picks they give
+        assert d._cumulative == cumulative_probs(probs)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         assert [d.sample(rng) for _ in range(200)] == [sample_probs(probs, ref) for _ in range(200)]

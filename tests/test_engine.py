@@ -5,14 +5,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import checking_updates, edge_list_text
+from oracles import checking_updates, edge_list_text, read_stats
 
 from polyadnet import engine
 from polyadnet.distributions import ROWS_PER_WRITE, DegreeDistribution
 from polyadnet.engine import (
     grow,
     read_edge_list,
-    read_stats,
     write_edge_list,
     write_stats,
 )

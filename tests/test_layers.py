@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -243,6 +244,17 @@ def test_largest_uniform_picks_the_highest_live_layer():
     idx = LayerIndex.build(g, PreferenceFunction.linear())
     picks = idx.sample_many(ListUniforms([np.nextafter(1.0, 0.0), 0.0]), 1)
     assert picks == [0] and g.degrees[0] == 4
+
+
+@pytest.mark.parametrize("degrees, u, pick", [([1, 3], 0.5, 0), ([3], 0.0, 0)], ids=["below", "above"])
+def test_descent_onto_an_empty_layer_takes_the_nearest_live_one(degrees, u, pick):
+    # a one-ulp residue on the node of empty layer 2, as float rounding can
+    # leave, makes the descent stop there; the pick moves to the nearest
+    # live layer below (degree 1), else above (degree 3)
+    idx = LayerIndex(PreferenceFunction.constant(1.0, g=0))
+    idx.update(degrees)
+    idx._tree[3] += math.ulp(0.0)  # node 3 covers layer 2 alone
+    assert idx.sample_many(ListUniforms([u, 0.0]), 1) == [pick]
 
 
 def test_verify_checks_the_tree_exactly_for_integer_weights():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import arrival_loop
+from oracles import arrival_loop, from_counts
 
 from polyadnet.distributions import DegreeDistribution
 from polyadnet.params import ModelParams
@@ -96,7 +96,7 @@ COUNTS = st.dictionaries(st.integers(0, 12), st.integers(1, 9), min_size=1, max_
 @settings(max_examples=100, deadline=None)
 def test_arrival_matches_the_loop_over_table_entries(gamma, n, c1, cn, k_max):
     # gapped tables included; the vectorized sum keeps the loop's bits
-    r1, rn = DegreeDistribution.from_counts(c1), DegreeDistribution.from_counts(cn)
+    r1, rn = from_counts(c1), from_counts(cn)
     p = make(gamma=gamma, n=n, r1=r1, rn=rn)
     assert [x.hex() for x in p.arrival(k_max)] == [x.hex() for x in arrival_loop(p, k_max)]
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ def test_linear_rejects_g_zero():
     # f(0)=0 is not a positive weight, so the window cannot start there
     with pytest.raises(ValueError):
         PreferenceFunction.linear(g=0)
+
+
+@pytest.mark.parametrize(
+    "g, M, message",
+    [
+        (-1, math.inf, "window start -1 must be a non-negative integer"),
+        (1.0, math.inf, "window start 1.0 must be a non-negative integer"),
+        (3, 2, "window end 2 must be an integer >= 3 or inf"),
+        (1, 2.5, "window end 2.5 must be an integer >= 1 or inf"),
+    ],
+)
+def test_bad_window_is_named(g, M, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PreferenceFunction.constant(1.0, g=g, M=M)
 
 
 def test_constant_window():

@@ -13,9 +13,13 @@ from polyadnet.distributions import (
     read_degree_table,
     read_distribution,
 )
+from polyadnet.analysis import compare
+from polyadnet.engine import grow
+from polyadnet.graph import seed_complete
+from polyadnet.layers import SaturationError
 from polyadnet.params import ModelParams
 from polyadnet import solver
-from polyadnet.preference import PreferenceFunction
+from polyadnet.preference import PreferenceError, PreferenceFunction
 from polyadnet.solver import (
     NonConvergenceError,
     solve_stationary,
@@ -287,6 +291,30 @@ class TestSolveBehaviour:
         for k in range(1, 100):
             assert s2.q.prob(k) == pytest.approx(s1.q.prob(k), rel=1e-9, abs=1e-15)
 
+    @pytest.mark.parametrize("M, k_max", [(100, None), (math.inf, 4096)])
+    def test_rescaling_f_changes_no_stop(self, M, k_max):
+        # f and lam f define the same model: the solve neither diverges nor
+        # loses its bracket at any scale, and mean_f scales with lam
+        p = ba_params(2)
+
+        def solve(lam):
+            f = PreferenceFunction.from_rule(lambda k: lam * np.asarray(k, float), g=1, M=M)
+            return solve_stationary(p, f, k_max=k_max)
+
+        ref = solve(1.0)
+        for lam in (1e-12, 1e-6, 1e6, 1e15):
+            sol = solve(lam)
+            assert sol.mean_f / lam == pytest.approx(ref.mean_f, rel=1e-10), lam
+            assert compare(sol.q, ref.q).tv_distance < 1e-9, lam
+
+    def test_bracket_collapse_above_zero_returns_bisection(self):
+        # tol = 1e-17 is below what the damped step can reach: the bracket
+        # narrows to 4 ulp of its lower end and the solve returns there
+        f = PreferenceFunction.linear(g=1, M=100)
+        sol = solve_stationary(ba_params(2), f, tol=1e-17)
+        assert (sol.method, sol.iterations) == ("bisection", 18)
+        assert sol.mean_f == pytest.approx(solve_stationary(ba_params(2), f).mean_f, rel=1e-10)
+
     def test_truncation_mass_is_accounted_exactly(self):
         sol = solve_stationary(ba_params(2), LINEAR, k_max=500)
         assert sol.tail_mass_bound > 1e-7  # visibly truncated on purpose
@@ -465,6 +493,29 @@ class TestSolveBehaviour:
         monkeypatch.setattr(solver, "_tail_closure", lambda *args: math.nan)
         with pytest.raises(NonConvergenceError, match="no mean-preference fixed point"):
             solve_stationary(ba_params(1), LINEAR, k_max=100)
+
+    def test_no_fixed_point_when_the_window_empties(self):
+        # BA m = 2 with f = 1 on [2, 2] alone: vertices enter at degree 2
+        # and leave the window at their first attachment, so g(x) = Q_2 =
+        # x / (x + 2) stays below every x > 0; growth from the CLI's
+        # default K4 seed, all at degree 3, saturates at once
+        f = PreferenceFunction.constant(1.0, g=2, M=2)
+        with pytest.raises(NonConvergenceError, match=r"^no mean-preference fixed point: .* at k_max=4$"):
+            solve_stationary(ba_params(2), f)
+        with pytest.raises(SaturationError, match="^no attachable vertex"):
+            grow(seed_complete(4), ba_params(2), f, 10, rng_seed=1)
+
+    def test_probe_only_failure_is_reraised(self):
+        # f is finite on the first table but NaN at the probe: the probe's
+        # own error names the probed degree
+        f = PreferenceFunction.from_rule(
+            lambda k: np.where(np.asarray(k) < 10**6, np.asarray(k, float), np.nan), g=1
+        )
+        with pytest.raises(
+            PreferenceError,
+            match=r"^preference rule gives nan at degree 1048576 inside the window$",
+        ):
+            solve_stationary(ba_params(2), f)
 
     def test_k_max_below_arrivals_rejected(self):
         rn = DegreeDistribution.from_probs({7: 1.0})
