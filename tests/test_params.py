@@ -56,6 +56,15 @@ def test_vertices_per_step():
     assert make(gamma=1.0, n=5, rn=POINT).c == 5.0
 
 
+def test_end_rates_of_a_bundle_model():
+    # m1 = 2, mn = 1.5: b = 0.7 * 2 + 0.3 * 3 * (1.5 - 1); the rates keep
+    # the operation order of the inline forms they replaced, bit for bit
+    p = make(gamma=0.3, n=3, mu=1, rn=DegreeDistribution.from_probs({1: 0.5, 2: 0.5}))
+    assert (p.b, p.bundle_rate, p.a, p.drift) == pytest.approx((1.85, 0.3, 2.15, 2.75), abs=1e-15)
+    assert p.a == p.b + p.gamma * p.mu
+    assert p.drift == p.b + p.n * p.gamma * p.mu
+
+
 def test_edges_per_step_dyad_clique_only():
     p = make(gamma=1.0, n=2, mu=0, rn=POINT)
     assert p.edges_per_step == pytest.approx(1.0)
