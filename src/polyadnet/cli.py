@@ -216,12 +216,7 @@ def _rule_preference(rule: dict) -> PreferenceFunction:
         if rule["kind"] == "constant":
             return PreferenceFunction.constant(rule.get("value", 1.0), g=g, M=m_top)
         e = float(rule["exponent"])
-        return PreferenceFunction.from_rule(
-            lambda k: np.asarray(k, dtype=float) ** e,
-            g=g,
-            M=m_top,
-            label=f"k^{e}",
-        )
+        return PreferenceFunction.from_rule(lambda k: np.asarray(k, dtype=float) ** e, g=g, M=m_top)
     except ValueError as exc:
         raise UsageError(f"bad preference_rule: {exc}") from exc
 

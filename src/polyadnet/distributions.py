@@ -250,6 +250,6 @@ def read_distribution(path) -> DegreeDistribution:
             f"probabilities sum to {total!r}, beyond the "
             f"{TEXT_RENORM_TOL} renormalization limit"
         )
-    if total != 1.0:
+    if 0.0 < abs(total - 1.0):  # not for a NaN sum: from_probs then names the NaN row
         table = {k: v / total for k, v in table.items()}
     return DegreeDistribution.from_probs(table)

@@ -12,6 +12,7 @@ rule that indexes a dense weight array by ``k - g``. ``M`` may be
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -27,6 +28,7 @@ class PreferenceError(ValueError):
     """A rule gives a weight that is not finite and > 0 inside its window."""
 
 
+@dataclass(frozen=True, eq=False)
 class PreferenceFunction:
     """Weights ``f(k)`` on a degree window, zero elsewhere.
 
@@ -34,20 +36,16 @@ class PreferenceFunction:
     evaluated lazily. Instances are immutable.
     """
 
-    __slots__ = ("g", "M", "_rule", "_label")
+    g: int
+    M: int | float
+    _rule: Callable
 
-    def __init__(self, g: int, M, rule: Callable, label: str = "rule"):
+    def __post_init__(self):
+        g, M = self.g, self.M
         if not isinstance(g, int) or g < 0:
             raise ValueError(f"window start {g!r} must be a non-negative integer")
         if M != math.inf and (not isinstance(M, int) or M < g):
             raise ValueError(f"window end {M!r} must be an integer >= {g} or inf")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "_rule", rule)
-        object.__setattr__(self, "_label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PreferenceFunction is immutable")
 
     @classmethod
     def from_table(cls, weights: Mapping[int, float]) -> "PreferenceFunction":
@@ -63,16 +61,15 @@ class PreferenceFunction:
         clean = {degree_key(k): float(w) for k, w in weights.items()}
         g, M = min(clean), max(clean)
         for k in range(g, M + 1):
-            w = clean.get(k)
-            if w is None:
+            if k not in clean:
                 raise ValueError(f"preference table has a gap at degree {k}")
-            if not 0.0 < w < math.inf:
-                raise ValueError(f"preference weight at degree {k} is {w}, must be finite and > 0")
         dense = np.array([clean[k] for k in range(g, M + 1)])
-        return cls(g, M, lambda ks: dense[ks - g], label="table")
+        pf = cls(g, M, lambda ks: dense[ks - g])
+        pf.weight_array(M, g)
+        return pf
 
     @classmethod
-    def from_rule(cls, rule: Callable, g: int, M=math.inf, label: str = "rule") -> "PreferenceFunction":
+    def from_rule(cls, rule: Callable, g: int, M=math.inf) -> "PreferenceFunction":
         """Build from a vectorized ``rule``.
 
         Given a numpy integer array of degrees, ``rule`` returns one weight
@@ -81,24 +78,20 @@ class PreferenceFunction:
         and > 0; elsewhere on ``[g, M]`` the rule is checked lazily
         whenever weights are materialized.
         """
-        pf = cls(g, M, rule, label)
-        probe = float(pf._at(np.array([g]))[0])
-        if not 0.0 < probe < math.inf:
-            raise ValueError(f"rule gives {probe} at the window start g={g}, not a finite weight > 0")
+        pf = cls(g, M, rule)
+        pf.weight_array(g, g)
         return pf
 
     @classmethod
     def linear(cls, g: int = 1, M=math.inf) -> "PreferenceFunction":
         """The classic proportional rule ``f(k) = k`` (needs g >= 1)."""
-        return cls.from_rule(lambda ks: ks, g, M, label="linear")
+        return cls.from_rule(lambda ks: ks, g, M)
 
     @classmethod
     def constant(cls, value: float = 1.0, g: int = 0, M=math.inf) -> "PreferenceFunction":
         """Degree-blind attachment, ``f(k) = value`` on the window."""
         v = float(value)
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"constant preference must be finite and > 0, got {v}")
-        return cls.from_rule(lambda ks: np.full(ks.shape, v), g, M, label=f"constant({v})")
+        return cls.from_rule(lambda ks: np.full(ks.shape, v), g, M)
 
     def _at(self, ks: np.ndarray) -> np.ndarray:
         """The rule's weights at the degrees ``ks``, as floats.
@@ -150,14 +143,12 @@ class PreferenceFunction:
             raise ValueError("preference window is unbounded; no finite table")
         return dict(zip(range(self.g, self.M + 1), self.weight_array(self.M)[self.g :].tolist()))
 
-    def __repr__(self):
-        return f"PreferenceFunction(g={self.g}, M={self.M}, {self._label})"
-
 
 def write_preference(f: PreferenceFunction, path, header: Mapping | None = None) -> None:
-    """Write ``k<TAB>weight`` lines with the window recorded in the header."""
-    if f.M == math.inf:
-        raise ValueError("cannot export an unbounded preference window to a table")
+    """Write ``k<TAB>weight`` lines with the window recorded in the header.
+
+    An unbounded window has no table: ``f.weights`` raises ValueError.
+    """
     rows = (f"{k}\t{w!r}" for k, w in f.weights.items())
     write_table(path, {"g": f.g, "M": int(f.M), **(header or {})}, rows)
 

@@ -368,13 +368,13 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
         f_end = _sweep_kernel(qa, ta, arr, f, p, x)
         total = float(q.sum())
         s = float(t.sum())
+        if total <= 0.0:
+            raise NonConvergenceError("stationary sweep lost all probability mass")
         if it == 1:
             scale = s / total
         if alpha is not None:
             total += _tail_mass(t, p, x)
             s += _tail_closure(t, p, x, alpha, f_end)
-        if total <= 0.0:
-            raise NonConvergenceError("stationary sweep lost all probability mass")
         if math.isinf(s):
             x_new = 8.0 * x
         else:

@@ -236,9 +236,9 @@ class TestConfigValues:
         "command, rule, message",
         [
             ("generate", "{kind: constant, value: .inf}",
-             "bad preference_rule: constant preference must be finite and > 0, got inf"),
+             "bad preference_rule: preference rule gives inf at degree 1, not a finite weight > 0"),
             ("solve", "{kind: constant, value: .inf}",
-             "bad preference_rule: constant preference must be finite and > 0, got inf"),
+             "bad preference_rule: preference rule gives inf at degree 1, not a finite weight > 0"),
             ("generate", "{kind: power, exponent: .nan}",
              "preference rule gives nan at degree 2, not a finite weight > 0"),
             # the probe at K = 2^20 meets the nan first; the table names degree 2
@@ -248,7 +248,7 @@ class TestConfigValues:
              "preference rule gives inf at degree 35, not a finite weight > 0"),
             # g: 0 used to be raised to 1 while the header still said g: 0
             ("generate", "{kind: power, exponent: 1.5, g: 0}",
-             "bad preference_rule: rule gives 0.0 at the window start g=0, not a finite weight > 0"),
+             "bad preference_rule: preference rule gives 0.0 at degree 0, not a finite weight > 0"),
             ("generate", "{kind: linear, M: true}", "preference_rule key M must be an integer degree, got True"),
             ("solve", "{kind: linear, M: '40'}", "preference_rule key M must be an integer degree, got '40'"),
             ("generate", "{kind: linear, 1: 2}", "unknown preference_rule keys: 1"),

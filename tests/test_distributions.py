@@ -105,6 +105,15 @@ def test_read_renormalizes_within_tolerance(tmp_path):
     assert math.fsum(p for _, p in d.items()) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_read_names_the_nan_row(tmp_path):
+    # a NaN sum is not renormalized: dividing by it made every row NaN,
+    # and the first valid row (degree 1) was blamed
+    path = tmp_path / "nan.tsv"
+    path.write_text("1\t0.5\n2\tnan\n3\t0.5\n")
+    with pytest.raises(ValueError, match="^probability at degree 2 is NaN$"):
+        read_distribution(path)
+
+
 def test_read_rejects_a_table_without_data_lines(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("# tool=test\n\n")

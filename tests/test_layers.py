@@ -246,14 +246,21 @@ def test_largest_uniform_picks_the_highest_live_layer():
     assert picks == [0] and g.degrees[0] == 4
 
 
-@pytest.mark.parametrize("degrees, u, pick", [([1, 3], 0.5, 0), ([3], 0.0, 0)], ids=["below", "above"])
-def test_descent_onto_an_empty_layer_takes_the_nearest_live_one(degrees, u, pick):
-    # a one-ulp residue on the node of empty layer 2, as float rounding can
-    # leave, makes the descent stop there; the pick moves to the nearest
-    # live layer below (degree 1), else above (degree 3)
+@pytest.mark.parametrize(
+    "degrees, nodes, u, pick",
+    [([1, 3], [3], 0.5, 0), ([3], [3], 0.0, 0), ([3], [1, 2], 0.0, 0)],
+    ids=["below", "above", "above-past-two"],
+)
+def test_descent_onto_an_empty_layer_takes_the_nearest_live_one(degrees, nodes, u, pick):
+    # a one-ulp residue, as float rounding can leave, on the nodes of an
+    # empty layer that hold no live weight makes the descent stop there:
+    # node 3 covers layer 2 alone, nodes 1 and 2 cover layer 0 and layers
+    # 0-1; the pick moves to the nearest live layer below (degree 1), else
+    # above (degree 3, past the empty layers 1 and 2 from layer 0)
     idx = LayerIndex(PreferenceFunction.constant(1.0, g=0))
     idx.update(degrees)
-    idx._tree[3] += math.ulp(0.0)  # node 3 covers layer 2 alone
+    for i in nodes:
+        idx._tree[i] += math.ulp(0.0)
     assert idx.sample_many(ListUniforms([u, 0.0]), 1) == [pick]
 
 

@@ -87,13 +87,15 @@ def test_rule_probe_rejects_nonpositive():
 
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
 def test_constant_rejects_a_weight_that_is_not_finite_and_positive(value):
-    with pytest.raises(ValueError, match=r"^constant preference must be finite and > 0, got"):
+    message = f"preference rule gives {value} at degree 0, not a finite weight > 0"
+    with pytest.raises(PreferenceError, match=f"^{re.escape(message)}$"):
         PreferenceFunction.constant(value)
 
 
 @pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0])
 def test_rule_probe_rejects_a_start_weight_that_is_not_finite_and_positive(weight):
-    with pytest.raises(ValueError, match=r"at the window start g=3, not a finite weight > 0$"):
+    message = f"preference rule gives {weight} at degree 3, not a finite weight > 0"
+    with pytest.raises(PreferenceError, match=f"^{re.escape(message)}$"):
         PreferenceFunction.from_rule(lambda k: np.full_like(np.asarray(k, float), weight), g=3)
 
 

@@ -126,6 +126,18 @@ def _count_sweeps(monkeypatch):
     return calls
 
 
+def _after_each_sweep(monkeypatch, edit):
+    """Run edit(q, t), numpy views of the sweep's tables, after every sweep."""
+    kernel = solver._sweep_kernel
+
+    def edited(q, t, *args):
+        f_end = kernel(q, t, *args)
+        edit(np.frombuffer(q), np.frombuffer(t))
+        return f_end
+
+    monkeypatch.setattr(solver, "_sweep_kernel", edited)
+
+
 def _assert_probe_rejects(monkeypatch, power, k_max):
     f = PreferenceFunction.from_rule(lambda k: np.asarray(k, float) ** power, g=1)
     sweeps = _count_sweeps(monkeypatch)
@@ -547,6 +559,52 @@ class TestSolveBehaviour:
     def test_negative_mean_rejected_in_sweep(self):
         with pytest.raises(ValueError):
             q_from_recurrence(ba_params(), LINEAR, -1.0, 50)
+
+    @pytest.mark.parametrize("M, k_max", [(100, None), (math.inf, 4096)])
+    def test_a_sweep_without_mass_is_lost_mass(self, monkeypatch, M, k_max):
+        # an empty first sweep is named, not divided by: the guard runs
+        # before the first sweep's table mean
+        def empty(q, t):
+            q[:] = 0.0
+            t[:] = 0.0
+
+        _after_each_sweep(monkeypatch, empty)
+        with pytest.raises(NonConvergenceError, match="^stationary sweep lost all probability mass$"):
+            solve_stationary(ba_params(2), PreferenceFunction.linear(g=1, M=M), k_max=k_max)
+
+    def test_negative_mass_is_a_runtime_error(self, monkeypatch):
+        # -1e-300 leaves every sum and so the fixed point as they were
+        def negative(q, t):
+            q[-1] = -1e-300
+
+        _after_each_sweep(monkeypatch, negative)
+        with pytest.raises(RuntimeError, match="^negative or NaN probability mass in stationary sweep$"):
+            solve_stationary(ba_params(2), PreferenceFunction.linear(g=1, M=100))
+
+    def test_unnormalized_table_is_rejected(self, monkeypatch):
+        # doubling q and t keeps sum f Q / sum Q, so the solve converges as
+        # before on a table of mass 2
+        def double(q, t):
+            q *= 2.0
+            t *= 2.0
+
+        _after_each_sweep(monkeypatch, double)
+        with pytest.raises(ValueError) as exc:
+            solve_stationary(ba_params(2), PreferenceFunction.linear(g=1, M=100))
+        mass = re.match(r"^probabilities sum to (\S+), off by more than 1e-09$", str(exc.value)).group(1)
+        assert float(mass) == pytest.approx(2.0, rel=1e-12)
+
+    def test_mean_that_keeps_growing_diverges(self, monkeypatch):
+        # an infinite sum f Q reads g(x) > x at every x, so x grows until
+        # its next step could overflow
+        def infinite(q, t):
+            t[0] = math.inf
+
+        sweeps = _count_sweeps(monkeypatch)
+        _after_each_sweep(monkeypatch, infinite)
+        with pytest.raises(NonConvergenceError, match=r"^mean preference diverges; no stationary distribution"):
+            solve_stationary(ba_params(2), PreferenceFunction.linear(g=1, M=100))
+        assert solver.MAX_ITER < len(sweeps) < 500
 
 
 def test_q_table_round_trip(tmp_path):
