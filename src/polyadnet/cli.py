@@ -5,8 +5,9 @@ stationary distribution, calibrate a preference function to a target
 distribution, analyze a written graph, and run the full
 calibrate-solve-generate-compare round trip.
 
-Configuration lives in one YAML file (flat keys, see RunConfig), whose
-values load_config checks once; every flag overrides its config key.
+Configuration lives in one YAML file (flat keys, see RunConfig); every
+flag overrides its config key. A RunConfig checks every value when it is
+built, so a value from the file and one from a flag pass the same check.
 Paths inside the config resolve relative to the config file, paths given
 on the command line relative to the working directory. All randomness
 flows from the single rng_seed key; replication i of a multi-run command
@@ -44,7 +45,7 @@ from .solver import NonConvergenceError, solve_stationary, write_q_table
 __all__ = ["RunConfig", "load_config", "main"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     gamma: float = 0.0
     n: int = 2
@@ -64,6 +65,37 @@ class RunConfig:
     replications: int = 1
     forward_tv_max: float = 1e-6
     empirical_tv_max: float = 0.05
+
+    def __post_init__(self):
+        """Check every value, converting it in place; a bad one is a UsageError.
+
+        Number keys are checked by ``_number`` and two more by ``_CHECKS``;
+        the ``*_path`` keys and ``output_dir`` must be strings (or None for
+        a ``*_path``). Then come the ranges: a negative seed or step count,
+        a seed size below 2, no replication or a TV threshold that is not
+        > 0. ``dataclasses.replace`` runs this again, so a flag is checked
+        as a config value is.
+        """
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if f.type in ("float", "int", "int | None"):
+                val = _number(f.name, val, f.type)
+            elif f.name in _CHECKS and val is not None:
+                val = _CHECKS[f.name](val)
+            elif f.type.startswith("str") and not isinstance(val, str) and (val is not None or f.type == "str"):
+                raise UsageError(f"config key {f.name} must be a path string, got {val!r}")
+            object.__setattr__(self, f.name, val)
+        if self.rng_seed < 0:
+            raise UsageError(f"rng_seed={self.rng_seed} must be >= 0")
+        if self.seed_size < 2:
+            raise UsageError(f"seed_size={self.seed_size} must be >= 2")
+        if self.steps < 0:
+            raise UsageError(f"steps={self.steps} must be >= 0")
+        if self.replications < 1:
+            raise UsageError(f"replications={self.replications} must be >= 1")
+        for key in ("forward_tv_max", "empirical_tv_max"):
+            if not getattr(self, key) > 0:  # NaN fails too
+                raise UsageError(f"{key}={getattr(self, key)} must be > 0")
 
 
 class UsageError(Exception):
@@ -89,11 +121,9 @@ def _number(key: str, val, kind: str):
 
 
 def load_config(path) -> RunConfig:
-    """Parse a YAML mapping into a RunConfig, rejecting unknown keys.
-
-    Number keys are checked by ``_number`` and two more by ``_CHECKS``; the
-    ``*_path`` keys and ``output_dir`` must be strings (or null for a ``*_path``).
-    """
+    """Parse a YAML mapping into a RunConfig, rejecting unknown keys; the
+    RunConfig checks every value. ``output_dir`` resolves against the
+    config file's directory."""
     try:
         raw = yaml.safe_load(Path(path).read_text())
     except OSError as exc:
@@ -107,27 +137,10 @@ def load_config(path) -> RunConfig:
     unknown = sorted(map(str, set(raw) - {f.name for f in fields(RunConfig)}))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    for f in fields(RunConfig):
-        if f.name not in raw:
-            continue
-        val = raw[f.name]
-        if f.type in ("float", "int", "int | None"):
-            raw[f.name] = _number(f.name, val, f.type)
-        elif f.name in _CHECKS and val is not None:
-            raw[f.name] = _CHECKS[f.name](val)
-        elif f.type.startswith("str") and not isinstance(val, str) and (val is not None or f.type == "str"):
-            raise UsageError(f"config key {f.name} must be a path string, got {val!r}")
     cfg = RunConfig(**raw)
     if "output_dir" in raw:
-        cfg.output_dir = str(_resolve(Path(path).resolve().parent, raw["output_dir"]))
+        cfg = replace(cfg, output_dir=str(Path(path).resolve().parent / cfg.output_dir))
     return cfg
-
-
-def _resolve(base: Path | None, path: str) -> Path:
-    p = Path(path)
-    if p.is_absolute() or base is None:
-        return p
-    return base / p
 
 
 def _load_table(read, path: Path, what: str):
@@ -140,15 +153,15 @@ def _load_table(read, path: Path, what: str):
         raise UsageError(f"bad {what} table {path}: {exc}") from exc
 
 
-def _build_params(cfg: RunConfig, base: Path | None) -> ModelParams:
+def _build_params(cfg: RunConfig, base: Path) -> ModelParams:
     if cfg.r1_path is not None:
-        r1 = _load_table(read_distribution, _resolve(base, cfg.r1_path), "r1")
+        r1 = _load_table(read_distribution, base / cfg.r1_path, "r1")
     elif cfg.gamma == 1.0:
         r1 = DegreeDistribution.from_probs({0: 1.0})
     else:
         raise UsageError("r1_path is required when gamma < 1")
     if cfg.rn_path is not None:
-        rn = _load_table(read_distribution, _resolve(base, cfg.rn_path), "rn")
+        rn = _load_table(read_distribution, base / cfg.rn_path, "rn")
     elif cfg.gamma == 0.0:
         rn = DegreeDistribution.from_probs({max(cfg.mu, 0): 1.0})
     else:
@@ -221,11 +234,11 @@ def _rule_preference(rule: dict) -> PreferenceFunction:
         raise UsageError(f"bad preference_rule: {exc}") from exc
 
 
-def _build_preference(cfg: RunConfig, base: Path | None) -> PreferenceFunction:
+def _build_preference(cfg: RunConfig, base: Path) -> PreferenceFunction:
     if cfg.preference_path and cfg.preference_rule:
         raise UsageError("give preference_path or preference_rule, not both")
     if cfg.preference_path:
-        return _load_table(read_preference, _resolve(base, cfg.preference_path), "preference")
+        return _load_table(read_preference, base / cfg.preference_path, "preference")
     if cfg.preference_rule:
         return _rule_preference(cfg.preference_rule)
     raise UsageError("config needs preference_path or preference_rule")
@@ -254,7 +267,7 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_generate(cfg: RunConfig, base: Path | None, args) -> int:
+def cmd_generate(cfg: RunConfig, base: Path, args) -> int:
     p = _build_params(cfg, base)
     f = _build_preference(cfg, base)
     out = _out_dir(cfg)
@@ -288,7 +301,7 @@ def cmd_generate(cfg: RunConfig, base: Path | None, args) -> int:
     return 1 if saturated else 0
 
 
-def cmd_solve(cfg: RunConfig, base: Path | None, args) -> int:
+def cmd_solve(cfg: RunConfig, base: Path, args) -> int:
     p = _build_params(cfg, base)
     f = _build_preference(cfg, base)
     out = _out_dir(cfg)
@@ -311,7 +324,7 @@ def _fail(report: dict, path: Path, message: str) -> int:
     return 1
 
 
-def _calibrate_stage(cfg: RunConfig, base: Path | None, p: ModelParams, command: str):
+def _calibrate_stage(cfg: RunConfig, base: Path, p: ModelParams, command: str):
     """Calibrate f to the target VDD, solve forward from it and compare.
 
     Returns (output dir, calibration result, forward solution, forward
@@ -323,7 +336,7 @@ def _calibrate_stage(cfg: RunConfig, base: Path | None, p: ModelParams, command:
     """
     if cfg.target_vdd_path is None:
         raise UsageError(f"{command} needs target_vdd_path")
-    target = _load_table(read_distribution, _resolve(base, cfg.target_vdd_path), "target VDD")
+    target = _load_table(read_distribution, base / cfg.target_vdd_path, "target VDD")
     out = _out_dir(cfg)
     try:
         result = calibrate(target, p, window=cfg.calibration_window)
@@ -339,7 +352,7 @@ def _calibrate_stage(cfg: RunConfig, base: Path | None, p: ModelParams, command:
     return out, result, sol, forward
 
 
-def cmd_calibrate(cfg: RunConfig, base: Path | None, args) -> int:
+def cmd_calibrate(cfg: RunConfig, base: Path, args) -> int:
     out, result, _, forward = _calibrate_stage(cfg, base, _build_params(cfg, base), "calibrate")
     report: dict = {"feasible": result.feasible, "a": repr(result.a)}
     path = out / "calibration_report.txt"
@@ -359,7 +372,7 @@ def _graph_and_vdd(path) -> tuple:
     return g, empirical_vdd(g)
 
 
-def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
+def cmd_analyze(cfg: RunConfig, base: Path, args) -> int:
     if not args.edges:
         raise UsageError("analyze needs --edges PATH")
     g, empirical = _load_table(_graph_and_vdd, Path(args.edges), "edge list")
@@ -373,7 +386,7 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
     except ValueError:
         summary["clustering"] = "undefined"
 
-    theory_path = args.theory or (cfg.target_vdd_path and _resolve(base, cfg.target_vdd_path))
+    theory_path = args.theory or (cfg.target_vdd_path and base / cfg.target_vdd_path)
     report_path = out / "analysis_report.csv"
     if theory_path:
         theory = _load_table(read_distribution, Path(theory_path), "theory VDD")
@@ -390,7 +403,7 @@ def cmd_analyze(cfg: RunConfig, base: Path | None, args) -> int:
     return 0
 
 
-def cmd_roundtrip(cfg: RunConfig, base: Path | None, args) -> int:
+def cmd_roundtrip(cfg: RunConfig, base: Path, args) -> int:
     path = Path(cfg.output_dir) / "roundtrip_report.txt"
     p = _build_params(cfg, base)
     try:
@@ -470,42 +483,18 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    """``cfg`` with the flags applied; an out-of-range seed, seed size, step
-    count, replication count or TV threshold is a UsageError."""
-    updates = {
-        key: getattr(args, flag)
-        for flag, (key, _, _) in _OVERRIDES.items()
-        if getattr(args, flag) is not None
-    }
-    cfg = replace(cfg, **updates)
-    if cfg.rng_seed < 0:
-        raise UsageError(f"rng_seed={cfg.rng_seed} must be >= 0")
-    if cfg.seed_size < 2:
-        raise UsageError(f"seed_size={cfg.seed_size} must be >= 2")
-    if cfg.steps < 0:
-        raise UsageError(f"steps={cfg.steps} must be >= 0")
-    if cfg.replications < 1:
-        raise UsageError(f"replications={cfg.replications} must be >= 1")
-    for key in ("forward_tv_max", "empirical_tv_max"):
-        if not getattr(cfg, key) > 0:  # NaN fails too
-            raise UsageError(f"{key}={getattr(cfg, key)} must be > 0")
-    return cfg
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        cfg, base = RunConfig(), Path()
         if args.config:
-            cfg = load_config(args.config)
-            base = Path(args.config).resolve().parent
-        else:
-            cfg = RunConfig()
-            base = None
-        cfg = _apply_overrides(cfg, args)
+            cfg, base = load_config(args.config), Path(args.config).resolve().parent
+        flags = {key: getattr(args, flag) for flag, (key, _, _) in _OVERRIDES.items()
+                 if getattr(args, flag) is not None}
+        cfg = replace(cfg, **flags)
         return COMMANDS[args.command][0](cfg, base, args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,6 +47,16 @@ def degree_key(k) -> int:
     return operator.index(k)
 
 
+def _probability(k: int, p) -> float:
+    """``p`` as the float probability at degree ``k``: not negative, not NaN."""
+    p = float(p)
+    if p < 0.0:
+        raise ValueError(f"probability {p} at degree {k} is negative")
+    if math.isnan(p):
+        raise ValueError(f"probability at degree {k} is NaN")
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class DegreeDistribution:
     """Probability table over integer degrees.
@@ -74,11 +84,7 @@ class DegreeDistribution:
             k = degree_key(k)
             if k < 0:
                 raise ValueError(f"degree {k} is negative")
-            p = float(p)
-            if p < 0.0:
-                raise ValueError(f"probability {p} at degree {k} is negative")
-            if math.isnan(p):
-                raise ValueError(f"probability at degree {k} is NaN")
+            p = _probability(k, p)
             if p > 0.0:
                 clean[k] = p
         if not clean:
@@ -244,12 +250,13 @@ def read_distribution(path) -> DegreeDistribution:
     as written.
     """
     table, _ = read_degree_table(path)
-    total = math.fsum(table.values())
+    # rows are checked before the sum, which an inf and a -inf row would break
+    total = math.fsum(_probability(k, v) for k, v in table.items())
     if abs(total - 1.0) > TEXT_RENORM_TOL:
         raise ValueError(
             f"probabilities sum to {total!r}, beyond the "
             f"{TEXT_RENORM_TOL} renormalization limit"
         )
-    if 0.0 < abs(total - 1.0):  # not for a NaN sum: from_probs then names the NaN row
+    if total != 1.0:
         table = {k: v / total for k, v in table.items()}
     return DegreeDistribution.from_probs(table)

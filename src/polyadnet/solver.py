@@ -368,8 +368,9 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
         f_end = _sweep_kernel(qa, ta, arr, f, p, x)
         total = float(q.sum())
         s = float(t.sum())
-        if total <= 0.0:
-            raise NonConvergenceError("stationary sweep lost all probability mass")
+        if not total > 0.0:
+            why = "lost all probability mass" if total <= 0.0 else "probability mass is NaN"
+            raise NonConvergenceError(f"stationary sweep {why}")
         if it == 1:
             scale = s / total
         if alpha is not None:

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -105,7 +105,8 @@ class TestConfig:
 
 
 class TestConfigValues:
-    """Number and path fields are checked once, in load_config; bad ones exit 2."""
+    """Every value is checked when a RunConfig is built, whether the file or
+    a flag gives it; bad ones exit 2."""
 
     def _run(self, mixed_setup, command, key, raw, *flags):
         # raw YAML text: safe_dump would write 1e-10 as 1.0e-10
@@ -307,6 +308,20 @@ class TestConfigValues:
         assert main(["generate", "--config", str(cfg), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: rng_seed=-1 must be >= 0\n"
         assert not (tmp_path / "out").exists()
+
+    def test_a_flag_does_not_mask_a_bad_range_in_the_file(self, mixed_setup, capsys):
+        # the file's value is checked before the flag replaces it, as a
+        # bad type in the file already was
+        tmp_path, _ = mixed_setup
+        assert self._run(mixed_setup, "generate", "rng_seed", "-1", "--seed", "3") == 2
+        assert capsys.readouterr().err == "error: rng_seed=-1 must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_a_config_built_in_code_is_checked(self):
+        with pytest.raises(UsageError, match="^steps=-1 must be >= 0$"):
+            RunConfig(steps=-1)
+        with pytest.raises(UsageError, match="^replications=0 must be >= 1$"):
+            replace(RunConfig(), replications=0)
 
 
 PREFERENCE_TABLE = {"preference_rule": None, "preference_path": "p.tsv"}

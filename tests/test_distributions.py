@@ -114,6 +114,15 @@ def test_read_names_the_nan_row(tmp_path):
         read_distribution(path)
 
 
+@pytest.mark.parametrize("text", ["1\tinf\n2\t-inf\n", "1\t0.5\n2\t-inf\n3\tinf\n"])
+def test_read_names_the_negative_row_beside_an_inf_row(tmp_path, text):
+    # fsum of an inf and a -inf row raises its own error, which names no row
+    path = tmp_path / "inf.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^probability -inf at degree 2 is negative$"):
+        read_distribution(path)
+
+
 def test_read_rejects_a_table_without_data_lines(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("# tool=test\n\n")

@@ -572,6 +572,18 @@ class TestSolveBehaviour:
         with pytest.raises(NonConvergenceError, match="^stationary sweep lost all probability mass$"):
             solve_stationary(ba_params(2), PreferenceFunction.linear(g=1, M=M), k_max=k_max)
 
+    def test_a_sweep_with_nan_mass_stops_at_once(self, monkeypatch):
+        # a NaN total is neither > 0 nor <= 0; unnamed, it bisected x for
+        # about a thousand sweeps until s / total divided by zero
+        def nan(q, t):
+            q[-1] = math.nan
+
+        sweeps = _count_sweeps(monkeypatch)
+        _after_each_sweep(monkeypatch, nan)
+        with pytest.raises(NonConvergenceError, match="^stationary sweep probability mass is NaN$"):
+            solve_stationary(ba_params(2), PreferenceFunction.linear(g=1, M=100))
+        assert len(sweeps) == 1
+
     def test_negative_mass_is_a_runtime_error(self, monkeypatch):
         # -1e-300 leaves every sum and so the fixed point as they were
         def negative(q, t):
