@@ -72,9 +72,10 @@ class RunConfig:
         Number keys are checked by ``_number`` and two more by ``_CHECKS``;
         the ``*_path`` keys and ``output_dir`` must be strings (or None for
         a ``*_path``). Then come the ranges: a negative seed or step count,
-        a seed size below 2, no replication or a TV threshold that is not
-        > 0. ``dataclasses.replace`` runs this again, so a flag is checked
-        as a config value is.
+        a seed size below 2, no replication, a TV threshold that is not
+        > 0, a ``tol`` that is not finite and > 0 or a negative ``k_max``.
+        ``dataclasses.replace`` runs this again, so a flag is checked as a
+        config value is.
         """
         for f in fields(self):
             val = getattr(self, f.name)
@@ -96,6 +97,10 @@ class RunConfig:
         for key in ("forward_tv_max", "empirical_tv_max"):
             if not getattr(self, key) > 0:  # NaN fails too
                 raise UsageError(f"{key}={getattr(self, key)} must be > 0")
+        if not 0.0 < self.tol < math.inf:
+            raise UsageError(f"tol={self.tol} must be finite and > 0")
+        if self.k_max is not None and self.k_max < 0:
+            raise UsageError(f"k_max={self.k_max} must be >= 0")
 
 
 class UsageError(Exception):

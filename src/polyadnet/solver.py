@@ -43,9 +43,15 @@ way: weighting the recurrence by f, continued past K as f(K) + alpha
 
 exact for affine f and infinite for s <= 1. Without bundles this is the
 gamma-ratio tail t_K (K + beta) / (s - 1) of t_k ~ Gamma(k + beta) /
-Gamma(k + beta + s). A first phase solves x on a table of K_START
-entries; a second re-solves warm at the explicit k_max, or else at the
-size where the exact bound's decay takes it below tol.
+Gamma(k + beta + s).
+
+Every window runs one schedule. The window sets only the first table
+size and alpha: a bounded window solves at M + n entries (no degree
+above is reachable, so its tail mass is exactly 0) or at an explicit
+k_max, with no closure; an unbounded one at K_START entries, or a
+smaller explicit k_max, with alpha from the probe. A second phase only
+grows the table, re-solving warm at an explicit larger k_max, or else
+at the size where the exact bound's decay takes it below tol.
 """
 
 from __future__ import annotations
@@ -104,9 +110,7 @@ def _sweep_kernel(q, t, arr, f: PreferenceFunction, p: ModelParams, x):
         hi = min(lo + ROWS_PER_WRITE, size)
         fb = memoryview(f.weight_array(hi - 1, lo))
         for k, fk, ak in zip(range(lo, hi), fb, chain(arr[lo:hi], repeat(0.0))):
-            num = ak * x
-            if k >= 1:
-                num += b * tk
+            num = ak * x + b * tk  # tk is 0.0 at degree 0
             if k >= n:
                 num += gmu * t[k - n]
             qk = num / (denom0 + fk * a)
@@ -242,15 +246,17 @@ def solve_stationary(
 ) -> StationarySolution:
     """Solve the fixed point x = sum f(k) Q_k(x) and return the table.
 
-    A bounded preference window is solved once, by default at the exact
-    cutoff M + n (no degree above it is reachable with positive
-    preference flow). An unbounded window is probed first (superlinear f
-    is rejected before any sweep), then solved in two phases with the
-    tail closed: at min(k_max, K_START) entries, then warm at an explicit
-    larger k_max, or else at the size where the exact tail bound is
-    predicted to drop below max(tol, 1e-12), doubling while it has not
-    (up to K_CAP entries). iterations counts the last phase's sweeps and
-    method is "bisection" if any of them bisected (see _solve_at).
+    One schedule serves both windows. The first phase solves on k_max
+    entries, by default the exact cutoff M + n of a bounded window (no
+    degree above it is reachable with positive preference flow, so the
+    tail bound is 0), or for an unbounded window min(k_max, K_START)
+    entries with the tail closed by the probe's alpha (superlinear f is
+    rejected before any sweep). A second phase only grows the table:
+    warm at an explicit larger k_max, or else at the size where the exact
+    tail bound is predicted to drop below max(tol, 1e-12), doubling while
+    it has not (up to K_CAP entries). iterations counts the last phase's
+    sweeps and method is "bisection" if any of them bisected (see
+    _solve_at).
     NonConvergenceError means f is superlinear, no arrival degree lies in
     the window, the mean ran away, lost its mass or has no fixed point,
     or, without k_max, the tail bound is not below max(tol, 1e-12) at
@@ -270,54 +276,50 @@ def solve_stationary(
         raise ValueError(f"k_max={k_max} is below the largest arrival degree {arr_max}")
     _check_reachable(p, f)
 
-    if math.isfinite(f.M):
-        K = int(k_max) if k_max is not None else max(int(f.M) + p.n, arr_max)
-        x, iters, method, (q, t) = _solve_at(p, f, K, a, tol)
-        tail = _tail_mass(t, p, x)
-    else:
-        K = max(K_START, arr_max)
-        if k_max is not None:
-            K = min(int(k_max), K)
+    bounded = math.isfinite(f.M)
+    K = max(int(f.M) + p.n if bounded else K_START, arr_max)
+    if k_max is not None:
+        # a bounded window needs no tail closure, so it solves at k_max at once
+        K = int(k_max) if bounded else min(int(k_max), K)
+    alpha = None
+    if not bounded:
         try:
             alpha = _linear_rate(f)
         except PreferenceError:
             f.weight_array(K)  # names the first bad degree if the table has one
             raise
-        x, iters, method, (q, t) = _solve_at(p, f, K, a, tol, alpha)
+    x, iters, method, (q, t) = _solve_at(p, f, K, a, tol, alpha)
+    tail = _tail_mass(t, p, x)
+    tail_tol = max(tol, 1e-12)
+    size = K if k_max is None else int(k_max)
+    if k_max is None and tail >= tail_tol:
+        # the bound at K/2 is that of the table's first half, since the
+        # sweep runs forward; its decay across the top half still rises
+        # toward s at K_START on every model tested, so extrapolating it
+        # lands just under tail_tol (and the table doubles if it does not)
+        half = _tail_mass(t[: K // 2 + 1], p, x)
+        size = 2 * K
+        if half > tail:
+            decay = math.log2(half / tail)
+            size = math.ceil(K * (tail / tail_tol) ** (1.0 / decay))
+        size = min(K_CAP, size)
+    while size > K:
+        K = size
+        x, iters, method, (q, t) = _solve_at(p, f, K, x, tol, alpha)
         tail = _tail_mass(t, p, x)
-        tail_tol = max(tol, 1e-12)
-        if k_max is not None:
-            size = int(k_max)
-        elif tail < tail_tol:
-            size = K
-        else:
-            # the bound at K/2 is that of the table's first half, since the
-            # sweep runs forward; its decay across the top half still rises
-            # toward s at K_START on every model tested, so extrapolating it
-            # lands just under tail_tol (and the table doubles if it does not)
-            half = _tail_mass(t[: K // 2 + 1], p, x)
-            size = 2 * K
-            if half > tail:
-                decay = math.log2(half / tail)
-                size = math.ceil(K * (tail / tail_tol) ** (1.0 / decay))
-            size = min(K_CAP, size)
-        while size > K:
-            K = size
-            x, iters, method, (q, t) = _solve_at(p, f, K, x, tol, alpha)
-            tail = _tail_mass(t, p, x)
-            if k_max is None and tail >= tail_tol:
-                size = min(K_CAP, 2 * K)
         if k_max is None and tail >= tail_tol:
-            # the mass beyond K falls like K^(1 - tau), tau = s + 1
-            drift = alpha * p.drift
-            tau = 1.0 + p.c * x / drift if drift > 0.0 else math.inf
-            need = K * (tail / tail_tol) ** (1.0 / (tau - 1.0))
-            raise NonConvergenceError(
-                f"tail mass bound {tail!r} at k_max={K} (K_CAP={K_CAP}) "
-                f"is not below max(tol, 1e-12)={tail_tol!r}: Q_k falls like "
-                f"k^-tau with tau={tau:.6g}, so the bound falls like "
-                f"k_max^(1-tau) and needs about {need:.3g} entries"
-            )
+            size = min(K_CAP, 2 * K)
+    if k_max is None and tail >= tail_tol:
+        # the mass beyond K falls like K^(1 - tau), tau = s + 1
+        drift = alpha * p.drift
+        tau = 1.0 + p.c * x / drift if drift > 0.0 else math.inf
+        need = K * (tail / tail_tol) ** (1.0 / (tau - 1.0))
+        raise NonConvergenceError(
+            f"tail mass bound {tail!r} at k_max={K} (K_CAP={K_CAP}) "
+            f"is not below max(tol, 1e-12)={tail_tol!r}: Q_k falls like "
+            f"k^-tau with tau={tau:.6g}, so the bound falls like "
+            f"k_max^(1-tau) and needs about {need:.3g} entries"
+        )
 
     if not q.min() >= 0.0:
         raise RuntimeError("negative or NaN probability mass in stationary sweep")
@@ -338,15 +340,16 @@ def solve_stationary(
     )
 
 
-def _solve_at(p, f, K, x0, tol, alpha=None):
+def _solve_at(p, f, K, x0, tol, alpha):
     """Fixed-point solve on a table of K + 1 entries, warm-started at x0.
 
     A sweep at x gives g(x) = sum f Q / sum Q, where for an unbounded
     window (alpha not None) both sums count the table's tail: the exact
     mass and the closure of t for f(k) ~ alpha k. The damped step is
     (1 - BETA) x + BETA clamp(g(x), x/8, 8x). The sign of g(x) - x (an
-    infinite tail counts as g > x) narrows a bracket [lo, hi]; g need not
-    be monotone, so only these signs set it. A step that would leave the
+    infinite tail gives g = inf, so g > x and the clamp is 8x) narrows a
+    bracket [lo, hi]; g need not be monotone, so only these signs set it,
+    and a NaN g counts as g <= x. A step that would leave the
     bracket, and every step after MAX_ITER sweeps, bisects it instead
     (8x while hi is unbounded). The loop stops at |g(x) - x| <= tol x, a
     relative test at every scale of x, or when the bracket is narrower
@@ -354,8 +357,9 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
     table-only mean of f: x has the units of f, so no stop depends on
     how f is scaled. Only an x whose next step could overflow counts as
     diverging. Every sweep refills the same pair of array('d') tables,
-    16 bytes per entry in all, the only arrays of table length. Returns (x, iterations, method, (q, t)), numpy views of
-    the last sweep's tables.
+    16 bytes per entry in all, the only arrays of table length. Returns
+    (x, iterations, method, (q, t)), numpy views of the last sweep's
+    tables.
     """
     arr = p.arrival(p.arrival_max)
     qa = array("d", [0.0]) * (K + 1)
@@ -376,17 +380,14 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
         if alpha is not None:
             total += _tail_mass(t, p, x)
             s += _tail_closure(t, p, x, alpha, f_end)
-        if math.isinf(s):
-            x_new = 8.0 * x
-        else:
-            x_new = min(max(s / total, 0.125 * x), 8.0 * x)
-        if math.isfinite(s) and abs(s / total - x) <= tol * x:
+        gx = s / total
+        if abs(gx - x) <= tol * x:
             return x, it, method, (q, t)
         if math.isinf(8.0 * x):  # the next step could overflow
             raise NonConvergenceError(
                 f"mean preference diverges; no stationary distribution (x reached {x!r})"
             )
-        if math.isinf(s) or s / total > x:
+        if gx > x:
             lo = x
         else:
             hi = x
@@ -398,7 +399,7 @@ def _solve_at(p, f, K, x0, tol, alpha=None):
                     f"positive down to x={hi!r} at k_max={K}"
                 )
             return x, it, "bisection", (q, t)
-        x_next = (1.0 - BETA) * x + BETA * x_new
+        x_next = (1.0 - BETA) * x + BETA * min(max(gx, 0.125 * x), 8.0 * x)
         if it >= MAX_ITER or not lo < x_next < hi:
             x_next = 8.0 * x if math.isinf(hi) else 0.5 * (lo + hi)
             method = "bisection"

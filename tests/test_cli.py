@@ -174,6 +174,25 @@ class TestConfigValues:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, raw, message",
+        [
+            ("generate", "tol", "-1", "tol=-1 must be finite and > 0"),
+            ("analyze", "k_max", "-3", "k_max=-3 must be >= 0"),
+        ],
+    )
+    def test_solver_values_are_checked_by_every_command(
+        self, mixed_setup, capsys, command, key, raw, message
+    ):
+        # generate and analyze never solve, yet a tol or k_max that no
+        # solve could take is the config's fault under them too
+        tmp_path, _ = mixed_setup
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        edges = ["--edges", str(tmp_path / "edges.tsv")] if command == "analyze" else []
+        assert self._run(mixed_setup, command, key, raw, *edges) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["list", "mapping"])
     @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
@@ -393,6 +412,37 @@ def test_cli_import_leaves_out_scipy():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "args, code, out, err",
+    [
+        (["--version"], 0, "polyadnet ", ""),
+        (["solve", "--config", "run.yaml"], 1, "", "error: preference grows superlinearly"),
+        (["solve"], 2, "", "error: r1_path is required when gamma < 1\n"),
+    ],
+    ids=["version", "superlinear", "no-config"],
+)
+def test_cli_as_a_process(tmp_path, args, code, out, err):
+    # the exit code a shell sees comes from sys.exit(main()), which no
+    # in-process call of main runs; -W error fails on any warning
+    write_dist(tmp_path / "r1.tsv", {2: 1.0})
+    write_yaml(
+        tmp_path / "run.yaml",
+        r1_path="r1.tsv",
+        preference_rule={"kind": "power", "exponent": 1.5},
+        output_dir="out",
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "polyadnet.cli", *args],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert run.returncode == code
+    assert run.stdout.startswith(out) and bool(run.stdout) == bool(out)
+    assert run.stderr.startswith(err) and bool(run.stderr) == bool(err)
 
 
 class TestGenerate:
@@ -874,7 +924,12 @@ def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, command, flag):
     )
     assert main([command, "--config", str(cfg), *flag]) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert list((tmp_path / "out").iterdir()) == []
+    if flag[0] == "--tol":
+        # RunConfig rejects a tol before any output dir is made
+        assert not (tmp_path / "out").exists()
+    else:
+        # k_max=1 is a valid value; the solver finds it below the arrivals
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 # ---- golden outputs -----------------------------------------------------

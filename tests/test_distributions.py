@@ -89,6 +89,8 @@ def test_write_read_round_trip(tmp_path):
     write_distribution(d, path, {"tool": "test"})
     back = read_distribution(path)
     assert back == d
+    # a distribution equals no other type; == falls back to identity
+    assert (d == 1) is False
 
 
 def test_read_rejects_unnormalized(tmp_path):

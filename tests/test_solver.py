@@ -126,6 +126,19 @@ def _count_sweeps(monkeypatch):
     return calls
 
 
+def _sweep_sizes(monkeypatch):
+    """Table length of every sweep, in order."""
+    sizes = []
+    kernel = solver._sweep_kernel
+
+    def sized(q, *args):
+        sizes.append(len(q))
+        return kernel(q, *args)
+
+    monkeypatch.setattr(solver, "_sweep_kernel", sized)
+    return sizes
+
+
 def _after_each_sweep(monkeypatch, edit):
     """Run edit(q, t), numpy views of the sweep's tables, after every sweep."""
     kernel = solver._sweep_kernel
@@ -344,6 +357,31 @@ class TestSolveBehaviour:
         sol = solve_stationary(p, f)
         assert sol.k_max == 54
         assert sol.tail_mass_bound == 0.0
+
+    @pytest.mark.parametrize("k_max", [None, 40, 300])
+    def test_bounded_window_solves_in_one_phase(self, monkeypatch, k_max):
+        # a bounded window never closes its tail or grows its table: one
+        # phase on M + n + 1 entries by default, on k_max + 1 for an
+        # explicit k_max; one below the cutoff M + n reports the mass it
+        # cuts off and raises nothing
+        def closure(*args):
+            raise AssertionError("a bounded window closed its tail")
+
+        phases = []
+        solve_at = solver._solve_at
+
+        def recorded(p, f, K, *args):
+            phases.append(K)
+            return solve_at(p, f, K, *args)
+
+        monkeypatch.setattr(solver, "_tail_closure", closure)
+        monkeypatch.setattr(solver, "_solve_at", recorded)
+        sizes = _sweep_sizes(monkeypatch)
+        sol = solve_stationary(ba_params(2), PreferenceFunction.linear(g=1, M=100), k_max=k_max)
+        K = 102 if k_max is None else k_max
+        assert phases == [K] and sol.k_max == K
+        assert sizes == [K + 1] * sol.iterations
+        assert (sol.tail_mass_bound > 0.0) == (K < 102)
 
     @pytest.mark.parametrize("case", list(NEUTRAL), ids=lambda c: "-".join(map(str, c)))
     def test_iteration_solves_are_unchanged(self, case):
