@@ -25,6 +25,7 @@ __all__ = [
     "read_degree_table",
     "read_distribution",
     "read_table",
+    "write_blocks",
     "write_distribution",
     "write_table",
 ]
@@ -36,7 +37,7 @@ NORMALIZATION_TOL = 1e-9
 #: renormalized on load.
 TEXT_RENORM_TOL = 1e-6
 
-#: Rows that ``write_table`` joins into one write.
+#: Rows that ``write_table`` and ``write_edge_list`` put in one write.
 ROWS_PER_WRITE = 8192
 
 
@@ -169,12 +170,19 @@ def write_table(path, header: Mapping, rows: Iterable[str], title: str | None = 
     table is streamed to the file rather than held as one string.
     """
     rows = iter(rows)
+    blocks = iter(lambda: list(islice(rows, ROWS_PER_WRITE)), [])
+    write_blocks(path, header, ("\n".join(block) + "\n" for block in blocks), title)
+
+
+def write_blocks(path, header: Mapping, blocks: Iterable[str], title: str | None = None) -> None:
+    """Write ``# key=value`` header lines, an optional column title, then
+    each block of newline-terminated rows as it comes."""
     with open(path, "w") as fh:
         fh.write("".join(f"# {key}={val}\n" for key, val in header.items()))
         if title is not None:
             fh.write(title + "\n")
-        while block := list(islice(rows, ROWS_PER_WRITE)):
-            fh.write("\n".join(block) + "\n")
+        for block in blocks:
+            fh.write(block)
 
 
 def read_table(path, row: Callable[[str], None]) -> dict[str, str]:

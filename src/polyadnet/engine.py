@@ -4,8 +4,9 @@ Each step appends an n-clique of new vertices (polyad), or one vertex
 (monad): the one-vertex n-ad without bundles, grown by the same code.
 Free edge ends attach to existing vertices drawn by preference weight;
 within one increment every draw is taken against the pre-increment
-weights, then the increment's edges enter the graph in one ``add_clique``
-call and the layer index follows in one ``update`` call.
+weights, then one ``LayerIndex.update`` call appends the increment's
+edges to the graph and moves the layer index with it, in one pass over
+the targets.
 
 Randomness comes from one numpy PCG64 generator per run, seeded
 explicitly, with a fixed draw order per increment (increment type, then
@@ -24,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import header_int, read_table, write_table
+from .distributions import ROWS_PER_WRITE, header_int, read_table, write_blocks, write_table
 from .graph import MultiGraph
 from .layers import LayerIndex, SaturationError
 from .params import ModelParams
@@ -93,7 +94,8 @@ def _increment(g: MultiGraph, idx: LayerIndex, rng, n: int, singles: list[int], 
     holds the new-vertex offset of every other free end, vertex by vertex.
     All targets are drawn against the pre-increment weights, so the graph
     stays untouched if sampling saturates; a target drawn twice gets
-    parallel edges. Edges go in as the clique, the bundles, the singles.
+    parallel edges. Edges go in as the clique, the bundles, the singles,
+    unchecked: the index draws only existing ids.
     """
     n_draws = mu + len(singles)
     targets = idx.sample_many(rng, n_draws) if n_draws else []
@@ -101,8 +103,7 @@ def _increment(g: MultiGraph, idx: LayerIndex, rng, n: int, singles: list[int], 
     if mu:
         targets[:mu] = [t for t in targets[:mu] for _ in range(n)]
         ends = [*range(n)] * mu + singles
-    base = g.add_clique(n, targets, ends)
-    idx.update(g.degrees, targets, base)
+    idx.update(g, n, targets, ends)
 
 
 def apply_monad(g: MultiGraph, idx: LayerIndex, p: ModelParams, rng) -> None:
@@ -178,8 +179,34 @@ def write_edge_list(g: MultiGraph, path, header: Mapping | None = None) -> None:
     vertices could not be reconstructed. Rows go to the file a block at a
     time, so the text of the whole list is never held at once.
     """
-    rows = (f"{u}\t{v}" for u, v in g.iter_edges())
-    write_table(path, {"vertices": g.n, **(header or {})}, rows)
+    lo, hi = (np.frombuffer(c, dtype=np.int32) for c in (g.lo, g.hi))
+    blocks = (
+        _row_text(lo[i : i + ROWS_PER_WRITE], hi[i : i + ROWS_PER_WRITE])
+        for i in range(0, len(lo), ROWS_PER_WRITE)
+    )
+    write_blocks(path, {"vertices": g.n, **(header or {})}, blocks)
+
+
+def _row_text(u: np.ndarray, v: np.ndarray) -> str:
+    """The lines ``u[i]<TAB>v[i]`` of two equal-length non-negative int32 arrays.
+
+    Each line is first laid out at a fixed width, every id right-aligned
+    in as many digits as the largest id needs, its digits taken by
+    ``% 10`` and ``// 10`` on the whole column; the zeros in front of
+    each id's leading digit are then dropped.
+    """
+    width = len(str(int(max(u.max(), v.max()))))
+    rows = np.empty((len(u), 2 * width + 2), dtype=np.uint8)
+    keep = np.ones(rows.shape, dtype=bool)
+    for col, ids in ((0, u), (width + 1, v)):
+        for j in range(col + width - 1, col - 1, -1):  # units first
+            rows[:, j] = ids % 10 + 48
+            if j < col + width - 1:
+                keep[:, j] = ids > 0
+            ids = ids // 10
+    rows[:, width] = 9  # tab
+    rows[:, -1] = 10  # newline
+    return rows[keep].tobytes().decode("ascii")
 
 
 def read_edge_list(path) -> tuple[MultiGraph, dict[str, str]]:

@@ -29,8 +29,10 @@ class MultiGraph:
     columns, 8 bytes per edge: ``lo[i] < hi[i]`` are the endpoints of edge
     ``i``. A graph is built either whole from its edge columns
     (``from_columns``, which checks every edge) or one increment at a
-    time (``add_clique``, whose new vertices always carry the larger
-    ids). ``iter_edges()`` walks the edges as (u, v) pairs.
+    time, its new vertices always carrying the larger ids. An increment
+    goes in through ``add_clique``, which checks its ids, or, on a graph
+    that a sampling index follows, through ``LayerIndex.update``, which
+    moves the index in the same pass; both lay it out with ``_append``.
     """
 
     __slots__ = ("degrees", "lo", "hi")
@@ -84,18 +86,13 @@ class MultiGraph:
         """
         return list(zip(self.lo, self.hi))
 
-    def iter_edges(self):
-        """Iterate the edges as (u, v) pairs with u < v, in insertion order."""
-        return zip(self.lo, self.hi)
-
     def add_clique(self, n: int, targets: Sequence[int] = (), ends: Sequence[int] = ()) -> int:
         """Add ``n`` new vertices joined pairwise, then attach them; returns the first id.
 
-        The clique's edges come first, in lexicographic order of their
-        offset pairs (i, j), i < j. Then edge ``i`` of the attachment
-        columns joins the existing vertex ``targets[i]`` to new vertex
-        ``first + ends[i]``. A target that is not an existing vertex, or an
-        end outside ``range(n)``, raises ValueError before the graph changes.
+        The edges go in as ``_append`` lays them out. A target that is not
+        an existing vertex, or an end outside ``range(n)``, raises
+        ValueError before the graph changes. A graph that a ``LayerIndex``
+        follows takes its increments through ``LayerIndex.update`` instead.
         """
         deg = self.degrees
         base = len(deg)
@@ -104,19 +101,37 @@ class MultiGraph:
         for t in targets:
             if not 0 <= t < base:
                 raise ValueError(f"attachment target {t} is not an existing vertex in range({base})")
-        new = [n - 1] * n
         for e in ends:
             if not 0 <= e < n:
                 raise ValueError(f"attachment end {e} is not a new vertex offset in range({n})")
+        self._append(n, targets, ends)
+        for t in targets:
+            deg[t] += 1
+        return base
+
+    def _append(self, n: int, targets: Sequence[int], ends: Sequence[int]) -> None:
+        """Append an increment's edges and its new vertices' degrees, unchecked.
+
+        The clique's edges come first, in lexicographic order of their
+        offset pairs (i, j), i < j. Then edge ``i`` of the attachment
+        columns joins the existing vertex ``targets[i]`` to new vertex
+        ``first + ends[i]``, ``first`` being the vertex count before. The
+        targets' degrees are left to the caller.
+        """
+        base = len(self.degrees)
+        if n == 1:  # a monad: no clique edges, and its degree is its end count
+            self.lo.extend(targets)
+            self.hi.fromlist([base] * len(ends))
+            self.degrees.append(len(ends))
+            return
+        new = [n - 1] * n
+        for e in ends:
             new[e] += 1
         lo, hi = _clique_offsets(n)
         self.lo.fromlist([base + i for i in lo])
         self.lo.extend(targets)
         self.hi.fromlist([base + j for j in (*hi, *ends)])
-        for t in targets:
-            deg[t] += 1
-        deg.extend(new)
-        return base
+        self.degrees.extend(new)
 
     def __repr__(self):
         return f"MultiGraph(n={self.n}, edges={self.edge_count})"

@@ -4,8 +4,9 @@ Attachment weight depends on a vertex only through its degree, so vertices
 are grouped into layers (one per degree). Sampling a target is two-stage:
 pick a layer with probability proportional to f(k) * |layer k|, then a
 member uniformly inside it. Layer weights live in a Fenwick tree (Fenwick
-1994) on plain lists: an increment updates O(log K) nodes per layer whose
-member count it changes, and a top-down descent finds the first layer
+1994) on plain lists: an increment, which the index adds to the graph in
+the same pass that moves its vertices, updates O(log K) nodes per layer
+whose member count it changes, and a top-down descent finds the first layer
 whose cumulative weight exceeds ``u * total`` in O(log K) steps, K being
 the number of degrees covered. Layer members and each vertex's slot in
 its layer are int32 arrays (``array('i')``), the id range of the graph's
@@ -41,9 +42,10 @@ class SaturationError(RuntimeError):
 class LayerIndex:
     """Per-degree vertex sets with incrementally maintained weights.
 
-    The index follows its graph through one ``update`` call per
-    increment, which ``apply_monad`` and ``apply_nad`` make after adding
-    the increment's edges.
+    The index and its graph take each increment together, in one
+    ``update`` call that ``apply_monad`` and ``apply_nad`` make after
+    drawing the targets: it appends the edges, raises each target's
+    degree once and moves it between layers, then adds the new vertices.
 
     ``_fw`` and ``_members`` cover degrees ``0 .. size - 1`` and ``_tree``
     has ``size + 1`` entries, ``size`` a power of two above every degree
@@ -69,12 +71,13 @@ class LayerIndex:
 
     @classmethod
     def build(cls, g: MultiGraph, f: PreferenceFunction) -> "LayerIndex":
+        """The index of ``g``'s vertices under ``f``, each joining its layer in id order."""
         idx = cls(f)
-        idx.update(g.degrees)
+        idx._settle(g.degrees)
         return idx
 
-    def _ensure(self, k: int) -> None:
-        """Double the tree, weights and layers until they cover degree ``k``.
+    def _ensure(self, k: int) -> int:
+        """Double the tree, weights and layers until they cover degree ``k``; return the size.
 
         Nodes up to the old size keep their ranges; of the new ones only
         the powers of two cover populated layers, and those hold the total.
@@ -88,52 +91,69 @@ class LayerIndex:
             tree[size] = total
         self._fw = self.f.weight_array(size - 1).tolist()
         self._members.extend(array("i") for _ in range(size - len(self._members)))
+        return size
 
-    def update(self, degrees: list[int], targets=(), first: int = 0) -> None:
-        """Follow one increment of the graph: move its targets, add its new vertices.
+    def update(self, g: MultiGraph, n: int, targets=(), ends=()) -> None:
+        """Add one increment to the graph ``g`` and follow it, in one pass.
 
-        ``degrees`` are the graph's degrees after the increment and the
-        vertices from ``first`` on are new. ``targets`` name an existing
-        vertex once for each edge end it gained, so a bundle target or a
-        repeat draw appears more than once. Each target leaves its old
-        layer and joins its new one in the order first drawn, then the
-        new vertices join theirs in id order. Each layer whose size
-        changed adds that change times its weight to the tree, walking up
-        to ``join``: the smallest power of two above every touched layer,
-        which lies on all their paths. The nodes from ``join`` up to the
-        root take the sum of the changes in one more walk, so every power
-        of two above the highest degree seen holds the same total.
-        ``build`` is ``update(g.degrees)``: every vertex is new.
+        The increment is ``n`` new vertices joined pairwise, then edge
+        ``i`` of the attachment columns joins the existing vertex
+        ``targets[i]`` to new vertex ``ends[i]`` (an offset from the
+        first new id), as ``MultiGraph.add_clique`` lays them out. The
+        ids are not checked: ``sample_many`` returns only existing ones.
+        A bundle target or a repeat draw appears in ``targets`` more than
+        once and still moves once, by its summed gain (see ``_settle``).
+        """
+        g._append(n, targets, ends)
+        self._settle(g.degrees, targets)
+
+    def _settle(self, degrees: list[int], targets=()) -> None:
+        """Raise each target's degree by its count in ``targets``, then join the new vertices.
+
+        Each vertex of ``targets`` leaves its old layer and joins its new
+        one in the order first drawn; then every vertex the index does
+        not hold yet (``len(_pos)`` on) joins its layer in id order. Each
+        layer whose size changed adds that change times its weight to the
+        tree, walking up to ``join``: the smallest power of two above
+        every touched layer, which lies on all their paths. The nodes
+        from ``join`` up to the root take the sum of the changes in one
+        more walk, so every power of two above the highest degree seen
+        holds the same total.
         """
         gains: dict[int, int] = {}
         for t in targets:
             gains[t] = gains.get(t, 0) + 1
-        n = len(degrees)
-        for v in range(first, n):
-            gains[v] = 0  # a new vertex: in no layer yet
         members, pos = self._members, self._pos
-        if n > len(pos):  # zeroed slots, each set below before it is read
-            pos.frombytes(bytes(pos.itemsize * (n - len(pos))))
         change: dict[int, int] = {}  # touched layer -> net change of its size
         size = len(self._tree) - 1  # the layers covered
         kmax = 0  # the highest layer touched
         for v, h in gains.items():
+            j = degrees[v]
+            k = j + h
+            degrees[v] = k
+            if k > kmax:
+                kmax = k
+                if k >= size:
+                    size = self._ensure(k)
+            lst = members[j]  # v leaves layer j: the last member takes its slot
+            i = pos[v]
+            last = lst[-1]
+            lst[i] = last
+            pos[last] = i
+            del lst[-1]
+            change[j] = change.get(j, 0) - 1
+            lst = members[k]
+            pos[v] = len(lst)
+            lst.append(v)
+            change[k] = change.get(k, 0) + 1
+        for v in range(len(pos), len(degrees)):
             k = degrees[v]
             if k > kmax:
                 kmax = k
                 if k >= size:
-                    self._ensure(k)
-                    size = len(self._tree) - 1
-            if h:  # a target leaves layer k - h: the last member takes its slot
-                lst = members[k - h]
-                i = pos[v]
-                last = lst[-1]
-                lst[i] = last
-                pos[last] = i
-                del lst[-1]
-                change[k - h] = change.get(k - h, 0) - 1
+                    size = self._ensure(k)
             lst = members[k]
-            pos[v] = len(lst)
+            pos.append(len(lst))
             lst.append(v)
             change[k] = change.get(k, 0) + 1
         fw, tree = self._fw, self._tree

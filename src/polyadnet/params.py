@@ -105,6 +105,9 @@ class ModelParams:
 
     def arrival(self, k_max: int) -> list[float]:
         """Arrival mass arr_k over degrees 0..max(k_max, arrival_max)."""
-        size = max(k_max, self.arrival_max) + 1
-        r1, rn = self.r1.array(0, size), self.rn.array(1 - self.n, size + 1 - self.n)
-        return ((1.0 - self.gamma) * r1 + self.gamma * self.n * rn).tolist()
+        return self.arrival_array(0, max(k_max, self.arrival_max) + 1).tolist()
+
+    def arrival_array(self, lo: int, hi: int):
+        """Arrival mass arr_k at degrees lo..hi-1 as a new numpy array."""
+        r1, rn = self.r1.array(lo, hi), self.rn.array(lo + 1 - self.n, hi + 1 - self.n)
+        return (1.0 - self.gamma) * r1 + self.gamma * self.n * rn

@@ -259,7 +259,9 @@ def solve_stationary(
     _solve_at).
     NonConvergenceError means f is superlinear, no arrival degree lies in
     the window, the mean ran away, lost its mass or has no fixed point,
-    or, without k_max, the tail bound is not below max(tol, 1e-12) at
+    or, without k_max, an unbounded window has an arrival degree above
+    K_CAP (raised before any sweep; the message names the mass born
+    above K_CAP) or its tail bound is not below max(tol, 1e-12) at
     K_CAP entries (the message names tau and the table size tol would
     need); ValueError flags a tol that is not finite and > 0, or
     a k_max below the largest arrival degree. PreferenceError names the
@@ -269,6 +271,17 @@ def solve_stationary(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol={tol} must be finite and > 0")
     arr_max = p.arrival_max
+    bounded = math.isfinite(f.M)
+    if k_max is None and not bounded and arr_max > K_CAP:
+        # a degree never falls, so the mass beyond K_CAP is at least the
+        # share of vertices born above it
+        born = float(p.arrival_array(K_CAP + 1, arr_max + 1).sum()) / p.c
+        raise NonConvergenceError(
+            f"arrival degree {arr_max} is above K_CAP={K_CAP}: vertices born above "
+            f"K_CAP hold at least {born:.6g} of the stationary mass (sum of arr_k / c "
+            f"over k > K_CAP), beyond every default table; give k_max >= {arr_max} "
+            "to solve on a larger table"
+        )
     a = p.a
     if a <= 0.0:
         raise ValueError("model adds no edge ends per step; no attachment to solve")
@@ -276,7 +289,6 @@ def solve_stationary(
         raise ValueError(f"k_max={k_max} is below the largest arrival degree {arr_max}")
     _check_reachable(p, f)
 
-    bounded = math.isfinite(f.M)
     K = max(int(f.M) + p.n if bounded else K_START, arr_max)
     if k_max is not None:
         # a bounded window needs no tail closure, so it solves at k_max at once

@@ -11,6 +11,9 @@ additive offset. edge_list_text is the edge-list file written the plain way, one
 f-string per line joined in memory. check_index rebuilds a layer index
 from the degrees and compares it with the maintained one;
 checking_updates runs that check every so many updates of a run.
+two_call_step is an increment as the graph and the layer index took it
+in two calls, add_clique and then a second walk over the targets: the
+reference the one-pass LayerIndex.update must match bit for bit.
 compare_probs and sample_probs are compare and DegreeDistribution.sample
 as they were written while a degree table was a dict, and arrival_loop is
 ModelParams.arrival as a loop over the table entries; cumulative_probs
@@ -248,7 +251,7 @@ def check_index(idx: LayerIndex, degrees: list[int]) -> None:
     when that is larger (a tree emptied of its weight keeps a residue).
     """
     fresh = LayerIndex(idx.f)
-    fresh.update(degrees)
+    fresh._settle(degrees)
 
     def layers(index):
         return {k: sorted(lst) for k, lst in enumerate(index._members) if lst}
@@ -284,18 +287,70 @@ def check_index(idx: LayerIndex, degrees: list[int]) -> None:
             )
 
 
+def two_call_step(g, idx: LayerIndex, n: int, targets=(), ends=()) -> None:
+    """``idx.update(g, n, targets, ends)`` as two calls: ``add_clique``, then
+    the index rebuilds the gains from ``targets`` and re-reads the degrees."""
+    first = g.add_clique(n, targets, ends)
+    degrees = g.degrees
+    gains: dict[int, int] = {}
+    for t in targets:
+        gains[t] = gains.get(t, 0) + 1
+    for v in range(first, len(degrees)):
+        gains[v] = 0  # a new vertex: in no layer yet
+    members, pos = idx._members, idx._pos
+    pos.frombytes(bytes(pos.itemsize * (len(degrees) - len(pos))))
+    change: dict[int, int] = {}
+    size = len(idx._tree) - 1
+    kmax = 0
+    for v, h in gains.items():
+        k = degrees[v]
+        if k > kmax:
+            kmax = k
+            if k >= size:
+                size = idx._ensure(k)
+        if h:
+            lst = members[k - h]
+            i = pos[v]
+            last = lst[-1]
+            lst[i] = last
+            pos[last] = i
+            del lst[-1]
+            change[k - h] = change.get(k - h, 0) - 1
+        lst = members[k]
+        pos[v] = len(lst)
+        lst.append(v)
+        change[k] = change.get(k, 0) + 1
+    fw, tree = idx._fw, idx._tree
+    join = 1 << kmax.bit_length()
+    total, live = 0.0, idx._live
+    for k, c in change.items():
+        w = fw[k]
+        if c and w > 0.0:
+            live += c
+            d = w * c
+            total += d
+            i = k + 1
+            while i < join:
+                tree[i] += d
+                i += i & -i
+    idx._live = live
+    while join <= size:
+        tree[join] += total
+        join += join
+
+
 @contextmanager
 def checking_updates(every: int):
     """Within the block, follow every ``every``-th ``LayerIndex.update`` with check_index."""
     update = LayerIndex.update
     calls = 0
 
-    def checked(idx, degrees, targets=(), first=0):
+    def checked(idx, g, n, targets=(), ends=()):
         nonlocal calls
-        update(idx, degrees, targets, first)
+        update(idx, g, n, targets, ends)
         calls += 1
         if calls % every == 0:
-            check_index(idx, degrees)
+            check_index(idx, g.degrees)
 
     LayerIndex.update = checked
     try:

@@ -6,7 +6,9 @@ per-layer metrics from span names such as ``engine.apply_monad``. A span
 name whose function is gone records nothing and its metric reads 0, so
 this checks the names directly, and checks that the sweep's note still
 reads the table size. Neither file is run or changed here: ``spans`` is
-imported from its path, and ``run.py`` is only parsed.
+imported from its path, and ``run.py`` is only parsed. A name that still
+exists but is no longer called would read 0 as well, so a grown run checks
+that the engine's hooked names are called once per increment and per draw.
 """
 
 import ast
@@ -15,8 +17,12 @@ import importlib.util
 import re
 from pathlib import Path
 
-from polyadnet import solver
+import pytest
+
+from polyadnet import engine, solver
 from polyadnet.distributions import DegreeDistribution
+from polyadnet.graph import seed_complete
+from polyadnet.layers import LayerIndex
 from polyadnet.params import ModelParams
 from polyadnet.preference import PreferenceFunction
 
@@ -102,3 +108,55 @@ def test_sweep_note_reads_each_table_size(monkeypatch):
     # default schedule: phase one on 4097 entries, then one warm sweep
     assert sizes == [4097] * (len(sizes) - 1) + [245_391]
     assert len(sizes) > 1
+
+
+def _dist(probs):
+    return DegreeDistribution.from_probs(probs)
+
+
+# the grow workload's mixed model, and tetrads with two bundles each
+HOOKED_MODELS = {
+    "mixed": ModelParams(gamma=0.3, n=3, mu=1, r1=_dist({1: 1.0}), rn=_dist({1: 0.5, 2: 0.5})),
+    "bundles": ModelParams(gamma=0.5, n=4, mu=2, r1=_dist({2: 1.0}), rn=_dist({2: 0.5, 3: 0.5})),
+}
+
+
+@pytest.mark.parametrize("name", HOOKED_MODELS)
+def test_grow_calls_the_hooked_engine_names(monkeypatch, name):
+    # engine.apply_monad_calls, engine.apply_nad_calls, layers.sample_many_calls
+    # and layers.draws count these calls; each increment's draws are read
+    # back from the targets it hands to LayerIndex.update, a bundle's n
+    # targets being one draw
+    p = HOOKED_MODELS[name]
+    calls = {"apply_monad": 0, "apply_nad": 0}
+    draws, wanted = [], []
+
+    def counting(fn_name):
+        fn = getattr(engine, fn_name)
+
+        def counted(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+
+        return counted
+
+    for fn_name in calls:
+        monkeypatch.setattr(engine, fn_name, counting(fn_name))
+    sample_many, update = LayerIndex.sample_many, LayerIndex.update
+
+    def sampled(idx, rng, count):
+        draws.append(count)
+        return sample_many(idx, rng, count)
+
+    def updated(idx, g, n, targets=(), ends=()):
+        bundled = 0 if n == 1 else p.mu * (n - 1)
+        wanted.append(len(targets) - bundled)
+        return update(idx, g, n, targets, ends)
+
+    monkeypatch.setattr(LayerIndex, "sample_many", sampled)
+    monkeypatch.setattr(LayerIndex, "update", updated)
+    stats = engine.grow(seed_complete(4), p, PreferenceFunction.linear(), 300, rng_seed=5)
+    assert stats.monad_steps and stats.nad_steps
+    assert calls == {"apply_monad": stats.monad_steps, "apply_nad": stats.nad_steps}
+    assert len(wanted) == stats.steps
+    assert draws == [w for w in wanted if w]

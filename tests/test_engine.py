@@ -16,7 +16,7 @@ from polyadnet.engine import (
     write_stats,
 )
 from polyadnet.graph import MultiGraph, seed_complete
-from polyadnet.layers import SaturationError
+from polyadnet.layers import LayerIndex, SaturationError
 from polyadnet.params import ModelParams
 from polyadnet.preference import PreferenceFunction
 
@@ -231,6 +231,15 @@ def test_edge_list_bytes_match_oracle(tmp_path, m):
     assert (tmp_path / "edges.tsv").read_bytes() == edge_list_text(g, header)
 
 
+def test_edge_list_bytes_match_oracle_for_ids_of_every_width(tmp_path):
+    # one block whose ids take 1 to 7 digits, 0 and powers of ten among them
+    lo = [0, 0, 9, 10, 99, 100, 0, 999_999, 5]
+    hi = [1, 1_000_000, 10, 11, 100, 101, 999_999, 1_000_000, 1_000_000]
+    g = MultiGraph.from_columns(1_000_001, lo, hi)
+    write_edge_list(g, tmp_path / "edges.tsv", {"k": "v"})
+    assert (tmp_path / "edges.tsv").read_bytes() == edge_list_text(g, {"k": "v"})
+
+
 def test_edge_list_without_edges_matches_oracle(tmp_path):
     g = MultiGraph.from_columns(1, [], [])
     write_edge_list(g, tmp_path / "edges.tsv")
@@ -306,8 +315,9 @@ def test_edge_list_reports_row_and_count_errors_before_bad_edges(tmp_path):
 # graph, recorded before the engine drew its uniforms in blocks and kept
 # its layer weights in a Fenwick tree (the bundles stream before monads
 # and polyads shared one increment body, the gapped stream while degree
-# tables were still dicts); engine changes must keep every graph byte for
-# byte.
+# tables were still dicts, the window_exit stream while the graph and the
+# index took an increment in two calls); engine changes must keep every
+# graph byte for byte.
 
 MIXED = ModelParams(
     gamma=0.3, n=3, mu=1, r1=point(1), rn=DegreeDistribution.from_probs({1: 0.5, 2: 0.5})
@@ -328,6 +338,9 @@ GAPPED = ModelParams(
 )
 FLOAT_TABLE = PreferenceFunction.from_table({k: 0.5 + k**0.8 for k in range(1, 401)})
 POWER_1_5 = PreferenceFunction.from_rule(lambda k: np.asarray(k, dtype=float) ** 1.5, g=1)
+# a bounded window: 78 vertices leave it by degree 15, emptying weighted
+# layers into zero-weight ones and lowering the live count
+WINDOW_EXIT = PreferenceFunction.from_table({k: 0.5 + k**0.8 for k in range(1, 13)})
 
 GOLDEN = {
     "ba": (BA, LINEAR, 4, "01eff099683ee157d84903fd5936fe9f8177d672a8e94e97eb477971dc692030"),
@@ -337,6 +350,7 @@ GOLDEN = {
     "power_1_5": (BA, POWER_1_5, 4, "f393b4a6d81d3aa098511217704ab4d77a899ba803b5376844b85248e806cd9c"),
     "bundles": (BUNDLES, LINEAR, 4, "9bd8fc0461694e255f7906f8d5cfa33f2e6ba9b5f0d6f459866ed7847a330010"),
     "gapped": (GAPPED, LINEAR, 4, "65779cd5f2535e19eb61f01c0a3e06f7672736204a506b38ac5b58d4fe06b9a6"),
+    "window_exit": (MIXED, WINDOW_EXIT, 4, "9dc0577b21cf8d1ee9bffd12a9192e949dcd804f71362dcdea2e91c07fbff108"),
 }
 
 
@@ -372,7 +386,7 @@ def test_block_uniforms_match_scalar_draws():
 
 def test_graph_keeps_few_bytes_per_edge():
     # tracemalloc slows the engine tenfold, so the graph is grown untraced
-    # and rebuilt under tracing through the graph call grow made: per
+    # and rebuilt under tracing in the layout grow's update appends: per
     # pentad step one add_clique(5) with its five attachment edges
     g = seed_complete(5)
     grow(g, PENTADS, LINEAR, 20_000, rng_seed=5)
@@ -395,18 +409,23 @@ def test_graph_keeps_few_bytes_per_edge():
 
 @pytest.mark.parametrize("name", ["ba", "mixed", "pentads", "bundles"])
 def test_grow_adds_each_increment_in_one_graph_call(monkeypatch, name):
-    # grow appends an increment's clique and attachment edges in one
-    # add_clique call: a monad as a clique of one vertex, an n-ad of n
+    # grow hands an increment's clique and attachment edges to the layer
+    # index in one update call, which appends them to the graph: a monad
+    # as a clique of one vertex, an n-ad of n; add_clique is never called
     sizes = []
-    add_clique = MultiGraph.add_clique
+    update = LayerIndex.update
 
-    def counted(g, n, *args):
+    def counted(idx, g, n, *args):
         sizes.append(n)
-        return add_clique(g, n, *args)
+        return update(idx, g, n, *args)
+
+    def unchecked(*args):
+        raise AssertionError("grow called add_clique")
 
     p, f, seed_size, _ = GOLDEN[name]
     g = seed_complete(seed_size)
-    monkeypatch.setattr(MultiGraph, "add_clique", counted)
+    monkeypatch.setattr(LayerIndex, "update", counted)
+    monkeypatch.setattr(MultiGraph, "add_clique", unchecked)
     with checking_updates(50):
         stats = grow(g, p, f, 300, rng_seed=3)
     assert Counter(sizes) == Counter({1: stats.monad_steps, p.n: stats.nad_steps})

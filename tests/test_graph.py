@@ -34,7 +34,7 @@ def test_edges_live_in_two_columns():
     g = MultiGraph.from_columns(4, [0, 0, 1, 3], [1, 2, 2, 1])
     assert (list(g.lo), list(g.hi)) == ([0, 0, 1, 1], [1, 2, 2, 3])
     assert g.edge_count == 4
-    assert list(g.iter_edges()) == g.edges == [(0, 1), (0, 2), (1, 2), (1, 3)]
+    assert g.edges == [(0, 1), (0, 2), (1, 2), (1, 3)]
     assert repr(g) == "MultiGraph(n=4, edges=4)"
 
 

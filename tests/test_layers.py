@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
-from oracles import TREE_RTOL, check_index
+from hypothesis import given, settings, strategies as st
+from oracles import TREE_RTOL, check_index, two_call_step
 from scipy import stats
 
 from polyadnet.distributions import DegreeDistribution
@@ -91,8 +93,7 @@ def test_update_keeps_weights_consistent():
     g = path_graph(4)
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)
-    v = g.add_clique(1, [0], [0])
-    idx.update(g.degrees, [0], v)
+    idx.update(g, 1, [0], [0])
     check_index(idx, g.degrees)
     assert total_weight(idx) == pytest.approx(sum(f(d) for d in g.degrees))
 
@@ -101,26 +102,23 @@ def test_update_across_many_layers():
     g = seed_complete(3)
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)
-    g.degrees[0] += 5  # five parallel edges 0-1; check_index reads degrees only
-    g.degrees[1] += 5
-    idx.update(g.degrees, [0, 1] * 5, g.n)  # a jump of 5 is 5 repeats
+    idx.update(g, 1, [0, 1] * 5, [0] * 10)  # a jump of 5 is 5 repeats
     check_index(idx, g.degrees)
+    assert g.degrees == [7, 7, 2, 10]
     assert layer_weight(idx, 7) == pytest.approx(14.0)
 
 
 def test_capacity_growth():
-    g = MultiGraph.from_columns(1, [], [])
+    g = path_graph(2)
     f = PreferenceFunction.linear(g=1)
     idx = LayerIndex.build(g, f)
-    v = 1
-    # check_index rebuilds from degrees alone; a new vertex far beyond the
-    # initial capacity needs no edges
-    g.degrees.append(5000)
-    idx.update(g.degrees, (), v)
+    v = 2
+    # a new vertex far beyond the initial capacity; its target goes one higher
+    idx.update(g, 1, [0] * 5000, [0] * 5000)
     check_index(idx, g.degrees)
     assert layer_weight(idx, 5000) == pytest.approx(5000.0)
-    g.degrees[v] = 9001
-    idx.update(g.degrees, [v] * 4001, v + 1)
+    idx.update(g, 1, [v] * 4001, [0] * 4001)
+    assert g.degrees[v] == 9001
     check_index(idx, g.degrees)
     assert layer_weight(idx, 9001) == pytest.approx(9001.0)
 
@@ -182,15 +180,14 @@ def test_saturation_after_bumping_every_vertex_out_of_float_window():
     assert set(idx.sample_many(rng, 100)) == set(range(6))
     for step in range(3):  # 2 -> 3 -> 4 -> 5, the last out of the window
         for v in range(6):
-            g.degrees[v] += 1  # degrees only; check_index reads nothing else
-            idx.update(g.degrees, [v], 6)
+            # one edge to v from a 6-clique, whose degrees 5 and 6 weigh nothing
+            idx.update(g, 6, [v], [0])
     assert total_weight(idx) > 0.0  # the residue this test is about
     check_index(idx, g.degrees)  # residue within tolerance although every weight is 0
     with pytest.raises(SaturationError):
         idx.sample_many(rng, 1)
-    g.degrees.append(4)  # one new vertex in the window: it is the only pick
-    idx.update(g.degrees, (), 6)
-    assert set(idx.sample_many(rng, 50)) == {6}
+    idx.update(g, 5)  # five new vertices of degree 4 in the window: the only picks
+    assert set(idx.sample_many(rng, 200)) == set(range(g.n - 5, g.n))
 
 
 def test_descent_matches_cumulative_sum_search():
@@ -258,7 +255,7 @@ def test_descent_onto_an_empty_layer_takes_the_nearest_live_one(degrees, nodes, 
     # 0-1; the pick moves to the nearest live layer below (degree 1), else
     # above (degree 3, past the empty layers 1 and 2 from layer 0)
     idx = LayerIndex(PreferenceFunction.constant(1.0, g=0))
-    idx.update(degrees)
+    idx._settle(degrees)
     for i in nodes:
         idx._tree[i] += math.ulp(0.0)
     assert idx.sample_many(ListUniforms([u, 0.0]), 1) == [pick]
@@ -281,9 +278,7 @@ def test_verify_allows_float_drift_within_tolerance():
     for _ in range(3000):  # random walk of degrees, rounding piles up
         u, v = (int(x) for x in rng.integers(0, 40, 2))
         if u != v and max(g.degrees[u], g.degrees[v]) < 58:
-            g.degrees[u] += 1  # an edge u-v; check_index reads degrees only
-            g.degrees[v] += 1
-            idx.update(g.degrees, [u, v], 40)
+            idx.update(g, 1, [u, v], [0, 0])  # a new vertex joined to u and v
     check_index(idx, g.degrees)
     idx._tree[-1] += 10 * TREE_RTOL * total_weight(idx)
     with pytest.raises(AssertionError, match="Fenwick"):
@@ -295,12 +290,12 @@ def test_capacity_growth_keeps_tree_and_sampling():
     f = PreferenceFunction.linear()
     idx = LayerIndex.build(g, f)  # every degree 0, weight 0
     for v, k in ((0, 1), (1, 700), (2, 3000)):
-        g.degrees[v] += k  # degrees only; check_index reads nothing else
-        idx.update(g.degrees, [v] * k, 3)
+        idx.update(g, 1, [v] * k, [0] * k)  # a new vertex joined k times to v
     check_index(idx, g.degrees)
-    draws = idx.sample_many(np.random.default_rng(2), 37010)
-    counts = np.bincount(draws, minlength=3)
-    res = stats.chisquare(counts, np.array([1, 700, 3000]) / 3701 * len(draws))
+    assert g.degrees == [1, 700, 3000] * 2
+    draws = idx.sample_many(np.random.default_rng(2), 74020)
+    counts = np.bincount(draws, minlength=6)
+    res = stats.chisquare(counts, np.array([1, 700, 3000] * 2) / 7402 * len(draws))
     assert res.pvalue > 0.001
 
 
@@ -320,19 +315,82 @@ def test_update_follows_increments(f):
         bundles = rng.integers(0, g.n, int(rng.integers(0, 3))).tolist()
         ends = rng.integers(0, n, int(rng.integers(0, 6))).tolist()
         targets = [t for t in bundles for _ in range(n)] + rng.integers(0, g.n, len(ends)).tolist()
-        base = g.add_clique(n, targets, [*range(n)] * len(bundles) + ends)
-        idx.update(g.degrees, targets, base)
+        idx.update(g, n, targets, [*range(n)] * len(bundles) + ends)
         check_index(idx, g.degrees)
     # bundle target 0; vertex 1 drawn twice; new vertex 0 reaches
     # degree cap, the first one past the covered degrees
     cap = len(idx._fw)
     targets = [0, 0, 1, 1] + rng.integers(2, g.n, cap - 2).tolist()
     ends = [0, 1, 1, 1] + [0] * (cap - 2)
-    base = g.add_clique(2, targets, ends)
+    base = g.n
+    idx.update(g, 2, targets, ends)
     assert g.degrees[base] == cap
-    idx.update(g.degrees, targets, base)
     check_index(idx, g.degrees)
     assert len(idx._fw) > cap
+
+
+def state(g, idx):
+    """Everything an increment writes: the graph's columns and degrees, and
+    the index's layers in member order, slots, live count and tree bits."""
+    return (
+        g.lo.tobytes(),
+        g.hi.tobytes(),
+        list(g.degrees),
+        [lst.tobytes() for lst in idx._members],
+        idx._pos.tobytes(),
+        idx._live,
+        array("d", idx._tree).tobytes(),
+        idx._fw,
+    )
+
+
+# integer weights, float weights, and a bounded window that vertices leave
+DIFF_RULES = {
+    "linear": PreferenceFunction.linear(),
+    "float": PreferenceFunction.from_rule(lambda k: np.sqrt(k) + 0.3, g=1),
+    "window": PreferenceFunction.from_table({k: 0.5 + k**0.8 for k in range(1, 13)}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rule=st.sampled_from(sorted(DIFF_RULES)),
+    seed_size=st.integers(2, 5),
+    rng_seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(
+            st.integers(1, 4),  # n
+            st.integers(0, 2),  # mu, bundles of n ends on one target
+            st.lists(st.integers(0, 3), max_size=6),  # the single ends' offsets, mod n
+            st.integers(0, 3),  # extra repeats of the first drawn target
+            st.integers(0, 40),  # extra ends on the first new vertex: degrees past _ensure
+        ),
+        max_size=25,
+    ),
+)
+def test_update_matches_the_two_call_step(rule, seed_size, rng_seed, steps):
+    # the one-pass update against add_clique followed by the old second
+    # walk, on the seed graph and the targets the index draws
+    f = DIFF_RULES[rule]
+    g, ref = seed_complete(seed_size), seed_complete(seed_size)
+    idx, ref_idx = LayerIndex.build(g, f), LayerIndex.build(ref, f)
+    rng = np.random.default_rng(rng_seed)
+    for n, mu, singles, repeats, extra in steps:
+        singles = sorted(e % n for e in singles)
+        count = mu + len(singles) + (1 if repeats or extra else 0)
+        try:
+            drawn = idx.sample_many(rng, count) if count else []
+        except SaturationError:
+            break
+        targets = [t for t in drawn[:mu] for _ in range(n)] + drawn[mu:]
+        ends = [*range(n)] * mu + singles + [0] * (count - mu - len(singles))
+        if drawn:
+            targets += [drawn[0]] * (repeats + extra)
+            ends += [n - 1] * repeats + [0] * extra
+        idx.update(g, n, targets, ends)
+        two_call_step(ref, ref_idx, n, targets, ends)
+        assert state(g, idx) == state(ref, ref_idx)
+    check_index(idx, g.degrees)
 
 
 def point(j):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -447,6 +448,43 @@ class TestSolveBehaviour:
         )
         assert need is not None
         assert float(need.group(1)) == pytest.approx(8192 * (bound / 1e-10) ** 0.5, rel=5e-3)
+
+    @pytest.mark.parametrize(
+        "gamma, r1, rn, degree, born",
+        [
+            (0.0, {1: 0.5, 2_000_000: 0.5}, {0: 1.0}, 2_000_000, 0.5),
+            # an n-ad vertex with j free ends enters at degree j + n - 1;
+            # born = gamma n rn_j / c = 0.5 * 3 * 0.4 / 2
+            (0.5, {2: 1.0}, {1: 0.6, 1_000_000: 0.4}, 1_000_002, 0.3),
+        ],
+        ids=["monad", "triad"],
+    )
+    def test_arrival_above_the_cap_is_rejected_before_any_sweep(
+        self, monkeypatch, gamma, r1, rn, degree, born
+    ):
+        # no default table (at most K_CAP entries) can hold the vertices
+        # born above K_CAP, so the schedule fails at once, naming their mass
+        def no_sweep(*args):
+            raise AssertionError("swept a table")
+
+        monkeypatch.setattr(solver, "_sweep_kernel", no_sweep)
+        p = ModelParams(
+            gamma=gamma,
+            n=3,
+            mu=0,
+            r1=DegreeDistribution.from_probs(r1),
+            rn=DegreeDistribution.from_probs(rn),
+        )
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_stationary(p, LINEAR)
+        assert time.perf_counter() - start < 0.5
+        assert str(exc.value) == (
+            f"arrival degree {degree} is above K_CAP=1000000: vertices born above "
+            f"K_CAP hold at least {born:.6g} of the stationary mass (sum of arr_k / c "
+            f"over k > K_CAP), beyond every default table; give k_max >= {degree} "
+            "to solve on a larger table"
+        )
 
     @pytest.mark.parametrize("offset", [5.0, -0.5])
     def test_affine_preference_is_linear(self, offset):
