@@ -30,7 +30,7 @@ from .engine import (
 )
 from .graph import MultiGraph, empirical_vdd, seed_complete
 from .layers import LayerIndex, SaturationError
-from .params import ModelParams
+from .params import InputError, ModelParams
 from .preference import PreferenceFunction, read_preference, write_preference
 from .solver import (
     NonConvergenceError,
@@ -46,6 +46,7 @@ __all__ = [
     "ComparisonReport",
     "DegreeDistribution",
     "GrowthStats",
+    "InputError",
     "LayerIndex",
     "ModelParams",
     "MultiGraph",

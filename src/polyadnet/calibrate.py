@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distributions import DegreeDistribution
-from .params import ModelParams
+from .params import InputError, ModelParams
 from .preference import PreferenceFunction
 
 __all__ = ["CalibrationResult", "calibrate"]
@@ -64,26 +64,26 @@ def calibrate(
         window: inclusive (g, M) degree range to recover f on.
 
     Raises:
-        ValueError: window degrees without target mass, a window outside
+        InputError: window degrees without target mass, a window outside
             the target support, or a model that attaches no edge ends.
     """
     if window is None:
         window = (q_target.support_min, q_target.support_max)
     g, m_top = window
     if g > m_top:
-        raise ValueError(f"empty window ({g}, {m_top})")
+        raise InputError(f"empty window ({g}, {m_top})")
     if g < 0:
-        raise ValueError(f"window start {g} must be >= 0")
+        raise InputError(f"window start {g} must be >= 0")
 
     a = p.a
     if a <= 0.0:
-        raise ValueError(
+        raise InputError(
             "no edge ends attach to old vertices per step; "
             "the preference function is unidentifiable"
         )
     b, c, n = p.b, p.c, p.n
     gmu = p.bundle_rate
-    arrival = p.arrival(m_top)
+    arrival = p.arrival_array(0, m_top + 1).tolist()
     weights: dict[int, float] = {}
     t = [0.0] * n  # t_j = f(j) Q_j from j = g - n on; zero below the window
     feasible = True
@@ -91,7 +91,7 @@ def calibrate(
     for k in range(g, m_top + 1):
         qk = q_target.prob(k)
         if qk <= 0.0:
-            raise ValueError(
+            raise InputError(
                 f"target has no mass at degree {k} inside the window; "
                 "calibration needs positive probability on every window degree"
             )

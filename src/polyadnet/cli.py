@@ -17,7 +17,13 @@ seed means byte-identical files.
 
 Exit codes: 0 success, 1 model-level failure (saturation, infeasible
 target, non-convergence, missed round-trip tolerance), 2 usage or IO
-error.
+error. ``main`` alone maps exceptions to codes, by class: an InputError
+(UsageError, PreferenceError and the library's checks of the model
+parameters, solver settings and calibration target) or an OSError exits
+2, a RuntimeError (NonConvergenceError, SaturationError, a failed sweep
+check) exits 1, each after one ``error: message`` line on stderr. Any
+other ValueError is a defect and keeps its traceback. A command catches
+an error only to name its source or to act on it.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from .distributions import DegreeDistribution, read_distribution, write_distribu
 from .engine import grow, read_edge_list, write_edge_list, write_stats
 from .graph import empirical_vdd, seed_complete
 from .layers import SaturationError
-from .params import ModelParams
-from .preference import PreferenceError, PreferenceFunction, read_preference, write_preference
+from .params import InputError, ModelParams
+from .preference import PreferenceFunction, read_preference, write_preference
 from .solver import NonConvergenceError, solve_stationary, write_q_table
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -103,7 +109,7 @@ class RunConfig:
             raise UsageError(f"k_max={self.k_max} must be >= 0")
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     """Bad config, flags, or input files; maps to exit code 2."""
 
 
@@ -171,10 +177,7 @@ def _build_params(cfg: RunConfig, base: Path) -> ModelParams:
         rn = DegreeDistribution.from_probs({max(cfg.mu, 0): 1.0})
     else:
         raise UsageError("rn_path is required when gamma > 0")
-    try:
-        return ModelParams(gamma=cfg.gamma, n=cfg.n, mu=cfg.mu, r1=r1, rn=rn)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ModelParams(gamma=cfg.gamma, n=cfg.n, mu=cfg.mu, r1=r1, rn=rn)
 
 
 def _degree(what: str, val) -> int:
@@ -284,8 +287,6 @@ def cmd_generate(cfg: RunConfig, base: Path, args) -> int:
         stats = exc.stats
         saturated = True
         print(f"error: sampling saturated after {stats.steps} steps", file=sys.stderr)
-    except PreferenceError as exc:
-        raise UsageError(str(exc)) from exc
     write_edge_list(g, out / "edges.tsv", _echo(cfg, {"saturated": saturated}))
     entries = {
         "saturated": saturated,
@@ -310,10 +311,7 @@ def cmd_solve(cfg: RunConfig, base: Path, args) -> int:
     p = _build_params(cfg, base)
     f = _build_preference(cfg, base)
     out = _out_dir(cfg)
-    try:
-        sol = solve_stationary(p, f, tol=cfg.tol, k_max=cfg.k_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    sol = solve_stationary(p, f, tol=cfg.tol, k_max=cfg.k_max)
     write_q_table(sol, out / "q_table.csv", _echo(cfg))
     print(
         f"solve: mean_f={sol.mean_f!r} k_max={sol.k_max} "
@@ -335,21 +333,18 @@ def _calibrate_stage(cfg: RunConfig, base: Path, p: ModelParams, command: str):
     Returns (output dir, calibration result, forward solution, forward
     report entries); the last two are None for an infeasible target. A
     feasible run writes preference.tsv and forward_q_table.csv, both only
-    once the forward solve has succeeded. A missing or bad target or
-    solver setting raises UsageError; NonConvergenceError from the forward
-    solve propagates.
+    once the forward solve has succeeded. A missing target raises
+    UsageError; a bad target or solver setting raises InputError, and
+    NonConvergenceError from the forward solve propagates.
     """
     if cfg.target_vdd_path is None:
         raise UsageError(f"{command} needs target_vdd_path")
     target = _load_table(read_distribution, base / cfg.target_vdd_path, "target VDD")
     out = _out_dir(cfg)
-    try:
-        result = calibrate(target, p, window=cfg.calibration_window)
-        if not result.feasible:
-            return out, result, None, None
-        sol = solve_stationary(p, result.f, tol=cfg.tol, k_max=cfg.k_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    result = calibrate(target, p, window=cfg.calibration_window)
+    if not result.feasible:
+        return out, result, None, None
+    sol = solve_stationary(p, result.f, tol=cfg.tol, k_max=cfg.k_max)
     write_preference(result.f, out / "preference.tsv", _echo(cfg))
     write_q_table(sol, out / "forward_q_table.csv", _echo(cfg))
     tv, limit = compare(target, sol.q).tv_distance, cfg.forward_tv_max
@@ -501,11 +496,10 @@ def main(argv=None) -> int:
                  if getattr(args, flag) is not None}
         cfg = replace(cfg, **flags)
         return COMMANDS[args.command][0](cfg, base, args)
-    except (UsageError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # SaturationError and NonConvergenceError both land here.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

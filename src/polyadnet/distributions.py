@@ -139,7 +139,9 @@ class DegreeDistribution:
 
     @cached_property
     def mean_degree(self) -> float:
-        return math.fsum(k * p for k, p in self.items())
+        # only the positive entries: a wide table (r1 = {1: .5, 10**7: .5}) has few
+        pos = np.flatnonzero(self.table)
+        return math.fsum(((pos + self.support_min) * self.table[pos]).tolist())
 
     @cached_property
     def _cumulative(self) -> list[float]:

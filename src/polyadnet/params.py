@@ -27,12 +27,17 @@ from functools import cached_property
 
 from .distributions import DegreeDistribution
 
-__all__ = ["ModelParams"]
+__all__ = ["InputError", "ModelParams"]
+
+
+class InputError(ValueError):
+    """A model input that cannot be used: a parameter, a preference weight,
+    a solver setting or a calibration target."""
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Increment parameters, checked when built; a ValueError names the first bad one."""
+    """Increment parameters, checked when built; an InputError names the first bad one."""
 
     gamma: float
     n: int
@@ -42,15 +47,15 @@ class ModelParams:
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma={self.gamma} outside [0, 1]")
+            raise InputError(f"gamma={self.gamma} outside [0, 1]")
         if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"polyad size n={self.n!r} must be an integer >= 2")
+            raise InputError(f"polyad size n={self.n!r} must be an integer >= 2")
         if not isinstance(self.mu, int) or self.mu < 0:
-            raise ValueError(f"bundle count mu={self.mu!r} must be an integer >= 0")
+            raise InputError(f"bundle count mu={self.mu!r} must be an integer >= 0")
         if not isinstance(self.r1, DegreeDistribution) or not isinstance(self.rn, DegreeDistribution):
-            raise ValueError("r1 and rn must be DegreeDistribution instances")
+            raise InputError("r1 and rn must be DegreeDistribution instances")
         if self.rn.support_min < self.mu:
-            raise ValueError(
+            raise InputError(
                 f"rn support starts at {self.rn.support_min}, below mu={self.mu}; every "
                 "polyad vertex must own at least mu free ends"
             )
@@ -102,10 +107,6 @@ class ModelParams:
         lo = self.r1.support_max if self.gamma < 1.0 else 0
         hi = self.rn.support_max + self.n - 1 if self.gamma > 0.0 else 0
         return max(lo, hi)
-
-    def arrival(self, k_max: int) -> list[float]:
-        """Arrival mass arr_k over degrees 0..max(k_max, arrival_max)."""
-        return self.arrival_array(0, max(k_max, self.arrival_max) + 1).tolist()
 
     def arrival_array(self, lo: int, hi: int):
         """Arrival mass arr_k at degrees lo..hi-1 as a new numpy array."""

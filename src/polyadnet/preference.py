@@ -18,13 +18,14 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .distributions import degree_key, header_int, read_degree_table, write_table
+from .params import InputError
 
 __all__ = ["PreferenceError", "PreferenceFunction", "read_preference", "write_preference"]
 
 _CONTRACT = "a preference rule maps a numpy integer array of degrees to one weight per degree"
 
 
-class PreferenceError(ValueError):
+class PreferenceError(InputError):
     """A rule gives a weight that is not finite and > 0 inside its window."""
 
 

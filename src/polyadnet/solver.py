@@ -65,7 +65,7 @@ from itertools import chain, count, repeat
 import numpy as np
 
 from .distributions import ROWS_PER_WRITE, DegreeDistribution, write_table
-from .params import ModelParams
+from .params import InputError, ModelParams
 from .preference import PreferenceError, PreferenceFunction
 
 __all__ = [
@@ -166,11 +166,11 @@ def _linear_rate(f: PreferenceFunction) -> float:
 
 def _check_reachable(p: ModelParams, f: PreferenceFunction) -> None:
     """Reject a window that no arrival degree lies in: nothing can attach."""
-    entry = [k for k, m in enumerate(p.arrival(p.arrival_max)) if m > 0.0]
-    if not any(f.g <= k <= f.M for k in entry):
+    entry = np.flatnonzero(p.arrival_array(0, p.arrival_max + 1) > 0.0)
+    if not ((f.g <= entry) & (entry <= f.M)).any():
         raise NonConvergenceError(
             f"no arrival degree lies in the preference window [{f.g}, {f.M}]: "
-            f"new vertices enter at degrees {entry[0]}..{entry[-1]}, so no "
+            f"new vertices enter at degrees {int(entry[0])}..{int(entry[-1])}, so no "
             "vertex can ever attach"
         )
 
@@ -257,19 +257,26 @@ def solve_stationary(
     it has not (up to K_CAP entries). iterations counts the last phase's
     sweeps and method is "bisection" if any of them bisected (see
     _solve_at).
-    NonConvergenceError means f is superlinear, no arrival degree lies in
-    the window, the mean ran away, lost its mass or has no fixed point,
-    or, without k_max, an unbounded window has an arrival degree above
-    K_CAP (raised before any sweep; the message names the mass born
-    above K_CAP) or its tail bound is not below max(tol, 1e-12) at
-    K_CAP entries (the message names tau and the table size tol would
-    need); ValueError flags a tol that is not finite and > 0, or
-    a k_max below the largest arrival degree. PreferenceError names the
-    first degree of the first table where f is not finite and > 0, or
-    else the probed degree.
+
+    Raises:
+        InputError: a tol that is not finite and > 0, a model that adds
+            no edge ends per step (a <= 0), or a k_max below the largest
+            arrival degree.
+        PreferenceError: an InputError naming the first degree of the
+            first table where f is not finite and > 0, or else the
+            probed degree.
+        NonConvergenceError: f is superlinear, no arrival degree lies in
+            the window, the mean ran away, lost its mass or has no fixed
+            point, or, without k_max, an unbounded window has an arrival
+            degree above K_CAP (raised before any sweep; the message
+            names the mass born above K_CAP) or its tail bound is not
+            below max(tol, 1e-12) at K_CAP entries (the message names
+            tau and the table size tol would need).
+        RuntimeError: the solved table holds negative or NaN mass, or
+            its mass is off 1 by more than max(1e-9, 10 tail + 1e-12).
     """
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol={tol} must be finite and > 0")
+        raise InputError(f"tol={tol} must be finite and > 0")
     arr_max = p.arrival_max
     bounded = math.isfinite(f.M)
     if k_max is None and not bounded and arr_max > K_CAP:
@@ -284,9 +291,9 @@ def solve_stationary(
         )
     a = p.a
     if a <= 0.0:
-        raise ValueError("model adds no edge ends per step; no attachment to solve")
+        raise InputError("model adds no edge ends per step; no attachment to solve")
     if k_max is not None and k_max < arr_max:
-        raise ValueError(f"k_max={k_max} is below the largest arrival degree {arr_max}")
+        raise InputError(f"k_max={k_max} is below the largest arrival degree {arr_max}")
     _check_reachable(p, f)
 
     K = max(int(f.M) + p.n if bounded else K_START, arr_max)
@@ -339,7 +346,7 @@ def solve_stationary(
     mass = math.fsum(chain.from_iterable(block.tolist() for _, block in _blocks(q)))
     norm_tol = max(1e-9, 10.0 * tail + 1e-12)
     if abs(mass - 1.0) > norm_tol:
-        raise ValueError(f"probabilities sum to {mass!r}, off by more than {norm_tol}")
+        raise RuntimeError(f"probabilities sum to {mass!r}, off by more than {norm_tol}")
     q.flags.writeable = False
     return StationarySolution(
         table=q,
@@ -373,7 +380,7 @@ def _solve_at(p, f, K, x0, tol, alpha):
     (x, iterations, method, (q, t)), numpy views of the last sweep's
     tables.
     """
-    arr = p.arrival(p.arrival_max)
+    arr = p.arrival_array(0, p.arrival_max + 1).tolist()
     qa = array("d", [0.0]) * (K + 1)
     ta = array("d", [0.0]) * (K + 1)
     q, t = np.frombuffer(qa), np.frombuffer(ta)

@@ -42,7 +42,7 @@ def sweep(p: ModelParams, f: PreferenceFunction, mean_f: float, k_max: int):
     and f(k_max) as the sweep evaluated it."""
     q = array("d", [0.0]) * (k_max + 1)
     t = array("d", [0.0]) * (k_max + 1)
-    f_end = _sweep_kernel(q, t, p.arrival(p.arrival_max), f, p, mean_f)
+    f_end = _sweep_kernel(q, t, p.arrival_array(0, p.arrival_max + 1).tolist(), f, p, mean_f)
     return np.frombuffer(q), np.frombuffer(t), f_end
 
 

@@ -13,6 +13,8 @@ from oracles import read_stats
 from polyadnet import cli, solver
 from polyadnet.cli import RunConfig, UsageError, load_config, main
 from polyadnet.layers import SaturationError
+from polyadnet.params import InputError
+from polyadnet.preference import PreferenceError
 from polyadnet.engine import read_edge_list
 from polyadnet.distributions import read_degree_table
 from polyadnet.solver import NonConvergenceError
@@ -394,6 +396,22 @@ def test_every_input_error_names_its_file_once(tmp_path, capsys, case):
     assert err == f"error: {lead} {path}: {reason}\n"
     assert err.count(str(path)) == 1
     assert not (tmp_path / "out").is_dir()
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (InputError, 2), (PreferenceError, 2), (UsageError, 2), (OSError, 2),
+        (NonConvergenceError, 1), (SaturationError, 1), (RuntimeError, 1),
+    ],
+)
+def test_main_maps_exception_classes_to_exit_codes(capsys, monkeypatch, exc, code):
+    def command(cfg, base, args):
+        raise exc("what went wrong")
+
+    monkeypatch.setitem(cli.COMMANDS, "solve", (command, "raises"))
+    assert main(["solve"]) == code
+    assert capsys.readouterr() == ("", "error: what went wrong\n")
 
 
 def test_version_flag(capsys):

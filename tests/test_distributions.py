@@ -63,6 +63,14 @@ def test_mean_degree_of_matches_property():
     assert d.mean_degree == 0.25 * 0 + 0.75 * 4 == pytest.approx(3.0)
 
 
+@given(st.dictionaries(st.integers(0, 5000), st.floats(1e-3, 1.0), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_mean_degree_keeps_the_bits_of_the_item_walk(weights):
+    total = math.fsum(weights.values())
+    d = DegreeDistribution.from_probs({k: w / total for k, w in weights.items()})
+    assert d.mean_degree.hex() == math.fsum(k * p for k, p in d.items()).hex()
+
+
 def test_sample_matches_support(rng=None):
     import numpy as np
 

@@ -107,7 +107,8 @@ def test_arrival_matches_the_loop_over_table_entries(gamma, n, c1, cn, k_max):
     # gapped tables included; the vectorized sum keeps the loop's bits
     r1, rn = from_counts(c1), from_counts(cn)
     p = make(gamma=gamma, n=n, r1=r1, rn=rn)
-    assert [x.hex() for x in p.arrival(k_max)] == [x.hex() for x in arrival_loop(p, k_max)]
+    arr = p.arrival_array(0, max(k_max, p.arrival_max) + 1).tolist()
+    assert [x.hex() for x in arr] == [x.hex() for x in arrival_loop(p, k_max)]
 
 
 def test_params_are_frozen():

@@ -282,7 +282,7 @@ class TestReductions:
             x = float(rng.uniform(0.3, 5.0))
             q, t, f_end = sweep(p, f, x, K)
             fa = f.weight_array(K)
-            q_ref, t_ref = array_sweep(np.array(p.arrival(K)), fa, gamma, n, mu, p.b, p.a, x)
+            q_ref, t_ref = array_sweep(p.arrival_array(0, K + 1), fa, gamma, n, mu, p.b, p.a, x)
             assert f_end == fa[K]
             assert q.tobytes() == q_ref.tobytes()
             assert t.tobytes() == t_ref.tobytes()
@@ -677,7 +677,7 @@ class TestSolveBehaviour:
             t *= 2.0
 
         _after_each_sweep(monkeypatch, double)
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(RuntimeError) as exc:
             solve_stationary(ba_params(2), PreferenceFunction.linear(g=1, M=100))
         mass = re.match(r"^probabilities sum to (\S+), off by more than 1e-09$", str(exc.value)).group(1)
         assert float(mass) == pytest.approx(2.0, rel=1e-12)
