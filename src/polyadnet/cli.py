@@ -23,13 +23,17 @@ parameters, solver settings and calibration target) or an OSError exits
 2, a RuntimeError (NonConvergenceError, SaturationError, a failed sweep
 check) exits 1, each after one ``error: message`` line on stderr. Any
 other ValueError is a defect and keeps its traceback. A command catches
-an error only to name its source or to act on it.
+an error only to name its source or to act on it. An exit-2 failure
+leaves no output directory that the run made (the outermost part of
+output_dir that did not exist before it), unless a file was written
+into it; an exit-1 failure keeps its directory and any report in it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import shutil
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -488,6 +492,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    made = None
     try:
         cfg, base = RunConfig(), Path()
         if args.config:
@@ -495,8 +500,12 @@ def main(argv=None) -> int:
         flags = {key: getattr(args, flag) for flag, (key, _, _) in _OVERRIDES.items()
                  if getattr(args, flag) is not None}
         cfg = replace(cfg, **flags)
+        out = Path(cfg.output_dir)  # an exit-2 failure removes the outermost part not there yet
+        made = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
         return COMMANDS[args.command][0](cfg, base, args)
     except (InputError, OSError) as exc:
+        if made and all(p.is_dir() for p in made.rglob("*")):
+            shutil.rmtree(made, ignore_errors=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Mapping
 
 import numpy as np
@@ -48,33 +49,20 @@ _BLOCK = 4096
 class _Uniforms:
     """Uniforms on [0, 1) from ``rng``, drawn ``_BLOCK`` at a time.
 
-    ``random()`` and ``random(n)`` hand out the generator's doubles in
-    order, as a float and as a list, exactly as the same calls on ``rng``
-    would have returned them.
+    One iterator runs through the generator's blocks, chained end to end:
+    ``random()`` takes its next double, ``random(n)`` the next ``n`` as a
+    list, exactly as the same calls on ``rng`` would have returned them.
     """
 
-    __slots__ = ("_rng", "_buf", "_pos")
+    __slots__ = ("_it",)
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf: list[float] = []
-        self._pos = 0
+        self._it = chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None))
 
     def random(self, size: int | None = None):
-        pos = self._pos
         if size is None:
-            if pos == len(self._buf):
-                self._buf = self._rng.random(_BLOCK).tolist()
-                pos = 0
-            self._pos = pos + 1
-            return self._buf[pos]
-        end = pos + size
-        if end > len(self._buf):
-            fresh = self._rng.random(max(_BLOCK, size)).tolist()
-            self._buf = self._buf[pos:] + fresh
-            pos, end = 0, size
-        self._pos = end
-        return self._buf[pos:end]
+            return next(self._it)
+        return list(islice(self._it, size))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ ModelParams.arrival as a loop over the table entries; cumulative_probs
 is the running sums sample_probs bisects, laid over every degree:
 references that the dense-array forms must match bit for bit.
 from_counts builds a distribution from counts by degree, and read_stats
-reads a key=value file as write_stats writes it.
+reads a key=value file as write_stats writes it. expected_counts is the
+exact expected vertex count at each degree after a given number of
+growth steps, for the models whose total weight is the same on every run.
 """
 
 import math
@@ -201,6 +203,53 @@ def from_counts(counts: dict[int, int]) -> DegreeDistribution:
     """The distribution of positive integer counts by degree."""
     total = sum(counts.values())
     return DegreeDistribution.from_probs({k: c / total for k, c in counts.items()})
+
+
+def expected_counts(p: ModelParams, f: PreferenceFunction, seed_size: int, steps: int) -> np.ndarray:
+    """E[N_k], the expected number of vertices at degree k, after ``steps``
+    increments grown from ``seed_complete(seed_size)``; entry k for every
+    k up to the highest degree the run can reach.
+
+    Exact, with no mean-field step, when the total weight W = sum_v f(d_v)
+    is the same on every run: gamma is 0 or 1, the increment's r1 or rn is
+    a point mass, no degree present is below f.g and f is affine on every
+    degree the run can reach. An increment's draws then pick vertex v
+    independently with chance f(d_v) / W, so a vertex at degree k gains
+    s + n b, with s ~ Bin(singles, f(k) / W) and b ~ Bin(mu, f(k) / W),
+    and E[N(t+1)] = A_t E[N(t)] + born holds exactly from the seed on.
+    Any other model raises ValueError.
+    """
+    if p.gamma not in (0.0, 1.0):
+        raise ValueError(f"gamma={p.gamma} makes the increment type random, and W with it")
+    nad = p.gamma == 1.0
+    r = p.rn if nad else p.r1
+    if r.support_min != r.support_max:
+        raise ValueError("free-end counts that are not a point mass make W random")
+    ends = r.support_min
+    n, mu = (p.n, p.mu) if nad else (1, 0)
+    singles, born = n * (ends - mu), n - 1 + ends
+    top = max(seed_size - 1, born) + steps * (singles + n * mu)
+    if min(seed_size - 1, born) < f.g or f.M < top:
+        raise ValueError(f"degrees outside the window [{f.g}, {f.M}] make W random")
+    fk = f.weight_array(top)
+    if not np.allclose(np.diff(fk[f.g :], 2), 0.0, rtol=0.0, atol=1e-12 * fk[-1]):
+        raise ValueError("a preference that is not affine on the reachable degrees makes W random")
+
+    def binomial(m, pi):
+        return [math.comb(m, i) * pi**i * (1.0 - pi) ** (m - i) for i in range(m + 1)]
+
+    counts = np.zeros(top + 1)
+    counts[seed_size - 1] = seed_size
+    for _ in range(steps):
+        pi = fk / (counts @ fk)
+        step = np.zeros_like(counts)
+        for i, s in enumerate(binomial(singles, pi)):
+            for j, b in enumerate(binomial(mu, pi)):
+                gain = i + n * j
+                step[gain:] += (counts * s * b)[: top + 1 - gain]
+        step[born] += n
+        counts = step
+    return counts
 
 
 def read_stats(path) -> dict[str, str]:

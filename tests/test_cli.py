@@ -946,8 +946,96 @@ def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, command, flag):
         # RunConfig rejects a tol before any output dir is made
         assert not (tmp_path / "out").exists()
     else:
-        # k_max=1 is a valid value; the solver finds it below the arrivals
-        assert list((tmp_path / "out").iterdir()) == []
+        # k_max=1 is a valid value; the solver finds it below the arrivals,
+        # and main removes the output dir the run made
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["o", "o/deep"])
+@pytest.mark.parametrize(
+    "command, keys, flags, err",
+    [
+        ("solve", {}, ["--kmax", "1"], "k_max=1 is below the largest arrival degree 2"),
+        ("calibrate", {"calibration_window": [5, 4]}, [], "empty window (5, 4)"),
+        ("roundtrip", {"calibration_window": [2, 50]}, [],
+         "target has no mass at degree 43 inside the window; "
+         "calibration needs positive probability on every window degree"),
+        ("generate", {"preference_rule": {"kind": "power", "exponent": math.nan}}, [],
+         "preference rule gives nan at degree 2, not a finite weight > 0"),
+        ("solve", {"r1_path": "r0.tsv"}, [], "model adds no edge ends per step; no attachment to solve"),
+        ("analyze", {}, ["--edges", "edges.tsv", "--theory", "missing.tsv"],
+         "cannot read theory VDD from missing.tsv: No such file or directory"),
+    ],
+    ids=["solve-kmax", "calibrate-empty-window", "roundtrip-window-past-target",
+         "generate-nan-rule", "solve-no-edge-ends", "analyze-missing-theory"],
+)
+def test_exit_2_after_the_output_dir_is_made_removes_it(
+    tmp_path, capsys, monkeypatch, command, keys, flags, err, out
+):
+    # each input is rejected only after the command made its output dir;
+    # main removes the outermost directory the run made, nested ones too
+    write_dist(tmp_path / "r1.tsv", {2: 1.0})
+    write_dist(tmp_path / "r0.tsv", {0: 1.0})
+    probs = {k: 2.0 ** -(k - 1) for k in range(2, 42)}
+    probs[42] = 2.0**-40
+    write_dist(tmp_path / "target.tsv", probs)
+    (tmp_path / "edges.tsv").write_text("0\t1\n")
+    write_yaml(
+        tmp_path / "run.yaml",
+        **{"r1_path": "r1.tsv", "target_vdd_path": "target.tsv", "calibration_window": [2, 41],
+           "preference_rule": {"kind": "linear", "g": 1}, "steps": 50, **keys},
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", "run.yaml", "--out", out, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_exit_2_keeps_an_output_dir_it_did_not_make(tmp_path, capsys):
+    # only what the run made goes: an existing --out stays, empty or not
+    write_dist(tmp_path / "r1.tsv", {2: 1.0})
+    write_yaml(tmp_path / "run.yaml", r1_path="r1.tsv", preference_rule={"kind": "linear", "g": 1})
+    (tmp_path / "o").mkdir()
+    argv = ["solve", "--config", str(tmp_path / "run.yaml"), "--kmax", "1"]
+    assert main([*argv, "--out", str(tmp_path / "o" / "deep")]) == 2
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.count("error: k_max=1 is below") == 2
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_exit_2_keeps_a_dir_it_wrote_into(tmp_path, capsys, monkeypatch):
+    # a disk that fills mid-write is an OSError, exit 2; the part written
+    # stays, and so does the new dir that holds it
+    def full(sol, path, header):
+        path.write_text("# partial\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_q_table", full)
+    write_dist(tmp_path / "r1.tsv", {2: 1.0})
+    write_yaml(tmp_path / "run.yaml", r1_path="r1.tsv", preference_rule={"kind": "linear", "g": 1, "M": 20})
+    out = tmp_path / "o" / "deep"
+    assert main(["solve", "--config", str(tmp_path / "run.yaml"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert (out / "q_table.csv").read_text() == "# partial\n"
+
+
+def test_rejected_solve_keeps_its_output_dir(tmp_path, capsys):
+    # the k^1.5 rule at k_max=2048 of the benchmark's solve-reject workload
+    # exits 1 and must leave its output dir in place without a q_table:
+    # perfbench/selftest.py shutil.copytree()s the dir of each rejected
+    # solve, so a change to when dirs are made fails here, not there
+    write_dist(tmp_path / "r1.tsv", {2: 1.0})
+    write_yaml(
+        tmp_path / "run.yaml",
+        r1_path="r1.tsv",
+        preference_rule={"kind": "power", "exponent": 1.5},
+        k_max=2048,
+        output_dir="out/power1.5",
+    )
+    assert main(["solve", "--config", str(tmp_path / "run.yaml")]) == 1
+    assert capsys.readouterr().err.startswith("error: preference grows superlinearly")
+    out = tmp_path / "out" / "power1.5"
+    assert out.is_dir() and not (out / "q_table.csv").exists()
 
 
 # ---- golden outputs -----------------------------------------------------

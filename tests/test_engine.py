@@ -5,7 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import checking_updates, edge_list_text, read_stats
+from oracles import checking_updates, edge_list_text, expected_counts, read_stats
+from scipy import stats
 
 from polyadnet import engine
 from polyadnet.distributions import ROWS_PER_WRITE, DegreeDistribution
@@ -382,6 +383,67 @@ def test_block_uniforms_match_scalar_draws():
             want = [ref.random() for _ in range(size)]
             assert isinstance(got, list)
             assert got == want
+
+
+# The exact finite-time law: Hotelling's T^2 of the degree counts of many
+# 200-step runs against oracles.expected_counts, as (model, seed size,
+# seeds, kept degrees). The seeds, the kept degrees (expected count >= 2)
+# and the quantile were fixed before the first run. Under the F law of
+# T^2 a correct engine fails a model with chance 1e-4, the test as a
+# whole with about 2e-4. An engine that draws by f = k + 0.1 while the
+# oracle keeps f = k fails BA with p about 2e-22 (pentads alone would
+# pass it, p 0.29), a change that the stationary criterion 3 (mean TV
+# < 0.02) does not see.
+FINITE_TIME = {
+    "ba_m2": (BA, 4, range(1000, 2200), list(range(2, 10))),
+    "pentads": (PENTADS, 5, range(1000, 1400), list(range(5, 15))),
+}
+
+
+@pytest.mark.parametrize("name", list(FINITE_TIME))
+def test_degree_counts_after_200_steps_have_the_exact_expectation(name):
+    p, seed_size, seeds, kept = FINITE_TIME[name]
+    expected = expected_counts(p, LINEAR, seed_size, 200)
+    assert np.flatnonzero(expected >= 2).tolist() == kept
+    rows = []
+    for seed in seeds:
+        g = seed_complete(seed_size)
+        grow(g, p, LINEAR, 200, rng_seed=seed)
+        rows.append(np.bincount(g.degrees, minlength=len(expected))[kept])
+    x = np.array(rows, dtype=float)
+    r, q = x.shape
+    d = x.mean(axis=0) - expected[kept]
+    t2 = r * d @ np.linalg.solve(np.cov(x, rowvar=False), d)
+    limit = stats.f.isf(1e-4, q, r - q) * q * (r - 1) / (r - q)
+    assert t2 < limit, f"T^2 = {t2:.2f} over {q} degrees, limit {limit:.2f}"
+
+
+def test_expected_counts_of_one_step_and_its_totals():
+    # one BA step from K4 by hand: each seed vertex takes each of the two
+    # draws with chance 3/12, so it gains 0, 1 or 2 with 9/16, 6/16, 1/16
+    assert expected_counts(BA, LINEAR, 4, 1).tolist() == [0, 0, 1, 2.25, 1.5, 0.25]
+    # a triad with one bundle adds 3 vertices and 9 edges a step: the
+    # clique's 3, 3 single ends and the bundle's 3
+    triads = ModelParams(gamma=1.0, n=3, mu=1, r1=point(0), rn=point(2))
+    counts = expected_counts(triads, LINEAR, 4, 50)
+    assert counts.sum() == pytest.approx(4 + 3 * 50)
+    assert counts @ np.arange(len(counts)) == pytest.approx(12 + 18 * 50)
+
+
+@pytest.mark.parametrize(
+    "p, f, message",
+    [
+        (MIXED, LINEAR, "increment type random"),
+        (ModelParams(gamma=1.0, n=3, mu=1, r1=point(0), rn=MIXED.rn), LINEAR, "not a point mass"),
+        (BA, PreferenceFunction.linear(g=3), "outside the window"),
+        (BA, PreferenceFunction.linear(M=100), "outside the window"),
+        (BA, POWER_1_5, "not affine"),
+    ],
+    ids=["mixed-steps", "random-ends", "seed-below-window", "bounded-window", "power"],
+)
+def test_expected_counts_refuses_a_random_total_weight(p, f, message):
+    with pytest.raises(ValueError, match=message):
+        expected_counts(p, f, 4, 200)
 
 
 def test_graph_keeps_few_bytes_per_edge():
