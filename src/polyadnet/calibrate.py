@@ -18,11 +18,15 @@ convention is just a normalization pick. Not every distribution is
 reachable by the model. When the sweep forces f(k) <= 0 the target is
 infeasible for these increment parameters; the result then carries the
 first offending degree and the raw weights for inspection instead of a
-preference function.
+preference function. The sweep carries a first-order bound on the
+rounding of each weight, and a weight within its bound counts as not
+positive: a weight that is 0 in exact arithmetic has a sign that is
+rounding alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .distributions import DegreeDistribution
@@ -54,9 +58,13 @@ def calibrate(
 ) -> CalibrationResult:
     """Sweep out the preference weights hitting q_target, if any exist.
 
-    The window defaults to the target's support range. Window degrees
-    must carry positive target mass (a zero inside the window would need
-    infinite preference on its neighbours to stay empty).
+    The window defaults to the target's support range. If every weight
+    from the first one that is not positive to the top of that range is
+    zero within its rounding bound, the recovered window ends just below
+    it: the solved table of a bounded window [g, M] reaches M + 1, where
+    f is 0. Window degrees must carry positive target mass (a zero inside
+    the window would need infinite preference on its neighbours to stay
+    empty).
 
     Args:
         q_target: distribution the stationary model should reproduce.
@@ -67,9 +75,7 @@ def calibrate(
         InputError: window degrees without target mass, a window outside
             the target support, or a model that attaches no edge ends.
     """
-    if window is None:
-        window = (q_target.support_min, q_target.support_max)
-    g, m_top = window
+    g, m_top = window or (q_target.support_min, q_target.support_max)
     if g > m_top:
         raise InputError(f"empty window ({g}, {m_top})")
     if g < 0:
@@ -85,9 +91,9 @@ def calibrate(
     gmu = p.bundle_rate
     arrival = p.arrival_array(0, m_top + 1).tolist()
     weights: dict[int, float] = {}
+    bounds: dict[int, float] = {}
     t = [0.0] * n  # t_j = f(j) Q_j from j = g - n on; zero below the window
-    feasible = True
-    first_bad = None
+    dt = [0.0] * n  # first-order rounding bound carried in each t_j
     for k in range(g, m_top + 1):
         qk = q_target.prob(k)
         if qk <= 0.0:
@@ -97,14 +103,22 @@ def calibrate(
             )
         num = arrival[k] * a - c * a * qk
         num += b * t[-1] + gmu * t[-n]
-        fk = num / (a * qk)
-        weights[k] = fk
+        weights[k] = fk = num / (a * qk)
+        # each term passes through at most four roundings; t carries its
+        # own bound in
+        terms = arrival[k] * a + c * a * qk + b * abs(t[-1]) + gmu * abs(t[-n])
+        bounds[k] = err = (4.0 * math.ulp(terms) + b * dt[-1] + gmu * dt[-n]) / (a * qk)
         t.append(fk * qk)
-        if feasible and fk <= 0.0:
-            feasible = False
-            first_bad = k
-
-    f = PreferenceFunction.from_table(weights) if feasible else None
+        dt.append(err * qk)
+    # a weight within its rounding bound counts as not positive
+    first_bad = next((k for k in weights if weights[k] <= bounds[k]), None)
+    top = m_top
+    if window is None and first_bad not in (None, g):
+        if all(abs(weights[k]) <= bounds[k] for k in range(first_bad, m_top + 1)):
+            # the target reaches past the window of f, where f is 0
+            top, first_bad = first_bad - 1, None
+    feasible = first_bad is None
+    f = PreferenceFunction.from_table({k: weights[k] for k in range(g, top + 1)}) if feasible else None
     return CalibrationResult(
         f=f,
         a=a,

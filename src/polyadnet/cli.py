@@ -23,18 +23,19 @@ parameters, solver settings and calibration target) or an OSError exits
 2, a RuntimeError (NonConvergenceError, SaturationError, a failed sweep
 check) exits 1, each after one ``error: message`` line on stderr. Any
 other ValueError is a defect and keeps its traceback. A command catches
-an error only to name its source or to act on it. An exit-2 failure
-leaves no output directory that the run made (the outermost part of
-output_dir that did not exist before it), unless a file was written
-into it; an exit-1 failure keeps its directory and any report in it.
+an error only to name its source or to act on it. ``main`` also makes
+each missing part of output_dir before it dispatches, and an exit-2
+failure removes the parts it made, deepest first, except one that a
+file was written into (and so the parts that hold it); an exit-1
+failure keeps its directory and any report in it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import shutil
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -270,19 +271,10 @@ def _echo(cfg: RunConfig, extra: dict | None = None) -> dict:
     return out
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot create output dir {out}: {exc.strerror}") from exc
-    return out
-
-
 def cmd_generate(cfg: RunConfig, base: Path, args) -> int:
     p = _build_params(cfg, base)
     f = _build_preference(cfg, base)
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     g = seed_complete(cfg.seed_size)
     saturated = False
     try:
@@ -314,7 +306,7 @@ def cmd_generate(cfg: RunConfig, base: Path, args) -> int:
 def cmd_solve(cfg: RunConfig, base: Path, args) -> int:
     p = _build_params(cfg, base)
     f = _build_preference(cfg, base)
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     sol = solve_stationary(p, f, tol=cfg.tol, k_max=cfg.k_max)
     write_q_table(sol, out / "q_table.csv", _echo(cfg))
     print(
@@ -344,7 +336,7 @@ def _calibrate_stage(cfg: RunConfig, base: Path, p: ModelParams, command: str):
     if cfg.target_vdd_path is None:
         raise UsageError(f"{command} needs target_vdd_path")
     target = _load_table(read_distribution, base / cfg.target_vdd_path, "target VDD")
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
     result = calibrate(target, p, window=cfg.calibration_window)
     if not result.feasible:
         return out, result, None, None
@@ -380,7 +372,7 @@ def cmd_analyze(cfg: RunConfig, base: Path, args) -> int:
     if not args.edges:
         raise UsageError("analyze needs --edges PATH")
     g, empirical = _load_table(_graph_and_vdd, Path(args.edges), "edge list")
-    out = _out_dir(cfg)
+    out = Path(cfg.output_dir)
 
     triangles = triangle_count(g)
     summary: dict = {"tool": f"polyadnet {__version__}", "vertices": g.n,
@@ -492,7 +484,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    made = None
+    made = []  # the parts of the output dir that this run made, outermost first
     try:
         cfg, base = RunConfig(), Path()
         if args.config:
@@ -500,12 +492,20 @@ def main(argv=None) -> int:
         flags = {key: getattr(args, flag) for flag, (key, _, _) in _OVERRIDES.items()
                  if getattr(args, flag) is not None}
         cfg = replace(cfg, **flags)
-        out = Path(cfg.output_dir)  # an exit-2 failure removes the outermost part not there yet
-        made = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
+        out = Path(cfg.output_dir)
+        # part by part, so that x/.. exists once x is made
+        for part in reversed((out, *out.parents)):
+            if not part.is_dir():
+                try:
+                    part.mkdir()
+                except OSError as exc:
+                    raise UsageError(f"cannot create output dir {out}: {exc.strerror}") from exc
+                made.append(part)
         return COMMANDS[args.command][0](cfg, base, args)
     except (InputError, OSError) as exc:
-        if made and all(p.is_dir() for p in made.rglob("*")):
-            shutil.rmtree(made, ignore_errors=True)
+        for part in reversed(made):
+            with suppress(OSError):  # rmdir keeps a dir that a file was written into
+                part.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

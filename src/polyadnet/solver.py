@@ -16,10 +16,15 @@ entries below the preference window are arrival-fed only, matching the
 boundary convention where Q vanishes for negative index.
 
 x itself is pinned by the fixed point x = sum f(k) Q_k(x), solved here by
-one loop: damped iteration inside a sign bracket of the root, bisecting
-when a step would leave it or the iteration stalls. Truncation at k_max
-is controlled exactly: telescoping the recurrence shows the missing mass
-beyond k_max equals
+one loop: secant steps on g(x) - x inside a sign bracket of the root,
+bisecting when a step would leave it (Brent, Algorithms for Minimization
+without Derivatives, 1973, ch. 4). A cold solve starts at f of the mean
+degree 2E/c, with E the mean edges per step: each step adds 2E degree to
+c new vertices, so every stationary table has that mean, and for f
+affine on the degrees it reaches the start is the root itself. No
+constant of the loop is tuned. Truncation at k_max is controlled
+exactly: telescoping the recurrence shows the missing mass beyond k_max
+equals
 
     [b t_K + gamma mu (t_{K-n+1} + ... + t_K)] / [x (1 + gamma (n-1))]
 
@@ -81,8 +86,6 @@ K_PROBE = 2**20
 # an affine f = alpha k + beta probes at p ~ 1 - beta / (2 alpha K ln 2);
 # at K_PROBE this slack keeps every beta > -145 alpha linear
 LINEAR_SLACK = 1e-4
-BETA = 0.5  # damping of the fixed-point step
-MAX_ITER = 400  # damped sweeps before every step bisects
 
 
 class NonConvergenceError(RuntimeError):
@@ -251,8 +254,10 @@ def solve_stationary(
     degree above it is reachable with positive preference flow, so the
     tail bound is 0), or for an unbounded window min(k_max, K_START)
     entries with the tail closed by the probe's alpha (superlinear f is
-    rejected before any sweep). A second phase only grows the table:
-    warm at an explicit larger k_max, or else at the size where the exact
+    rejected before any sweep). It starts at f interpolated linearly at
+    the mean degree 2E/c, clipped into the window and the table. A second
+    phase only grows the table: it starts at the first phase's x, at an
+    explicit larger k_max, or else at the size where the exact
     tail bound is predicted to drop below max(tol, 1e-12), doubling while
     it has not (up to K_CAP entries). iterations counts the last phase's
     sweeps and method is "bisection" if any of them bisected (see
@@ -289,8 +294,7 @@ def solve_stationary(
             f"over k > K_CAP), beyond every default table; give k_max >= {arr_max} "
             "to solve on a larger table"
         )
-    a = p.a
-    if a <= 0.0:
+    if p.a <= 0.0:
         raise InputError("model adds no edge ends per step; no attachment to solve")
     if k_max is not None and k_max < arr_max:
         raise InputError(f"k_max={k_max} is below the largest arrival degree {arr_max}")
@@ -307,7 +311,13 @@ def solve_stationary(
         except PreferenceError:
             f.weight_array(K)  # names the first bad degree if the table has one
             raise
-    x, iters, method, (q, t) = _solve_at(p, f, K, a, tol, alpha)
+    # every stationary VDD has the mean degree 2E/c (each step adds 2E
+    # degree to c vertices), so x = sum f Q is f at that mean for affine
+    # f; clipped into the window and the table, where f > 0
+    k_bar = min(max(2.0 * p.edges_per_step / p.c, f.g), f.M, K)
+    top = math.ceil(k_bar)
+    x0 = float(np.interp(k_bar, np.arange(top + 1), f.weight_array(top)))
+    x, iters, method, (q, t) = _solve_at(p, f, K, x0, tol, alpha)
     tail = _tail_mass(t, p, x)
     tail_tol = max(tol, 1e-12)
     size = K if k_max is None else int(k_max)
@@ -360,25 +370,25 @@ def solve_stationary(
 
 
 def _solve_at(p, f, K, x0, tol, alpha):
-    """Fixed-point solve on a table of K + 1 entries, warm-started at x0.
+    """Fixed-point solve on a table of K + 1 entries, started at x0.
 
     A sweep at x gives g(x) = sum f Q / sum Q, where for an unbounded
     window (alpha not None) both sums count the table's tail: the exact
-    mass and the closure of t for f(k) ~ alpha k. The damped step is
-    (1 - BETA) x + BETA clamp(g(x), x/8, 8x). The sign of g(x) - x (an
-    infinite tail gives g = inf, so g > x and the clamp is 8x) narrows a
-    bracket [lo, hi]; g need not be monotone, so only these signs set it,
-    and a NaN g counts as g <= x. A step that would leave the
-    bracket, and every step after MAX_ITER sweeps, bisects it instead
-    (8x while hi is unbounded). The loop stops at |g(x) - x| <= tol x, a
-    relative test at every scale of x, or when the bracket is narrower
-    than tol relative to lo, or, while lo is 0, to the first sweep's
-    table-only mean of f: x has the units of f, so no stop depends on
-    how f is scaled. Only an x whose next step could overflow counts as
-    diverging. Every sweep refills the same pair of array('d') tables,
-    16 bytes per entry in all, the only arrays of table length. Returns
-    (x, iterations, method, (q, t)), numpy views of the last sweep's
-    tables.
+    mass and the closure of t for f(k) ~ alpha k. The first step goes to
+    g(x0); every later one is the secant of h(x) = g(x) - x through the
+    last two sweeps. The sign of h (an infinite tail gives g = inf, so
+    h > 0) narrows a bracket [lo, hi]; g need not be monotone, so only
+    these signs set it, and a NaN g counts as g <= x. A step that would
+    leave the bracket, or has no secant, bisects it instead (8x while hi
+    is unbounded). The loop stops at |g(x) - x| <= tol x, a relative test
+    at every scale of x, or when the bracket is narrower than tol
+    relative to lo, or, while lo is 0, to x0: x0 has the units of f, so
+    no stop depends on how f is scaled. Only an x whose next step could
+    overflow counts as diverging. Every sweep refills the same pair of
+    array('d') tables, 16 bytes per entry in all, the only arrays of
+    table length. Returns (x, iterations, method, (q, t)), numpy views of
+    the last sweep's tables; iterations counts the sweeps, and method is
+    "bisection" if any step bisected.
     """
     arr = p.arrival_array(0, p.arrival_max + 1).tolist()
     qa = array("d", [0.0]) * (K + 1)
@@ -394,32 +404,34 @@ def _solve_at(p, f, K, x0, tol, alpha):
         if not total > 0.0:
             why = "lost all probability mass" if total <= 0.0 else "probability mass is NaN"
             raise NonConvergenceError(f"stationary sweep {why}")
-        if it == 1:
-            scale = s / total
         if alpha is not None:
             total += _tail_mass(t, p, x)
             s += _tail_closure(t, p, x, alpha, f_end)
-        gx = s / total
-        if abs(gx - x) <= tol * x:
+        h = s / total - x
+        if abs(h) <= tol * x:
             return x, it, method, (q, t)
         if math.isinf(8.0 * x):  # the next step could overflow
             raise NonConvergenceError(
                 f"mean preference diverges; no stationary distribution (x reached {x!r})"
             )
-        if gx > x:
+        if h > 0.0:
             lo = x
         else:
             hi = x
         # 4 eps: no narrower bracket exists in double precision
-        if hi - lo <= max(tol, 4.0 * math.ulp(1.0)) * (lo or scale):
+        if hi - lo <= max(tol, 4.0 * math.ulp(1.0)) * (lo or x0):
             if lo == 0.0:
                 raise NonConvergenceError(
                     "no mean-preference fixed point: g(x) - x never turned "
                     f"positive down to x={hi!r} at k_max={K}"
                 )
             return x, it, "bisection", (q, t)
-        x_next = (1.0 - BETA) * x + BETA * min(max(gx, 0.125 * x), 8.0 * x)
-        if it >= MAX_ITER or not lo < x_next < hi:
+        # the secant of h through the last two sweeps, g(x) after the
+        # first; equal h give no secant, and NaN bisects like any step
+        # that leaves the bracket
+        x_next = x + h if it == 1 else x - h * (x - x_last) / (h - h_last or math.nan)
+        x_last, h_last = x, h
+        if not lo < x_next < hi:
             x_next = 8.0 * x if math.isinf(hi) else 0.5 * (lo + hi)
             method = "bisection"
         x = x_next

@@ -5,7 +5,7 @@ keeps notes for the span names in ``NOTES``; ``perfbench/run.py`` reads
 per-layer metrics from span names such as ``engine.apply_monad``. A span
 name whose function is gone records nothing and its metric reads 0, so
 this checks the names directly, and checks that the sweep's note still
-reads the table size. Neither file is run or changed here: ``spans`` is
+reads the table size and the solve's note the sweeps of its phase. Neither file is run or changed here: ``spans`` is
 imported from its path, and ``run.py`` is only parsed. A name that still
 exists but is no longer called would read 0 as well, so a grown run checks
 that the engine's hooked names are called once per increment and per draw.
@@ -112,6 +112,31 @@ def test_sweep_note_reads_each_table_size(monkeypatch):
 
 def _dist(probs):
     return DegreeDistribution.from_probs(probs)
+
+
+def test_solve_note_sums_to_the_sweeps(monkeypatch):
+    # solver.iterations sums this note over the phases of a traced pass,
+    # and means the sweep count only while index 1 of what _solve_at
+    # returns counts every sweep of its phase
+    note = _spans().NOTES["solver._solve_at"]
+    solve_at, kernel = solver._solve_at, solver._sweep_kernel
+    notes, sweeps = [], []
+
+    def noted(*args, **kwargs):
+        result = solve_at(*args, **kwargs)
+        notes.append(note(args, kwargs, result))
+        return result
+
+    def counted(*args):
+        sweeps.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(solver, "_solve_at", noted)
+    monkeypatch.setattr(solver, "_sweep_kernel", counted)
+    ba = ModelParams(gamma=0.0, n=2, mu=0, r1=_dist({2: 1.0}), rn=_dist({0: 1.0}))
+    solver.solve_stationary(ba, PreferenceFunction.linear())
+    assert len(notes) == 2  # the default schedule's two phases
+    assert sum(notes) == len(sweeps)
 
 
 # the grow workload's mixed model, and tetrads with two bundles each

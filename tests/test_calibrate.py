@@ -146,8 +146,27 @@ class TestValidation:
             calibrate(target, p, window=(-1, 2))
 
     def test_default_window_is_target_support(self):
+        # the support reaches degree 26, one attachment past the window of
+        # f_true, where the swept weight is zero within its rounding bound;
+        # the recovered window ends below it, on f_true's [1, 25]
         p = ModelParams(gamma=0.0, n=2, mu=0, r1=point(1), rn=point(0))
         f_true = PreferenceFunction.constant(2.0, g=1, M=25)
         sol = solve_stationary(p, f_true, tol=1e-12)
         res = calibrate(sol.q, p)
-        assert (res.f.g, res.f.M) == (sol.q.support_min, sol.q.support_max)
+        assert (sol.q.support_min, sol.q.support_max) == (1, 26)
+        assert (res.f.g, res.f.M) == (1, 25)
+
+    @pytest.mark.parametrize("M", [30, 100, 300])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_default_window_ends_where_f_is_zero_within_rounding(self, m, M):
+        # the solved table of f = k on [1, M] reaches M + 1, where the true
+        # weight is 0 and the swept one is a rounding residual of either
+        # sign; it no longer decides feasibility
+        p = ModelParams(gamma=0.0, n=2, mu=0, r1=point(m), rn=point(0))
+        sol = solve_stationary(p, PreferenceFunction.linear(g=1, M=M))
+        assert sol.q.support_max == M + 1
+        res = calibrate(sol.q, p)
+        assert res.feasible and (res.f.g, res.f.M) == (m, M)
+        ratios = [res.f(k) / k for k in range(m, M + 1)]
+        assert max(ratios) - min(ratios) <= 1e-11 * ratios[0]
+        assert set(res.raw_weights) == set(range(m, M + 2))

@@ -951,7 +951,7 @@ def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, command, flag):
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("out", ["o", "o/deep"])
+@pytest.mark.parametrize("out", ["o", "o/deep", "x/../o"])
 @pytest.mark.parametrize(
     "command, keys, flags, err",
     [
@@ -972,8 +972,8 @@ def test_bad_solver_flags_are_usage_errors(tmp_path, capsys, command, flag):
 def test_exit_2_after_the_output_dir_is_made_removes_it(
     tmp_path, capsys, monkeypatch, command, keys, flags, err, out
 ):
-    # each input is rejected only after the command made its output dir;
-    # main removes the outermost directory the run made, nested ones too
+    # each input is rejected only after main made the output dir; main
+    # removes every part of it that the run made, x too for x/../o
     write_dist(tmp_path / "r1.tsv", {2: 1.0})
     write_dist(tmp_path / "r0.tsv", {0: 1.0})
     probs = {k: 2.0 ** -(k - 1) for k in range(2, 42)}
@@ -988,7 +988,7 @@ def test_exit_2_after_the_output_dir_is_made_removes_it(
     monkeypatch.chdir(tmp_path)
     assert main([command, "--config", "run.yaml", "--out", out, *flags]) == 2
     assert capsys.readouterr().err == f"error: {err}\n"
-    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o").exists() and not (tmp_path / "x").exists()
 
 
 def test_exit_2_keeps_an_output_dir_it_did_not_make(tmp_path, capsys):
@@ -1049,7 +1049,11 @@ def test_rejected_solve_keeps_its_output_dir(tmp_path, capsys):
 # latter) when the exact tail closure replaced the power-law fit. The
 # "analyze" run's two reports, p/analysis_report.csv and
 # t/analysis_report.csv, were recorded again when their "# loglog_slope="
-# line was dropped; every other byte of them is unchanged. The
+# line was dropped; every other byte of them is unchanged. Every file
+# and stdout line that a solve feeds, in "solve_ba", "solve_mixed_window",
+# "calibrate_solved", "analyze" and "diverging", was recorded again when
+# the secant step from f at the mean degree replaced the damped step:
+# mean_f moved within tol, and the iterations header key with it. The
 # failure runs (exit code 1) and every command's stdout and stderr were
 # recorded before the subcommands were put behind one command table. Each
 # run works in its own directory: inputs from GOLDEN_TABLES, one config,
@@ -1100,15 +1104,15 @@ GOLDEN = {
         [(["solve", "--kmax", "4096", "--out", "o"], 0,
           "solve: mean_f=4.0 k_max=4096 residual=5.551e-17 tail=3.574e-07\n", "")],
         {
-            "o/q_table.csv": "2800f2eb70ac8043cb836496bf491bb3b38e48145196be1303e3621b27578df5",
+            "o/q_table.csv": "3e7cce6ba534c2476c54cd539f522e9bade108c169b71bd53c16c741cdf479cd",
         },
     ),
     "solve_mixed_window": (
         MIXED_CFG,
         [(["solve", "--out", "o"], 0,
-          "solve: mean_f=4.512462653900007 k_max=63 residual=1.110e-16 tail=0.000e+00\n", "")],
+          "solve: mean_f=4.512462653670758 k_max=63 residual=5.551e-17 tail=0.000e+00\n", "")],
         {
-            "o/q_table.csv": "8887ba2fd0cb17015f21f59c9e2080a90d958f825e4bd18ce42e672fcbe92aa3",
+            "o/q_table.csv": "2660b0a8a9769074b3b3aa261488b5031bf46dcf9648c6d4b4afe749d75d55ec",
         },
     ),
     "generate_pentads": (
@@ -1125,15 +1129,15 @@ GOLDEN = {
         dict(MIXED_CFG, target_vdd_path="s/q_table.csv"),
         [
             (["solve", "--out", "s"], 0,
-             "solve: mean_f=4.512462653900007 k_max=63 residual=1.110e-16 tail=0.000e+00\n", ""),
+             "solve: mean_f=4.512462653670758 k_max=63 residual=5.551e-17 tail=0.000e+00\n", ""),
             (["calibrate", "--out", "o"], 0,
-             "calibrate: feasible window=2..60 forward_tv=1.406e-16\n", ""),
+             "calibrate: feasible window=2..60 forward_tv=8.513e-16\n", ""),
         ],
         {
-            "o/calibration_report.txt": "fff50e97b161f1d7fafb0b5b3a61e8a50a515cc87610979203ac296f395ec83f",
-            "o/forward_q_table.csv": "e41906dd0b2166443bc449f3d740e02bdcadde58a1082b3ecad1e11f47a13a00",
-            "o/preference.tsv": "4282e8f0817784459ab159230a8f2c088825ae183a00b95b3d0084238e8de631",
-            "s/q_table.csv": "ab505d9ee859d89e86a1fd11c7b8b88411383c03db1a3bcb51ad55bf1d41dc45",
+            "o/calibration_report.txt": "234610279b5fd55c6ccfdc3b7e391b330236284d9bec1a94c430f4cef43013e9",
+            "o/forward_q_table.csv": "918e3ef1b550ff182ae3fcf571180277b706c1f592a57c37d2bbc540d338f073",
+            "o/preference.tsv": "b036475cfc826af64e7a8232e16d28f583e1e3103839a8feb91c9c16b146b2e3",
+            "s/q_table.csv": "dea14a19ad76c3eb2b4926d9747a646ba1c1b736b50dcb3ac72c4767ecea914f",
         },
     ),
     "roundtrip": (
@@ -1154,7 +1158,7 @@ GOLDEN = {
             (["generate", "--steps", "2000", "--seed", "4", "--out", "g"], 0,
              "generate: vertices=10005 edges=30010 out=g\n", ""),
             (["solve", "--kmax", "4096", "--out", "s"], 0,
-             "solve: mean_f=5.999999999744679 k_max=4096 residual=1.110e-16 tail=3.185e-17\n", ""),
+             "solve: mean_f=6.0 k_max=4096 residual=4.441e-16 tail=3.185e-17\n", ""),
             (["analyze", "--edges", "g/edges.tsv", "--theory", "s/q_table.csv", "--out", "t"], 0,
              "analyze: tv=0.0081 ks=0.0026 triangles=20024\n", ""),
             (["analyze", "--edges", "g/edges.tsv", "--out", "p"], 0,
@@ -1165,25 +1169,26 @@ GOLDEN = {
             "g/empirical_vdd.tsv": "82359cd8dc338e6fcc09199a637870e47be8ad4f091296bc34a9a41ffbc19331",
             "g/stats.txt": "4b8a16829d8b5f28b6383e18b9c50df911eb162e9897d7c776245f483f88f513",
             "p/analysis_report.csv": "7c2695e057ab8ba6fa304c9a9b10cff7416f1d47783850a477230ba52d62d4ab",
-            "s/q_table.csv": "6b2bbbfc96de9dea04824c75c4b5ffef875d4b6043b6f18c22474fb25e6423c4",
-            "t/analysis_report.csv": "1a71faef48c65a322aec0dcba50627ca5fc931739a7ac0ca77b4369c53acfb71",
+            "s/q_table.csv": "259f760a6a4a920b7e2bcd37c97c94d83f2db936f80e829aa74e84c941cc7436",
+            "t/analysis_report.csv": "8636edcfb68b86acacb5121f9e671173c269e1922500af893a9243c9b923bc13",
         },
     ),
     "diverging": (
         dict(DIVERGING_CFG, target_vdd_path="s/q_table.csv"),
         [
             (["solve", "--out", "s"], 0,
-             "solve: mean_f=2.9148301349915626 k_max=43 residual=3.331e-16 tail=0.000e+00\n", ""),
+             "solve: mean_f=2.9148301350357486 k_max=43 residual=2.220e-16 tail=0.000e+00\n", ""),
             (["calibrate", "--out", "o"], 0,
-             "calibrate: feasible window=1..40 forward_tv=2.122e-17\n", ""),
+             "calibrate: feasible window=1..40 forward_tv=7.018e-16\n", ""),
         ],
         # the calibrate-side files changed when the calibrator took a from
-        # ModelParams (a=1.3 -> a=1.3000000000000003); the target solve did not
+        # ModelParams (a=1.3 -> a=1.3000000000000003); the target solve did
+        # not, until the secant step re-recorded the whole run
         {
-            "o/calibration_report.txt": "c463fae7a5a2e4f8920fd2b431f82c3e02b5b3b21771a22c2f98f2daf649f2af",
-            "o/forward_q_table.csv": "21fafd1b895b0ca8acf987c2336490992537d26a92d49671158346ef2b797132",
-            "o/preference.tsv": "bf9f456bc042e33268348fec00422d80965cdf0028c6d5fbd8a7e3420179c0f6",
-            "s/q_table.csv": "94ec5b65d2b501a7375d4c7a7b2cb35e92e4bc8db680520b433facb6ef7e6fe9",
+            "o/calibration_report.txt": "f5467000d2da43cfbfc412c6674c3f358ea1d8ca7166ebe42e01a7da6dc445b1",
+            "o/forward_q_table.csv": "3a20983fe179ad7bb0ea945edba9de1ca4c721ce5e3cf10cb852c06c54af0322",
+            "o/preference.tsv": "ee320a556e7e3c07467a00b46cbea8a0434d06490e64f6a794a906119852ac8b",
+            "s/q_table.csv": "721688700269b8917b00c2ab711d32d6f1fdd5419c35ec3f204c516c77357e40",
         },
     ),
     "calibrate_infeasible": (
