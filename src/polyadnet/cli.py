@@ -16,17 +16,17 @@ and the parameter echo and contain no timestamps, so equal config plus
 seed means byte-identical files.
 
 Exit codes: 0 success, 1 model-level failure (saturation, infeasible
-target, non-convergence, missed round-trip tolerance), 2 usage or IO
-error. ``main`` alone maps exceptions to codes, by class: an InputError
-(UsageError, PreferenceError and the library's checks of the model
-parameters, solver settings and calibration target) or an OSError exits
-2, a RuntimeError (NonConvergenceError, SaturationError, a failed sweep
-check) exits 1, each after one ``error: message`` line on stderr. Any
-other ValueError is a defect and keeps its traceback. A command catches
-an error only to name its source or to act on it. ``main`` also makes
-each missing part of output_dir before it dispatches, and an exit-2
-failure removes the parts it made, deepest first, except one that a
-file was written into (and so the parts that hold it); an exit-1
+target, non-convergence, a missed forward or round-trip tolerance), 2
+usage or IO error. ``main`` alone maps exceptions to codes, by class: an
+InputError (UsageError, PreferenceError and the library's checks of the
+model parameters, solver settings and calibration target) or an OSError
+exits 2, a RuntimeError (NonConvergenceError, SaturationError, a failed
+sweep check) exits 1, each after one ``error: message`` line on stderr.
+Any other ValueError is a defect and keeps its traceback. A command
+catches an error only to name its source or to act on it. ``main`` also
+makes each missing part of output_dir before it dispatches, and an
+exit-2 failure removes the parts it made, deepest first, except one that
+a file was written into (and so the parts that hold it); an exit-1
 failure keeps its directory and any report in it.
 """
 
@@ -358,6 +358,9 @@ def cmd_calibrate(cfg: RunConfig, base: Path, args) -> int:
         return _fail(report, path, f"target infeasible, first nonpositive preference at k={k}")
     window = f"{result.f.g}..{result.f.M}"
     report.update(window=window, **forward)
+    if not forward["forward_pass"]:
+        return _fail(report, path, f"forward check failed: forward_tv={forward['forward_tv']!r} "
+                     f"is not below forward_tv_max={forward['forward_tv_max']!r}")
     write_stats(report, path)
     print(f"calibrate: feasible window={window} forward_tv={forward['forward_tv']:.3e}")
     return 0

@@ -40,6 +40,13 @@ TEXT_RENORM_TOL = 1e-6
 #: Rows that ``write_table`` and ``write_edge_list`` put in one write.
 ROWS_PER_WRITE = 8192
 
+#: Most entries (largest degree - smallest + 1) of a dense table built by
+#: ``from_probs``: 128 MB of float64. It is checked before the table is
+#: allocated, so a stray row at degree 10^9 is named rather than asking for
+#: 8 GB. The solver's default tables end at K_CAP = 10^6, and the widest
+#: table the tests build (an r1 with rows at 1 and 2 * 10^6) is well below.
+MAX_SPAN = 2**24
+
 
 def degree_key(k) -> int:
     """``k`` as a Python int: any integer but a bool, numpy integers included."""
@@ -77,8 +84,9 @@ class DegreeDistribution:
         """Validate a degree -> probability mapping and build a distribution.
 
         Degrees are non-negative integers, numpy integers included. Other
-        degrees, negative or NaN probabilities, an empty table and a total
-        mass off by more than ``NORMALIZATION_TOL`` raise ValueError.
+        degrees, negative or NaN probabilities, an empty table, a total
+        mass off by more than ``NORMALIZATION_TOL`` and a span of more than
+        ``MAX_SPAN`` degrees raise ValueError.
         """
         clean: dict[int, float] = {}
         for k, p in probs.items():
@@ -95,8 +103,12 @@ class DegreeDistribution:
             raise ValueError(
                 f"probabilities sum to {total!r}, off by more than {NORMALIZATION_TOL}"
             )
-        lo = min(clean)
-        table = np.zeros(max(clean) - lo + 1)
+        lo, hi = min(clean), max(clean)
+        if hi - lo + 1 > MAX_SPAN:
+            raise ValueError(
+                f"degrees {lo}..{hi} span {hi - lo + 1} entries, above MAX_SPAN={MAX_SPAN}"
+            )
+        table = np.zeros(hi - lo + 1)
         table[[k - lo for k in clean]] = list(clean.values())
         return cls.from_array(table, lo)
 

@@ -95,11 +95,13 @@ class PreferenceFunction:
         return cls.from_rule(lambda ks: np.full(ks.shape, v), g, M)
 
     def _at(self, ks: np.ndarray) -> np.ndarray:
-        """The rule's weights at the degrees ``ks``, as floats.
+        """The rule's weights at the degrees ``ks``, as floats, unchecked.
 
-        An overflow or nan is returned for the caller to report, not warned
-        about. A rule that cannot take the array, or that does not give one
-        weight per degree, raises TypeError.
+        Two callers read them: :meth:`weight_array`, which checks them, and
+        the solver's probe of superlinear growth, which needs an overflow
+        as it is. An overflow or nan is returned, not warned about. A rule
+        that cannot take the array, or that does not give one weight per
+        degree, raises TypeError.
         """
         try:
             with np.errstate(all="ignore"):
@@ -111,18 +113,15 @@ class PreferenceFunction:
         return vals
 
     def __call__(self, k: int) -> float:
-        if k < self.g or k > self.M:
-            return 0.0
-        val = float(self._at(np.array([k]))[0])
-        if not val > 0.0:
-            raise PreferenceError(f"preference rule gives {val} at degree {k} inside the window")
-        return val
+        """The weight at degree ``k``: 0 outside the window, else checked."""
+        return float(self.weight_array(k, k)[0])
 
     def weight_array(self, upto: int, start: int = 0) -> np.ndarray:
         """Dense weights for degrees ``start..upto`` (zeros outside the window).
 
-        Raises PreferenceError naming the first degree in the covered part of
-        the window where the rule is not finite and > 0.
+        The one check of a weight: raises PreferenceError naming the first
+        degree in the covered part of the window where the rule is not
+        finite and > 0 (an overflow included). ``f(k)`` is this at one degree.
         """
         out = np.zeros(upto - start + 1)
         lo, hi = max(self.g, start), min(self.M, upto)

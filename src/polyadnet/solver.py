@@ -31,10 +31,13 @@ equals
 where t_k = f(k) Q_k, so the solver reports a rigorous tail bound.
 
 A preference window without an upper bound is first probed far beyond
-any table: p = log2(f(2K) / f(K)) at K = 2^20. Superlinear f (p > 1) has
-no stationary distribution (Krapivsky, Redner and Leyvraz, PRL 85, 4629,
-2000) and is rejected before any sweep. Otherwise f(k) ~ alpha k with
-alpha = (f(2K) - f(K)) / K, and the recurrence makes t_k fall like k^-s,
+any table, at K, 2K and 4K with K = 2^20. Superlinear f has no
+stationary distribution (Krapivsky, Redner and Leyvraz, PRL 85, 4629,
+2000) and is rejected before any sweep: a rule that overflows there, or
+whose slope on [2K, 4K] is more than 2^LINEAR_SLACK times its slope on
+[K, 2K]. That ratio is 1 for every affine f, whatever its offset, and
+2^(p-1) for k^p. Otherwise f(k) ~ alpha k with alpha = (f(2K) - f(K)) /
+K, and the recurrence makes t_k fall like k^-s,
 
     s = c x / (alpha (b + n gamma mu)),
 
@@ -71,7 +74,7 @@ import numpy as np
 
 from .distributions import ROWS_PER_WRITE, DegreeDistribution, write_table
 from .params import InputError, ModelParams
-from .preference import PreferenceError, PreferenceFunction
+from .preference import PreferenceFunction
 
 __all__ = [
     "NonConvergenceError",
@@ -83,8 +86,9 @@ __all__ = [
 K_START = 4096
 K_CAP = 1_000_000
 K_PROBE = 2**20
-# an affine f = alpha k + beta probes at p ~ 1 - beta / (2 alpha K ln 2);
-# at K_PROBE this slack keeps every beta > -145 alpha linear
+# the probe's slope ratio is 2^(p-1) for k^p and 1 for an affine f =
+# alpha k + beta; rounding the three weights moves it by about
+# 4 eps f(4K) / (alpha K), below this slack while |beta| < 10^17 alpha
 LINEAR_SLACK = 1e-4
 
 
@@ -149,22 +153,35 @@ def _tail_closure(t: np.ndarray, p: ModelParams, x: float, alpha: float, f_end: 
     return (p.b * (f_end + alpha) * float(t[K]) + p.bundle_rate * bundle) / loss
 
 
-def _linear_rate(f: PreferenceFunction) -> float:
-    """alpha of f(k) ~ alpha k on an unbounded window, probed at K_PROBE.
+def _linear_rate(f: PreferenceFunction, K_table: int) -> float:
+    """alpha = (f(2K) - f(K)) / K of f(k) ~ alpha k on an unbounded window.
 
-    Raises NonConvergenceError when p = log2(f(2K) / f(K)) exceeds 1 (up
-    to LINEAR_SLACK): f is superlinear and no stationary distribution
-    exists. A rule that overflows there counts as p = inf.
+    The only reader of the rule's raw values: one call at K, 2K and 4K,
+    K = max(K_PROBE, g). A NaN, zero or negative weight there raises
+    PreferenceError naming the first such degree of the first table
+    (0..K_table), or else the probe's. Raises NonConvergenceError when f
+    is superlinear, which has no stationary distribution: the rule
+    overflows at the probe, or its slope on [2K, 4K] is more than
+    2^LINEAR_SLACK times its slope on [K, 2K]. That ratio is 1 for every
+    affine f and 2^(p-1) for k^p, so the message names p = 1 + log2 of it.
     """
     K = max(K_PROBE, f.g)
-    lo, hi = f(K), f(2 * K)
-    p_hat = math.log2(hi / lo) if math.isfinite(lo + hi) else math.inf
-    if p_hat > 1.0 + LINEAR_SLACK:
+    ks = np.array([K, 2 * K, 4 * K])
+    w = f._at(ks)
+    if not (w > 0.0).all():
+        f.weight_array(K_table)  # the first bad degree of the first table
+        f(int(ks[np.argmin(w > 0.0)]))  # else the probe's
+    lo, mid, hi = w.tolist()
+    rise, next_rise = mid - lo, (hi - mid) / 2.0  # the two slopes, times K
+    overflow = math.inf in (lo, mid, hi)
+    if overflow or next_rise > max(0.0, 2.0**LINEAR_SLACK * rise):
+        power = math.inf if overflow or rise <= 0.0 else 1.0 + math.log2(next_rise / rise)
         raise NonConvergenceError(
-            f"preference grows superlinearly: f(2K)/f(K) = 2^{p_hat:.6g} at "
-            f"K={K}, and f(k) ~ k^p with p > 1 has no stationary distribution"
+            f"preference grows superlinearly: its slope on [2K, 4K] over that on "
+            f"[K, 2K] is 2^(p-1) with p = {power:.6g} at K={K}, and f(k) ~ k^p with "
+            "p > 1 has no stationary distribution"
         )
-    return max(0.0, (hi - lo) / K)
+    return max(0.0, rise / K)
 
 
 def _check_reachable(p: ModelParams, f: PreferenceFunction) -> None:
@@ -268,8 +285,8 @@ def solve_stationary(
             no edge ends per step (a <= 0), or a k_max below the largest
             arrival degree.
         PreferenceError: an InputError naming the first degree of the
-            first table where f is not finite and > 0, or else the
-            probed degree.
+            first table where f is not finite and > 0, or else the first
+            probed degree where it is NaN or not > 0.
         NonConvergenceError: f is superlinear, no arrival degree lies in
             the window, the mean ran away, lost its mass or has no fixed
             point, or, without k_max, an unbounded window has an arrival
@@ -304,13 +321,7 @@ def solve_stationary(
     if k_max is not None:
         # a bounded window needs no tail closure, so it solves at k_max at once
         K = int(k_max) if bounded else min(int(k_max), K)
-    alpha = None
-    if not bounded:
-        try:
-            alpha = _linear_rate(f)
-        except PreferenceError:
-            f.weight_array(K)  # names the first bad degree if the table has one
-            raise
+    alpha = None if bounded else _linear_rate(f, K)
     # every stationary VDD has the mean degree 2E/c (each step adds 2E
     # degree to c vertices), so x = sum f Q is f at that mean for affine
     # f; clipped into the window and the table, where f > 0

@@ -13,11 +13,11 @@ from oracles import read_stats
 from polyadnet import cli, solver
 from polyadnet.cli import RunConfig, UsageError, load_config, main
 from polyadnet.layers import SaturationError
-from polyadnet.params import InputError
-from polyadnet.preference import PreferenceError
+from polyadnet.params import InputError, ModelParams
+from polyadnet.preference import PreferenceError, PreferenceFunction
 from polyadnet.engine import read_edge_list
-from polyadnet.distributions import read_degree_table
-from polyadnet.solver import NonConvergenceError
+from polyadnet.distributions import DegreeDistribution, read_degree_table
+from polyadnet.solver import NonConvergenceError, solve_stationary
 
 
 def write_dist(path, probs):
@@ -296,8 +296,9 @@ class TestConfigValues:
         monkeypatch.setattr(solver, "_sweep_kernel", None)
         assert self._run(mixed_setup, "solve", "preference_rule", "{kind: power, exponent: 200}") == 1
         assert capsys.readouterr().err == (
-            "error: preference grows superlinearly: f(2K)/f(K) = 2^inf at K=1048576, "
-            "and f(k) ~ k^p with p > 1 has no stationary distribution\n"
+            "error: preference grows superlinearly: its slope on [2K, 4K] over that on "
+            "[K, 2K] is 2^(p-1) with p = inf at K=1048576, and f(k) ~ k^p with p > 1 "
+            "has no stationary distribution\n"
         )
 
     @pytest.mark.parametrize("rule", ["{kind: power, exponent: '1.5', M: 40}", "{kind: power, exponent: 1e0}"])
@@ -361,6 +362,9 @@ INPUT_ERRORS = {
     "negative probability": (["solve"], "r1.tsv", "1\t-0.5\n2\t1.5\n", {},
                              "bad r1 table", "probability -0.5 at degree 1 is negative"),
     "missing table": (["solve"], "r1.tsv", None, {}, "cannot read r1 from", "No such file or directory"),
+    # rejected before a dense table of 10^9 entries is allocated
+    "table too wide": (["solve"], "r1.tsv", "0\t0.5\n1000000000\t0.5\n", {}, "bad r1 table",
+                       "degrees 0..1000000000 span 1000000001 entries, above MAX_SPAN=16777216"),
     "bad vertices header": (["analyze", "--edges", "{path}"], "e.tsv", "# vertices=x\n0\t1\n", {},
                             "bad edge list table", "header vertices='x' is not a non-negative integer"),
     "missing edge list": (["analyze", "--edges", "{path}"], "e.tsv", None, {},
@@ -721,6 +725,28 @@ class TestCalibrate:
         assert report["feasible"] == "False"
         assert report["first_infeasible_k"] == "1"
         assert not (tmp_path / "out" / "preference.tsv").exists()
+
+    def test_missed_forward_check_exits_1(self, tmp_path, capsys):
+        # the solved BA m = 2 table for f = k on [1, 300], reweighted by
+        # k^0.3: calibrate finds a feasible f, but no f of BA m = 2 gives
+        # its mean 5.1 (every one gives 4), so the forward solve misses
+        point = DegreeDistribution.from_probs
+        ba = ModelParams(gamma=0.0, n=2, mu=0, r1=point({2: 1.0}), rn=point({0: 1.0}))
+        q = solve_stationary(ba, PreferenceFunction.linear(g=1, M=300)).q
+        reweighted = {k: pr * k**0.3 for k, pr in q.items()}
+        total = math.fsum(reweighted.values())
+        write_dist(tmp_path / "target.tsv", {k: w / total for k, w in reweighted.items()})
+        cfg = self._config(tmp_path)
+        write_dist(tmp_path / "r1.tsv", {2: 1.0})
+        assert main(["calibrate", "--config", str(cfg)]) == 1
+        report = read_stats(tmp_path / "out" / "calibration_report.txt")
+        assert report["feasible"] == "True"
+        assert report["forward_pass"] == "False"
+        tv = float(report["forward_tv"])
+        assert tv == pytest.approx(6.3e-2, rel=0.01)
+        assert capsys.readouterr().err == (
+            f"error: forward check failed: forward_tv={tv!r} is not below forward_tv_max=1e-06\n"
+        )
 
     def test_target_not_normalized(self, tmp_path):
         write_dist(tmp_path / "target.tsv", {1: 0.5, 2: 0.48})

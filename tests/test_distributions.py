@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from oracles import compare_probs, cumulative_probs, from_counts, sample_probs
 
 from polyadnet.analysis import compare
 from polyadnet.distributions import (
+    MAX_SPAN,
     DegreeDistribution,
     read_distribution,
     write_distribution,
@@ -20,6 +23,21 @@ def test_from_probs_basic():
     assert d.support_min == 2
     assert d.support_max == 5
     assert d.mean_degree == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("hi", [10**9, MAX_SPAN])
+def test_from_probs_rejects_a_span_above_the_cap_before_allocating(hi):
+    # a dense table from degree 0 to 10^9 would take 8 GB; the span is
+    # checked first, so the failed build traces well under 1 MB
+    message = f"degrees 0..{hi} span {hi + 1} entries, above MAX_SPAN={MAX_SPAN}"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DegreeDistribution.from_probs({0: 0.5, hi: 0.5})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_from_probs_drops_zero_entries():

@@ -386,29 +386,40 @@ def test_block_uniforms_match_scalar_draws():
 
 
 # The exact finite-time law: Hotelling's T^2 of the degree counts of many
-# 200-step runs against oracles.expected_counts, as (model, seed size,
-# seeds, kept degrees). The seeds, the kept degrees (expected count >= 2)
-# and the quantile were fixed before the first run. Under the F law of
-# T^2 a correct engine fails a model with chance 1e-4, the test as a
-# whole with about 2e-4. An engine that draws by f = k + 0.1 while the
-# oracle keeps f = k fails BA with p about 2e-22 (pentads alone would
-# pass it, p 0.29), a change that the stationary criterion 3 (mean TV
-# < 0.02) does not see.
+# 200-step runs against oracles.expected_counts, as (model, preference,
+# seed size, seeds, kept degrees). For each model the seeds, the kept
+# degrees (expected count >= 2) and the quantile were fixed before its
+# first run. Under the F law of T^2 a correct engine fails a model with
+# chance 1e-4, the test as a whole (four models) with about 4e-4. An
+# engine that draws by f = k + 0.1 while the oracle keeps f = k fails BA
+# with p about 2e-22 (pentads alone would pass it, p 0.29), a change
+# that the stationary criterion 3 (mean TV < 0.02) does not see. BA m = 1
+# carries an offset preference, f = k + 1, and the triads a bundle per
+# step (mu = 1), which moves a vertex n degrees at once.
 FINITE_TIME = {
-    "ba_m2": (BA, 4, range(1000, 2200), list(range(2, 10))),
-    "pentads": (PENTADS, 5, range(1000, 1400), list(range(5, 15))),
+    "ba_m2": (BA, LINEAR, 4, range(1000, 2200), list(range(2, 10))),
+    "pentads": (PENTADS, LINEAR, 5, range(1000, 1400), list(range(5, 15))),
+    "ba_m1_offset": (
+        ModelParams(gamma=0.0, n=2, mu=0, r1=point(1), rn=point(0)),
+        PreferenceFunction.from_rule(lambda k: k + 1.0, g=0),
+        4, range(3000, 4200), list(range(1, 7)),
+    ),
+    "bundle_triads": (
+        ModelParams(gamma=1.0, n=3, mu=1, r1=point(0), rn=point(2)),
+        LINEAR, 4, range(5000, 5500), list(range(4, 18)),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(FINITE_TIME))
 def test_degree_counts_after_200_steps_have_the_exact_expectation(name):
-    p, seed_size, seeds, kept = FINITE_TIME[name]
-    expected = expected_counts(p, LINEAR, seed_size, 200)
+    p, f, seed_size, seeds, kept = FINITE_TIME[name]
+    expected = expected_counts(p, f, seed_size, 200)
     assert np.flatnonzero(expected >= 2).tolist() == kept
     rows = []
     for seed in seeds:
         g = seed_complete(seed_size)
-        grow(g, p, LINEAR, 200, rng_seed=seed)
+        grow(g, p, f, 200, rng_seed=seed)
         rows.append(np.bincount(g.degrees, minlength=len(expected))[kept])
     x = np.array(rows, dtype=float)
     r, q = x.shape

@@ -102,10 +102,24 @@ def test_rule_probe_rejects_a_start_weight_that_is_not_finite_and_positive(weigh
 def test_weight_array_names_the_first_degree_that_overflows():
     # k^200 is 1 at the window start and first overflows at k = 35
     f = PreferenceFunction.from_rule(lambda k: np.asarray(k, float) ** 200, g=1)
-    with np.errstate(over="ignore"):
-        assert f(34) < math.inf and f(35) == math.inf
-    with pytest.raises(PreferenceError, match=r"^preference rule gives inf at degree 35, not a finite weight > 0$"):
+    message = r"^preference rule gives inf at degree 35, not a finite weight > 0$"
+    assert f(34) < math.inf
+    with pytest.raises(PreferenceError, match=message):
+        f(35)
+    with pytest.raises(PreferenceError, match=message):
         f.weight_array(100)
+
+
+@pytest.mark.parametrize("weight", [math.inf, math.nan, 0.0, -1.0])
+def test_call_and_weight_array_raise_one_message(weight):
+    # one check owns every weight inside the window: f(k) is weight_array(k, k)
+    f = PreferenceFunction.from_rule(lambda k: np.where(k < 7, 1.0, weight), g=2)
+    with pytest.raises(PreferenceError) as one:
+        f(7)
+    with pytest.raises(PreferenceError) as dense:
+        f.weight_array(9)
+    assert str(one.value) == str(dense.value)
+    assert str(one.value) == f"preference rule gives {weight} at degree 7, not a finite weight > 0"
 
 
 def test_weight_array_matches_call():

@@ -158,7 +158,7 @@ def _assert_probe_rejects(monkeypatch, power, k_max):
     with pytest.raises(NonConvergenceError) as info:
         solve_stationary(ba_params(1), f, k_max=k_max)
     # the message quotes the probed growth exponent
-    quoted = re.search(r"f\(2K\)/f\(K\) = 2\^(\S+) at K=1048576", str(info.value))
+    quoted = re.search(r"is 2\^\(p-1\) with p = (\S+) at K=1048576", str(info.value))
     assert quoted is not None
     assert float(quoted.group(1)) == pytest.approx(power, rel=1e-6)
     assert sweeps == []
@@ -436,7 +436,7 @@ class TestSolveBehaviour:
     def test_superlinear_preference_diverges(self, monkeypatch):
         _assert_probe_rejects(monkeypatch, 2.0, k_max=3000)
 
-    @pytest.mark.parametrize("power", [1.5, 1.01])
+    @pytest.mark.parametrize("power", [1.5, 1.01, 1.0002])
     def test_superlinear_default_schedule_rejects_before_any_sweep(self, monkeypatch, power):
         # with no k_max the probe must answer before the default schedule
         # sweeps any table
@@ -620,17 +620,29 @@ class TestSolveBehaviour:
         with pytest.raises(SaturationError, match="^no attachable vertex"):
             grow(seed_complete(4), ba_params(2), f, 10, rng_seed=1)
 
-    def test_probe_only_failure_is_reraised(self):
-        # f is finite on the first table but NaN at the probe: the probe's
-        # own error names the probed degree
-        f = PreferenceFunction.from_rule(
-            lambda k: np.where(np.asarray(k) < 10**6, np.asarray(k, float), np.nan), g=1
-        )
-        with pytest.raises(
-            PreferenceError,
-            match=r"^preference rule gives nan at degree 1048576 inside the window$",
-        ):
+    @pytest.mark.parametrize(
+        "last, weight, degree",
+        [(2999, math.nan, 3000), (10**6, math.nan, 2**20), (2**21, 0.0, 2**22), (2**21, -1.0, 2**22)],
+    )
+    def test_the_first_bad_degree_of_the_table_or_the_probe_is_named(self, last, weight, degree):
+        # f is k up to last and weight above: the first bad degree of the
+        # first table (4097 entries) is named, else the first of the
+        # probe's K, 2K and 4K
+        f = PreferenceFunction.from_rule(lambda k: np.where(k <= last, k * 1.0, weight), g=1)
+        message = f"preference rule gives {weight} at degree {degree}, not a finite weight > 0"
+        with pytest.raises(PreferenceError, match=f"^{re.escape(message)}$"):
             solve_stationary(ba_params(2), f)
+
+    def test_an_affine_rule_with_a_large_negative_offset_is_linear(self, monkeypatch):
+        # f = k - 200 from degree 201 and every vertex born at 202: the
+        # mean degree is 404 and f is affine, so x = 404 - 200 = 204 is the
+        # handshake start itself; f(2K) / f(K) at K = 2^20 is 2^1.00014,
+        # which a ratio test would call superlinear, but the slopes match
+        sweeps = _count_sweeps(monkeypatch)
+        p = ModelParams(gamma=0.0, n=2, mu=0, r1=point(202), rn=point(0))
+        f = PreferenceFunction.from_rule(lambda k: k - 200.0, g=201)
+        assert solve_stationary(p, f, k_max=4096).mean_f == 204.0
+        assert sweeps == [1]
 
     def test_k_max_below_arrivals_rejected(self):
         rn = DegreeDistribution.from_probs({7: 1.0})
